@@ -83,6 +83,10 @@ class EmptyInputError(TimelockError):
     """Metric input must be nonempty."""
 
 
+class MatrixTooLargeError(TimelockError):
+    """The full DTW cost matrix would exceed the cell budget."""
+
+
 # synthesis
 
 class NyquistViolationError(TimelockError):

@@ -12,10 +12,12 @@ from .errors import (
     BadRateError,
     EmptyInputError,
     LengthMismatchError,
+    MatrixTooLargeError,
     ZeroVarianceError,
 )
 
 _COST_BLOCK = 64  # anti-diagonals whose local costs are computed in one call
+_MAX_MATRIX_CELLS = 1 << 24  # largest cost matrix dtw() builds: 128 MiB of float64
 
 
 def _path_bound(x: np.ndarray, y: np.ndarray) -> float:
@@ -33,11 +35,16 @@ def _path_bound(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _kept_rows(values: np.ndarray, lo: int, bound: float) -> tuple[int, int]:
-    """First and last row, counting values from row lo, within the bound."""
-    within = np.flatnonzero(values <= bound)
-    if len(within) == 0:  # a NaN bound prunes nothing
-        return lo, lo + len(values) - 1
-    return lo + int(within[0]), lo + int(within[-1])
+    """First and last row, counting values from row lo, not above the bound.
+
+    When every value exceeds the bound the range is empty,
+    (lo + len(values), lo - 1). NaN compares as kept, so a NaN bound prunes
+    nothing.
+    """
+    kept = np.flatnonzero(~(values > bound))
+    if len(kept) == 0:
+        return lo + len(values), lo - 1
+    return lo + int(kept[0]), lo + int(kept[-1])
 
 
 def _accumulate(x: np.ndarray, y: np.ndarray, acc: np.ndarray | None = None) -> float:
@@ -219,9 +226,17 @@ def dtw(x, y) -> DtwResult:
     x to a constant signal of y's length held at whichever extreme of x's
     range is farther (the costlier of the two), clamped to [0, 1];
     1 - normalized_distance is the similarity used in reports and sweeps.
+
+    Raises MatrixTooLargeError, before allocating, when the matrix would
+    have more than 2**24 cells; dtw_score needs no matrix.
     """
     xa = _metric_input(x)
     ya = _metric_input(y)
+    if len(xa) * len(ya) > _MAX_MATRIX_CELLS:
+        raise MatrixTooLargeError(
+            f"a {len(xa)} x {len(ya)} DTW cost matrix exceeds the limit of "
+            f"{_MAX_MATRIX_CELLS} cells"
+        )
     # The squared difference is symmetric, so the DP runs with the shorter
     # sequence on the row axis and the matrix is transposed back after.
     rows, cols = sorted((xa, ya), key=len)

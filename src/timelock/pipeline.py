@@ -114,8 +114,8 @@ def warp_trial(trial: Trial, p: Partition, spec: WarpSpec,
     Each interval's report carries the rescale ratio, the Pearson correlation
     of the warped interval against the original interval index-remapped by
     nearest-sample lookup to the target length (NaN if an interval is
-    constant), the DTW distance of original versus warped, and the signal
-    energies before and after.
+    constant or one sample long), the DTW distance of original versus
+    warped, and the signal energies before and after.
     """
     if p.n_samples != len(trial):
         raise InconsistentTrialsError(
@@ -145,7 +145,7 @@ def _interval_report(original: np.ndarray, warped: np.ndarray) -> IntervalReport
     ratio = len(original) / len(warped)
     reference = _nearest_remap(original, len(warped))
     try:
-        corr = pearson(warped, reference)
+        corr = pearson(warped, reference) if len(warped) > 1 else math.nan
     except ZeroVarianceError:
         corr = math.nan
     return IntervalReport(

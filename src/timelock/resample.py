@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadOutputLengthError, RangeOutOfBoundsError, SegmentTooShortError
 
@@ -27,6 +28,7 @@ WINDOWS = ("kaiser", "hann", "blackman")
 PAD_MODES = ("neighbor", "zero")
 
 _KAISER_TABLE_SIZE = 1 << 16
+_BLOCK = 1024  # output positions evaluated per block
 
 
 @lru_cache(maxsize=32)
@@ -73,15 +75,8 @@ def _window_values(u: np.ndarray, cfg: SincConfig) -> np.ndarray:
         table = _kaiser_table(cfg.beta)
         pos = x * _KAISER_TABLE_SIZE
         left = np.minimum(pos.astype(np.int64), _KAISER_TABLE_SIZE - 1)
-        # table[left] * (1 - frac) + table[left + 1] * frac, in place
-        frac = np.subtract(pos, left, out=pos)
-        w = table[left]
-        left += 1
-        upper = table[left]
-        upper *= frac
-        np.subtract(1.0, frac, out=frac)
-        w *= frac
-        w += upper
+        frac = pos - left
+        w = table[left] * (1.0 - frac) + table[left + 1] * frac
     elif cfg.window == "hann":
         w = 0.5 + 0.5 * np.cos(np.pi * x)
     else:  # blackman
@@ -93,26 +88,36 @@ def _resample_at(segment: np.ndarray, positions: np.ndarray, cutoff: float,
                  cfg: SincConfig) -> np.ndarray:
     """Evaluate the windowed-sinc interpolant of segment at fractional positions.
 
-    Filter taps that fall outside the segment wrap around, i.e. the segment is
-    modelled as one period of a periodic signal. Unless the signal happens to
-    match across the wrap this is a step discontinuity, so short or unpadded
-    segments ring near their endpoints; callers suppress that by padding the
-    segment with true neighbouring samples first. The kernel is renormalised
-    to unit gain at every output position, so constants are preserved exactly.
+    Positions must lie in [0, len(segment) - 1]. Filter taps that fall outside
+    the segment wrap around, i.e. the segment is modelled as one period of a
+    periodic signal. Unless the signal happens to match across the wrap this
+    is a step discontinuity, so short or unpadded segments ring near their
+    endpoints; callers suppress that by padding the segment with true
+    neighbouring samples first. The kernel is renormalised to unit gain at
+    every output position, so constants are preserved exactly.
+
+    Outputs are computed _BLOCK at a time, so every temporary holds at most
+    _BLOCK x (2 * half_width + 1) values whatever the output length.
     """
     h = cfg.half_width
-    base = np.floor(positions).astype(np.int64)
-    taps = np.arange(-h, h + 1, dtype=np.int64)
-    idx = base[:, None] + taps[None, :]
-    u = idx.astype(np.float64) - positions[:, None]
-    kernel = cutoff * np.sinc(cutoff * u) * _window_values(u, cfg)
-    values = segment[np.mod(idx, len(segment))]
-    out = (kernel * values).sum(axis=1) / kernel.sum(axis=1)
-    if cutoff == 1.0:
-        # At unit cutoff the kernel is an exact delta on integral positions.
-        integral = positions == base
-        if np.any(integral):
-            out[integral] = segment[base[integral]]
+    taps = np.arange(-h, h + 1, dtype=np.float64)
+    # rows[b] holds the taps of an output whose position floors to b
+    extended = np.take(segment, np.arange(-h, len(segment) + h), mode="wrap")
+    rows = sliding_window_view(extended, 2 * h + 1)
+    out = np.empty(len(positions))
+    for s in range(0, len(positions), _BLOCK):
+        pos = positions[s:s + _BLOCK]
+        base = np.floor(pos)
+        frac = pos - base
+        base = base.astype(np.int64)
+        u = taps - frac[:, None]
+        kernel = cutoff * np.sinc(cutoff * u) * _window_values(u, cfg)
+        block = (kernel * rows[base]).sum(axis=1) / kernel.sum(axis=1)
+        if cutoff == 1.0:
+            # At unit cutoff the kernel is an exact delta on integral positions.
+            integral = frac == 0.0
+            block[integral] = segment[base[integral]]
+        out[s:s + _BLOCK] = block
     return out
 
 
@@ -122,28 +127,16 @@ def _cutoff(in_len: int, out_len: int, cfg: SincConfig) -> float:
     return (out_len - 1) / (in_len - 1)
 
 
-def _check_out_len(out_len: int) -> int:
-    if int(out_len) != out_len or out_len < 1:
-        raise BadOutputLengthError(f"output length must be a positive integer, got {out_len}")
-    return int(out_len)
-
-
 def resample(segment, out_len: int, cfg: SincConfig = SincConfig()) -> np.ndarray:
     """Resample a segment to out_len samples by windowed-sinc interpolation.
 
     Endpoints map to endpoints, so out_len == len(segment) is the identity.
+    This is resample_padded of the whole segment without pads.
     """
     seg = np.asarray(segment, dtype=np.float64)
-    if seg.ndim != 1:
-        raise ValueError(f"segment must be one-dimensional, got shape {seg.shape}")
-    if len(seg) < 2:
-        raise SegmentTooShortError(f"segment needs at least 2 samples, got {len(seg)}")
-    out_len = _check_out_len(out_len)
-    if out_len == 1:
-        positions = np.zeros(1)
-    else:
-        positions = np.linspace(0.0, len(seg) - 1.0, out_len)
-    return _resample_at(seg, positions, _cutoff(len(seg), out_len, cfg), cfg)
+    if seg.size < 2:
+        raise SegmentTooShortError(f"segment needs at least 2 samples, got {seg.size}")
+    return resample_padded(seg, (0, len(seg)), out_len, 0, 0, cfg)
 
 
 def resample_padded(full, index_range: tuple[int, int], out_len: int,
@@ -156,8 +149,9 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int,
     neighbouring signal (clamped at the trial boundary, any deficit filled by
     repeating the edge value) and evaluated at exactly the out_len output
     positions covering [start, stop), a grid whose step matches the target
-    interval; the pads only feed the filter taps. pad_mode "zero" fills the
-    extensions with zeros instead, for comparing against zero-padding.
+    interval and whose ends are the interval's first and last samples; the
+    pads only feed the filter taps. pad_mode "zero" fills the extensions with
+    zeros instead, for comparing against zero-padding.
     """
     x = np.asarray(full, dtype=np.float64)
     if x.ndim != 1:
@@ -176,23 +170,13 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int,
     in_len = stop - start
     if in_len < 2:
         raise SegmentTooShortError(f"interval needs at least 2 samples, got {in_len}")
-    out_len = _check_out_len(out_len)
+    if int(out_len) != out_len or out_len < 1:
+        raise BadOutputLengthError(f"output length must be a positive integer, got {out_len}")
+    out_len = int(out_len)
 
-    core = x[start:stop]
     if pad_mode == "zero":
-        left = np.zeros(pad_left)
-        right = np.zeros(pad_right)
+        padded = np.pad(x[start:stop], (pad_left, pad_right))
     else:
-        take_l = min(pad_left, start)
-        left = np.concatenate([np.full(pad_left - take_l, x[0]), x[start - take_l:start]])
-        take_r = min(pad_right, len(x) - stop)
-        right = np.concatenate([x[stop:stop + take_r], np.full(pad_right - take_r, x[-1])])
-    padded = np.concatenate([left, core, right])
-
-    if out_len == 1:
-        positions = np.array([float(pad_left)])
-        return _resample_at(padded, positions, 1.0, cfg)
-
-    step = (in_len - 1) / (out_len - 1)
-    positions = pad_left + np.arange(out_len, dtype=np.float64) * step
+        padded = x[np.clip(np.arange(start - pad_left, stop + pad_right), 0, len(x) - 1)]
+    positions = pad_left + np.linspace(0.0, in_len - 1.0, out_len)
     return _resample_at(padded, positions, _cutoff(in_len, out_len, cfg), cfg)

@@ -155,10 +155,12 @@ def write_warp_report_json(path: str | Path, report: WarpReport,
 
 
 def write_dtw_matrix_csv(path: str | Path, result: DtwResult) -> None:
+    """Write the cost matrix one row at a time, never holding the whole text."""
     acc = result.cost_matrix
-    lines = [f"# shape: {acc.shape[0]},{acc.shape[1]}"]
-    lines.extend(",".join(fmt(v) for v in row) for row in acc)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(f"# shape: {acc.shape[0]},{acc.shape[1]}\n")
+        for row in acc:
+            fh.write(",".join(map(fmt, row.tolist())) + "\n")
 
 
 def write_dtw_path_csv(path: str | Path, result: DtwResult) -> None:

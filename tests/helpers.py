@@ -1,5 +1,6 @@
-"""Shared oracles for the DTW tests: exhaustive enumeration, an independent
-shortest-path formulation, and the plain loop recurrence."""
+"""Shared oracles. For DTW: exhaustive enumeration, an independent
+shortest-path formulation, and the plain loop recurrence. For the resampler:
+the whole-grid windowed-sinc evaluation."""
 
 import math
 
@@ -106,3 +107,28 @@ def dp_matrix_loops(x, y):
             d = x[i] - y[j]
             acc[i, j] = best + d * d
     return acc
+
+
+def resample_direct(segment, positions, cutoff, cfg):
+    """Windowed-sinc interpolant of segment at positions, every output at once.
+
+    The (n_out x taps) form: integer tap indices wrapped with np.mod, offsets
+    idx - positions, and the exact delta at unit cutoff on integral positions.
+    Shares only the taper with the resampler under test, which evaluates the
+    same sums block by block and must match this bit for bit.
+    """
+    from timelock.resample import _window_values
+
+    segment = np.asarray(segment, float)
+    h = cfg.half_width
+    base = np.floor(positions).astype(np.int64)
+    taps = np.arange(-h, h + 1, dtype=np.int64)
+    idx = base[:, None] + taps[None, :]
+    u = idx.astype(np.float64) - positions[:, None]
+    kernel = cutoff * np.sinc(cutoff * u) * _window_values(u, cfg)
+    values = segment[np.mod(idx, len(segment))]
+    out = (kernel * values).sum(axis=1) / kernel.sum(axis=1)
+    if cutoff == 1.0:
+        integral = positions == base
+        out[integral] = segment[base[integral]]
+    return out

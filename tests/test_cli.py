@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from timelock import trialio
+from timelock import Trial, trialio
 
 
 def _read_values(path):
@@ -108,6 +108,18 @@ class TestWarpCommand:
         assert code == 2
         assert "line 3" in err
 
+    def test_one_sample_target(self, run_cli, tmp_path):
+        # a one-sample interval has no correlation; the report says NaN
+        seed = _synth(run_cli, tmp_path / "one.csv", "--duration", "1")
+        out = tmp_path / "w.csv"
+        code, _, err = run_cli("warp", "-i", seed, "-o", out,
+                               "--t1-target", 1, "--t2-target", 1023)
+        assert code == 0, err
+        assert len(_read_values(out)) == 2048
+        report = json.loads((tmp_path / "w.report.json").read_text())
+        assert np.isnan(report["intervals"]["t1"]["correlation"])
+        assert report["intervals"]["t1"]["ratio"] == 512.0
+
     def test_non_preserving_needs_flag(self, run_cli, tmp_path, demo_2400):
         args = ("warp", "-i", demo_2400, "-o", tmp_path / "w.csv",
                 "--t1-target", 480, "--t2-target", 600)
@@ -204,6 +216,15 @@ class TestDtwMatrixCommand:
         matrix_rows = [line for line in (tmp_path / "out.matrix.csv").read_text().splitlines()
                        if not line.startswith("#")]
         assert len(matrix_rows) == len(_read_values(a))
+
+    def test_matrix_over_cell_budget_exits_3(self, run_cli, tmp_path):
+        trial = Trial(np.sin(0.01 * np.arange(4097)), 2048.0)
+        path = tmp_path / "long.csv"
+        trialio.write_trial_csv(path, trial)
+        code, _, err = run_cli("dtw-matrix", path, path, "-o", tmp_path / "out")
+        assert code == 3
+        assert "4097 x 4097 DTW cost matrix exceeds the limit" in err
+        assert not (tmp_path / "out.matrix.csv").exists()
 
     def test_missing_input_exit_2(self, run_cli, tmp_path):
         code, _, err = run_cli("dtw-matrix", tmp_path / "nope.csv",

@@ -10,6 +10,7 @@ from timelock.errors import (
     BadRateError,
     EmptyInputError,
     LengthMismatchError,
+    MatrixTooLargeError,
     ZeroVarianceError,
 )
 from timelock.metrics import _worst_case_corner
@@ -138,7 +139,8 @@ class TestDtw:
     def test_pruned_band_matches_loop_oracle(self, monkeypatch, block):
         # reports drop cells above the straight-path bound; on warped copies
         # that leaves a narrow band, which must still reproduce the loop
-        # recurrence bit for bit across cost-block boundaries
+        # recurrence bit for bit across cost-block boundaries. Identical
+        # pairs have a zero bound, so whole anti-diagonals are dropped.
         from timelock import metrics
 
         monkeypatch.setattr(metrics, "_COST_BLOCK", block)
@@ -162,9 +164,22 @@ class TestDtw:
             y = np.interp(warp, np.arange(n), x) + noise * rng.normal(size=m)
             if case % 2:
                 x, y = y, x
-            expected = dp_matrix_loops(x, y)
-            assert dtw_score(x, y).distance == math.sqrt(expected[-1, -1])
-            assert np.array_equal(dtw(x, y).cost_matrix, expected)
+            for a, b in ((x, y), (x, x)):
+                expected = dp_matrix_loops(a, b)
+                assert dtw_score(a, b).distance == math.sqrt(expected[-1, -1])
+                assert np.array_equal(dtw(a, b).cost_matrix, expected)
+
+    def test_kept_rows_of_a_diagonal_above_the_bound_is_empty(self):
+        # an empty range lies past both ends of the diagonal's rows, so the
+        # next block spans only the other diagonal's kept rows; only a NaN
+        # bound keeps every row
+        from timelock.metrics import _kept_rows
+
+        values = np.array([3.0, 1.0, 2.0, 5.0])
+        assert _kept_rows(values, 10, 2.0) == (11, 12)
+        lo, hi = _kept_rows(values, 10, 0.5)
+        assert lo >= 10 + len(values) and hi < 10
+        assert _kept_rows(values, 10, math.nan) == (10, 13)
 
     def test_worst_case_closed_form_matches_dp(self):
         # the closed form used for normalization must agree with the DP it
@@ -188,6 +203,21 @@ class TestDtw:
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             dtw([], [1.0])
+
+    def test_matrix_cell_budget(self, monkeypatch):
+        # dtw() refuses a matrix past the cell budget before allocating it;
+        # the pipeline tests build 2048 x 1638 matrices, well inside it
+        from timelock import metrics
+
+        x = np.zeros(4097)
+        with pytest.raises(MatrixTooLargeError, match="4097 x 4097"):
+            dtw(x, x)
+        assert 2048 * 1638 <= metrics._MAX_MATRIX_CELLS
+        monkeypatch.setattr(metrics, "_MAX_MATRIX_CELLS", 12)
+        assert dtw(np.zeros(3), np.ones(4)).cost_matrix.shape == (3, 4)
+        with pytest.raises(MatrixTooLargeError):
+            dtw(np.zeros(5), np.ones(3))
+        assert dtw_score(np.zeros(5), np.ones(3)).distance == math.sqrt(5.0)
 
     def test_result_arrays_frozen(self):
         res = dtw([0.0, 1.0], [1.0, 0.0])

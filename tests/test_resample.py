@@ -1,5 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
+
+from helpers import resample_direct
 
 from timelock import SincConfig, pearson, resample, resample_padded
 from timelock.errors import (
@@ -7,6 +11,9 @@ from timelock.errors import (
     RangeOutOfBoundsError,
     SegmentTooShortError,
 )
+
+# the package's `resample` attribute is the function, not this module
+sincmod = importlib.import_module("timelock.resample")
 
 # high-accuracy configuration used for analytic-oracle checks; the package
 # default (half_width=32, beta=8) trades accuracy for speed and sits around
@@ -203,6 +210,61 @@ class TestResamplePadded:
             resample_padded(x, (10, 20), 0, 0, 0)
         with pytest.raises(ValueError):
             resample_padded(x, (10, 20), 5, 0, 0, pad_mode="mirror")
+
+
+def _expected_cutoff(in_len, out_len, cfg):
+    if cfg.anti_alias and 2 <= out_len < in_len:
+        return (out_len - 1) / (in_len - 1)
+    return 1.0
+
+
+class TestBlockedEvaluation:
+    # oracle: the whole (n_out x taps) grid evaluated at once, as the
+    # resampler did before it worked in blocks
+    @pytest.mark.parametrize("window", ["kaiser", "hann", "blackman"])
+    @pytest.mark.parametrize("in_len", [900, 3000])
+    @pytest.mark.parametrize("anti_alias", [True, False])
+    def test_blocks_match_direct_evaluation(self, window, in_len, anti_alias):
+        # three blocks, the last one partial; 900 samples expand (unit cutoff,
+        # exact deltas on integral positions), 3000 contract
+        cfg = SincConfig(window=window, anti_alias=anti_alias)
+        out_len = 2 * sincmod._BLOCK + 437
+        x = np.random.default_rng(31).normal(size=in_len)
+        expected = resample_direct(x, np.linspace(0.0, in_len - 1.0, out_len),
+                                   _expected_cutoff(in_len, out_len, cfg), cfg)
+        assert np.array_equal(resample(x, out_len, cfg), expected)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_small_blocks_match_direct_evaluation(self, monkeypatch, block):
+        monkeypatch.setattr(sincmod, "_BLOCK", block)
+        rng = np.random.default_rng(37)
+        for case in range(40):
+            cfg = SincConfig(half_width=int(rng.integers(4, 40)),
+                             window=("kaiser", "hann", "blackman")[case % 3],
+                             anti_alias=bool(case % 2))
+            full = rng.normal(size=int(rng.integers(2, 300)))
+            start = int(rng.integers(0, len(full) - 1))
+            stop = int(rng.integers(start + 2, len(full) + 1))
+            pad_left, pad_right = (int(v) for v in rng.integers(0, 50, size=2))
+            out_len = int(rng.integers(1, 3 * (stop - start) + 2))
+            # neighbour padding built independently: clamp to the edge samples
+            left = [full[max(i, 0)] for i in range(start - pad_left, start)]
+            right = [full[min(i, len(full) - 1)] for i in range(stop, stop + pad_right)]
+            padded = np.concatenate([left, full[start:stop], right])
+            positions = pad_left + np.linspace(0.0, stop - start - 1.0, out_len)
+            expected = resample_direct(padded, positions,
+                                       _expected_cutoff(stop - start, out_len, cfg), cfg)
+            got = resample_padded(full, (start, stop), out_len, pad_left, pad_right, cfg)
+            assert np.array_equal(got, expected)
+
+    def test_padded_endpoints_land_on_interval_ends(self):
+        # the last position is exactly the interval's last sample, where the
+        # expanding (unit-cutoff) kernel is an exact delta; a position one ulp
+        # short would floor to the sample before and miss it
+        x = np.sin(0.01 * np.arange(3000))
+        out = resample_padded(x, (100, 1511), 2614, 5, 5)
+        assert out[0] == x[100]
+        assert out[-1] == x[1510]
 
 
 class TestAnalyticAccuracy:
