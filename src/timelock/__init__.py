@@ -10,7 +10,7 @@ time-locked trials match their unwarped counterparts.
 
 from . import errors
 from .errors import TimelockError
-from .metrics import DtwResult, DtwScore, dtw, dtw_score, energy, pearson, power
+from .metrics import DtwResult, DtwScore, dtw, dtw_score, energy, pearson
 from .model import (
     OFFSET,
     ONSET,
@@ -20,7 +20,6 @@ from .model import (
     Trial,
     event_index_from_seconds,
     partition_from_events,
-    validate_trial,
 )
 from .pipeline import (
     FixedTargets,
@@ -33,7 +32,7 @@ from .pipeline import (
     plan_warp,
     warp_trial,
 )
-from .resample import SincConfig, resample, resample_padded
+from .resample import SincConfig, resample_padded
 from .sweeps import (
     DIRECTIONS,
     FsampSweepRow,
@@ -80,9 +79,6 @@ __all__ = [
     "partition_from_events",
     "pearson",
     "plan_warp",
-    "power",
-    "resample",
     "resample_padded",
-    "validate_trial",
     "warp_trial",
 ]

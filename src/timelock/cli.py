@@ -16,7 +16,8 @@ from .metrics import dtw
 from .model import EventMarker, OFFSET, ONSET, TRANSITION, Trial, partition_from_events
 from .pipeline import plan_warp, warp_trial
 from .resample import SincConfig, WINDOWS
-from .sweeps import DIRECTIONS, SweepConfig, fsamp_sweep, padding_sweep
+from .sweeps import (DIRECTIONS, FsampSweepRow, PaddingSweepRow, SweepConfig,
+                     fsamp_sweep, padding_sweep)
 from .synth import SynthSpec, generate
 
 EXIT_OK = 0
@@ -29,16 +30,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as err:
+    except (ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except TimelockError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as err:
+    except (TimelockError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
 
@@ -184,7 +179,7 @@ def _parse_float_list(text: str, origin: str) -> tuple[float, ...]:
         raise ParseError(f"{origin}: expected a list of numbers, got {text!r}") from None
 
 
-def _sweep_config_from_args(args, with_factors: bool) -> SweepConfig:
+def _sweep_config_from_args(args) -> SweepConfig:
     merged: dict = {}
     if args.config:
         entries = _read_config_file(args.config)
@@ -209,7 +204,7 @@ def _sweep_config_from_args(args, with_factors: bool) -> SweepConfig:
         merged["directions"] = tuple(args.directions)
     if args.warp_magnitude is not None:
         merged["warp_magnitude"] = args.warp_magnitude
-    if with_factors and getattr(args, "fsamp_factors", None) is not None:
+    if getattr(args, "fsamp_factors", None) is not None:
         merged["fsamp_factors"] = tuple(args.fsamp_factors)
     try:
         return SweepConfig(**merged)
@@ -291,18 +286,18 @@ def cmd_warp(args) -> int:
 
 
 def cmd_sweep_padding(args) -> int:
-    sweep = _sweep_config_from_args(args, with_factors=False)
+    sweep = _sweep_config_from_args(args)
     spec = _synth_spec_from_args(args)
     rows = padding_sweep(sweep, spec, _sinc_from_args(args))
-    trialio.write_padding_table(args.output, rows, _sweep_header(sweep, spec))
+    trialio.write_sweep_table(args.output, PaddingSweepRow, rows, _sweep_header(sweep, spec))
     return EXIT_OK
 
 
 def cmd_sweep_fsamp(args) -> int:
-    sweep = _sweep_config_from_args(args, with_factors=True)
+    sweep = _sweep_config_from_args(args)
     spec = _synth_spec_from_args(args)
     rows = fsamp_sweep(sweep, spec, _sinc_from_args(args))
-    trialio.write_fsamp_table(args.output, rows, _sweep_header(sweep, spec))
+    trialio.write_sweep_table(args.output, FsampSweepRow, rows, _sweep_header(sweep, spec))
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Similarity and conservation metrics: Pearson correlation, DTW, energy, power."""
+"""Similarity and conservation metrics: Pearson correlation, DTW, energy."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    BadRateError,
     EmptyInputError,
     LengthMismatchError,
     MatrixTooLargeError,
@@ -297,10 +296,3 @@ def energy(x) -> float:
     """Sum of squared samples: the discrete signal energy."""
     xa = _metric_input(x)
     return float(np.dot(xa, xa))
-
-
-def power(x, f_samp: float) -> float:
-    """Energy divided by the sampling rate, a Riemann sum for the time integral."""
-    if not (math.isfinite(f_samp) and f_samp > 0):
-        raise BadRateError(f"f_samp must be positive and finite, got {f_samp}")
-    return energy(x) / f_samp

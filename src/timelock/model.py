@@ -50,7 +50,9 @@ class Trial:
     """A uniformly sampled signal plus its sampling rate and event markers.
 
     Samples are copied into a read-only float64 array on construction, so a
-    Trial is an immutable value that can be shared between threads.
+    Trial is an immutable value that can be shared between threads. Every
+    invariant is checked there: samples nonempty and finite, f_samp positive
+    and finite, event indices inside the signal and strictly increasing.
     """
 
     samples: np.ndarray
@@ -68,7 +70,23 @@ class Trial:
         except (TypeError, ValueError):
             raise BadRateError(f"f_samp must be a number, got {self.f_samp!r}") from None
         object.__setattr__(self, "events", tuple(self.events))
-        _check_trial(self)
+        if len(arr) == 0:
+            raise EmptySignalError("trial has no samples")
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteError("trial contains NaN or infinite samples")
+        if not (math.isfinite(self.f_samp) and self.f_samp > 0):
+            raise BadRateError(f"f_samp must be positive and finite, got {self.f_samp}")
+        prev = -1
+        for e in self.events:
+            if not isinstance(e, EventMarker):
+                raise BadEventsError(f"events must be EventMarker instances, got {type(e).__name__}")
+            if not 0 <= e.index < len(arr):
+                raise BadEventsError(
+                    f"event {e.label!r} at index {e.index} outside signal of length {len(arr)}"
+                )
+            if e.index <= prev:
+                raise BadEventsError("event indices must be strictly increasing")
+            prev = e.index
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -78,10 +96,6 @@ class Trial:
         """Nyquist frequency, half the sampling rate."""
         return self.f_samp / 2.0
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.f_samp
-
     def event(self, label: str) -> EventMarker:
         """Return the unique marker with the given label."""
         hits = [e for e in self.events if e.label == label]
@@ -90,32 +104,6 @@ class Trial:
         if len(hits) > 1:
             raise DuplicateEventError(f"{len(hits)} events labelled {label!r}")
         return hits[0]
-
-
-def _check_trial(t: Trial) -> None:
-    if len(t.samples) == 0:
-        raise EmptySignalError("trial has no samples")
-    if not np.all(np.isfinite(t.samples)):
-        raise NonFiniteError("trial contains NaN or infinite samples")
-    if not (math.isfinite(t.f_samp) and t.f_samp > 0):
-        raise BadRateError(f"f_samp must be positive and finite, got {t.f_samp}")
-    prev = -1
-    for e in t.events:
-        if not isinstance(e, EventMarker):
-            raise BadEventsError(f"events must be EventMarker instances, got {type(e).__name__}")
-        if not 0 <= e.index < len(t.samples):
-            raise BadEventsError(
-                f"event {e.label!r} at index {e.index} outside signal of length {len(t.samples)}"
-            )
-        if e.index <= prev:
-            raise BadEventsError("event indices must be strictly increasing")
-        prev = e.index
-
-
-def validate_trial(t: Trial) -> Trial:
-    """Re-check every Trial invariant and return the trial unchanged."""
-    _check_trial(t)
-    return t
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,6 @@ class WarpSpec:
         """Input-over-output length ratio per interval; >1 contracts, <1 expands."""
         return (p.len_t1 / self.t1_target_len, p.len_t2 / self.t2_target_len)
 
-    def directions(self, p: Partition) -> tuple[str, str]:
-        return tuple(
-            "contract" if r > 1.0 else ("expand" if r < 1.0 else "identity")
-            for r in self.ratios(p)
-        )
-
 
 @dataclass(frozen=True)
 class IntervalReport:
@@ -97,6 +91,8 @@ def plan_warp(p: Partition, t1_target: int, t2_target: int, pad_fraction: float,
             f"targets {t1_target}+{t2_target} must preserve the warpable length "
             f"{p.len_t1}+{p.len_t2}={p.len_t1 + p.len_t2}"
         )
+    if not math.isfinite(pad_fraction * f_samp):
+        raise BadTargetError(f"pad_fraction {pad_fraction} at f_samp {f_samp} overflows")
     pads = round(pad_fraction * f_samp)
     return WarpSpec(t1_target, t2_target, pad_left=pads, pad_right=pads,
                     preserve_length=preserve_length)
@@ -158,18 +154,14 @@ def _interval_report(original: np.ndarray, warped: np.ndarray) -> IntervalReport
 
 
 def _nearest_remap(seg: np.ndarray, out_len: int) -> np.ndarray:
-    """Index-remap seg to out_len samples by nearest-sample lookup."""
-    if out_len == 1:
-        return seg[:1].copy()
-    pos = np.arange(out_len) * ((len(seg) - 1) / (out_len - 1))
-    return seg[np.rint(pos).astype(np.int64)]
+    """Index-remap seg to out_len samples: the nearest sample to each position
+    of the resampler's output grid, linspace(0, len(seg) - 1, out_len)."""
+    return seg[np.rint(np.linspace(0.0, len(seg) - 1.0, out_len)).astype(np.int64)]
 
 
 def _scale_offset(offset: int, old_len: int, new_len: int) -> int:
-    if old_len == 1:
-        return 0
-    pos = offset * ((new_len - 1) / (old_len - 1))
-    return min(new_len - 1, int(round(pos)))
+    """Output sample nearest to input sample offset: the same grid, inverted."""
+    return int(np.rint(np.linspace(0.0, new_len - 1.0, old_len)[offset]))
 
 
 def _remap_event(e: EventMarker, p: Partition, spec: WarpSpec) -> EventMarker:

@@ -29,6 +29,7 @@ PAD_MODES = ("neighbor", "zero")
 
 _KAISER_TABLE_SIZE = 1 << 16
 _BLOCK = 1024  # output positions evaluated per block
+_MAX_PAD = 1 << 24  # largest pad per side resample_padded builds: 128 MiB of float64
 
 
 @lru_cache(maxsize=32)
@@ -161,9 +162,9 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int,
         raise RangeOutOfBoundsError(
             f"range [{start}, {stop}) does not fit signal of length {len(x)}"
         )
-    if pad_left < 0 or pad_right < 0:
+    if not (0 <= pad_left <= _MAX_PAD and 0 <= pad_right <= _MAX_PAD):
         raise RangeOutOfBoundsError(
-            f"pad amounts must be >= 0, got ({pad_left}, {pad_right})"
+            f"pad amounts must lie in [0, {_MAX_PAD}], got ({pad_left}, {pad_right})"
         )
     if pad_mode not in PAD_MODES:
         raise ValueError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")

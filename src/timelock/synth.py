@@ -60,8 +60,6 @@ def generate(spec: SynthSpec) -> Trial:
     Identical specs produce bitwise-identical trials.
     """
     n = round(spec.duration_s * spec.f_samp)
-    if n < 2:
-        raise ValueError(f"duration_s {spec.duration_s} yields {n} samples; need at least 2")
     t = np.arange(n) / spec.f_samp
     a1, a2 = spec.amplitudes
     p1, p2 = spec.phases

@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -19,12 +20,6 @@ from .errors import ParseError
 from .metrics import DtwResult
 from .model import EventMarker, Trial
 from .pipeline import WarpReport
-from .sweeps import FsampSweepRow, PaddingSweepRow
-
-PADDING_COLUMNS = ("direction", "interval", "pad_fraction", "correlation",
-                   "dtw_distance", "dtw_similarity", "energy_ratio", "status")
-FSAMP_COLUMNS = ("fsamp_factor", "direction", "interval", "pad_fraction",
-                 "correlation", "dtw_similarity", "status")
 
 
 def fmt(value: float) -> str:
@@ -94,34 +89,22 @@ def read_events_json(path: str | Path) -> tuple[EventMarker, ...]:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return fmt(value)
-    return str(value)
+    if isinstance(value, str):
+        return value
+    return fmt(value)
 
 
-def _write_table(path: str | Path, header: dict[str, str], columns, rows) -> None:
+def write_sweep_table(path: str | Path, row_type: type, rows, header: dict[str, str]) -> None:
+    """Write `# key: value` metadata lines, then one CSV line per row.
+
+    The columns are row_type's dataclass fields in declaration order, so a
+    table without rows still has its header; missing values are empty cells.
+    """
+    columns = [f.name for f in dataclasses.fields(row_type)]
     lines = [f"# {k}: {v}" for k, v in header.items()]
     lines.append(",".join(columns))
-    lines.extend(rows)
+    lines.extend(",".join(_cell(getattr(r, c)) for c in columns) for r in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_padding_table(path: str | Path, rows: list[PaddingSweepRow],
-                        header: dict[str, str]) -> None:
-    body = [",".join([r.direction, r.interval, fmt(r.pad_fraction),
-                      _cell(r.correlation), _cell(r.dtw_distance),
-                      _cell(r.dtw_similarity), _cell(r.energy_ratio), r.status])
-            for r in rows]
-    _write_table(path, header, PADDING_COLUMNS, body)
-
-
-def write_fsamp_table(path: str | Path, rows: list[FsampSweepRow],
-                      header: dict[str, str]) -> None:
-    body = [",".join([fmt(r.fsamp_factor), r.direction, r.interval,
-                      fmt(r.pad_fraction), _cell(r.correlation),
-                      _cell(r.dtw_similarity), r.status])
-            for r in rows]
-    _write_table(path, header, FSAMP_COLUMNS, body)
 
 
 def read_table(path: str | Path) -> list[dict[str, str]]:

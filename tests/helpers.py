@@ -1,6 +1,7 @@
 """Shared oracles. For DTW: exhaustive enumeration, an independent
 shortest-path formulation, and the plain loop recurrence. For the resampler:
-the whole-grid windowed-sinc evaluation."""
+the whole-grid windowed-sinc evaluation. For the warp's index maps: the
+step-multiple formulas with explicit one-sample cases."""
 
 import math
 
@@ -132,3 +133,19 @@ def resample_direct(segment, positions, cutoff, cfg):
         integral = positions == base
         out[integral] = segment[base[integral]]
     return out
+
+
+def nearest_remap_steps(seg, out_len):
+    """Nearest-sample remap at positions k * step, step = (n - 1) / (out_len - 1)."""
+    if out_len == 1:
+        return seg[:1].copy()
+    pos = np.arange(out_len) * ((len(seg) - 1) / (out_len - 1))
+    return seg[np.rint(pos).astype(np.int64)]
+
+
+def scale_offset_steps(offset, old_len, new_len):
+    """Output index of input offset: round(offset * step), clamped to the last sample."""
+    if old_len == 1:
+        return 0
+    pos = offset * ((new_len - 1) / (old_len - 1))
+    return min(new_len - 1, int(round(pos)))

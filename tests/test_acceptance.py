@@ -30,10 +30,10 @@ from timelock import (
     padding_sweep,
     partition_from_events,
     plan_warp,
-    resample,
     warp_trial,
 )
 from timelock.cli import main as cli_main
+from timelock.resample import resample
 
 REFERENCE_PAD = 0.10
 WARP_MAGNITUDE = 0.2

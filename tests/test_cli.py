@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from timelock import Trial, trialio
+from timelock import FsampSweepRow, PaddingSweepRow, Trial, trialio
 
 
 def _read_values(path):
@@ -120,6 +120,14 @@ class TestWarpCommand:
         assert np.isnan(report["intervals"]["t1"]["correlation"])
         assert report["intervals"]["t1"]["ratio"] == 512.0
 
+    def test_huge_pad_exits_3(self, run_cli, tmp_path, demo_2400):
+        code, _, err = run_cli("warp", "-i", demo_2400, "-o", tmp_path / "w.csv",
+                               "--t1-target", "500", "--t2-target", "700",
+                               "--pad-fraction", "1e12")
+        assert code == 3
+        assert "pad amounts" in err
+        assert "Traceback" not in err
+
     def test_non_preserving_needs_flag(self, run_cli, tmp_path, demo_2400):
         args = ("warp", "-i", demo_2400, "-o", tmp_path / "w.csv",
                 "--t1-target", 480, "--t2-target", 600)
@@ -148,6 +156,8 @@ class TestSweepCommands:
         assert code == 0, err
         text = out.read_text()
         assert "# pad_fractions: 0.001,0.1\n" in text
+        assert text.splitlines()[6] == ("direction,interval,pad_fraction,correlation,"
+                                        "dtw_distance,dtw_similarity,energy_ratio,status")
         rows = trialio.read_table(out)
         assert len(rows) == 8
         assert set(r["status"] for r in rows) == {"ok"}
@@ -185,6 +195,8 @@ class TestSweepCommands:
                                "--fsamp-factors", "1.0", "0.5",
                                "--pad-fractions", "0.1")
         assert code == 0, err
+        assert out.read_text().splitlines()[6] == (
+            "fsamp_factor,direction,interval,pad_fraction,correlation,dtw_similarity,status")
         rows = trialio.read_table(out)
         assert len(rows) == 8  # 2 factors x 2 directions x 2 intervals x 1 pad
         assert {r["fsamp_factor"] for r in rows} == {"1.0", "0.5"}
@@ -193,6 +205,48 @@ class TestSweepCommands:
         code, _, err = run_cli("sweep-fsamp", "-o", tmp_path / "fs.csv",
                                "--fsamp-factors", "0.5", "1.0")
         assert code == 2
+
+    def test_huge_pad_becomes_error_rows(self, run_cli, tmp_path):
+        out = tmp_path / "pad.csv"
+        code, _, err = run_cli("sweep-padding", "-o", out, "--duration", "0.5",
+                               "--pad-fractions", "0.1", "1e12")
+        assert code == 0, err
+        status = {(r["direction"], r["pad_fraction"]): r["status"]
+                  for r in trialio.read_table(out)}
+        assert len(status) == 4
+        for (_, pad), s in status.items():
+            assert s == ("ok" if pad == "0.1" else "RangeOutOfBoundsError")
+
+    def test_too_short_regenerated_trial_becomes_error_rows(self, run_cli, tmp_path):
+        # at 64 Hz the 0.02 s trial has one sample, too few for its three events
+        out = tmp_path / "fs.csv"
+        code, _, err = run_cli("sweep-fsamp", "-o", out, "--duration", "0.02",
+                               "--fsamp-factors", "1", "0.5", "0.03125",
+                               "--pad-fractions", "0.001")
+        assert code == 0, err
+        rows = trialio.read_table(out)
+        assert [r["status"] for r in rows] == ["ok"] * 8 + ["BadEventFracsError"] * 4
+        assert {r["fsamp_factor"] for r in rows[8:]} == {"0.03125"}
+        assert all(r["correlation"] == "" for r in rows[8:])
+
+
+class TestSweepTable:
+    def test_rows_follow_field_order(self, tmp_path):
+        out = tmp_path / "t.csv"
+        rows = [FsampSweepRow(1, "d", "t1", 0, 0.5, None, "ok")]
+        trialio.write_sweep_table(out, FsampSweepRow, rows, {"k": "v"})
+        assert out.read_text() == (
+            "# k: v\n"
+            "fsamp_factor,direction,interval,pad_fraction,correlation,dtw_similarity,status\n"
+            "1.0,d,t1,0.0,0.5,,ok\n"
+        )
+
+    def test_empty_table_keeps_header(self, tmp_path):
+        out = tmp_path / "t.csv"
+        trialio.write_sweep_table(out, PaddingSweepRow, [], {})
+        assert out.read_text() == ("direction,interval,pad_fraction,correlation,"
+                                   "dtw_distance,dtw_similarity,energy_ratio,status\n")
+        assert trialio.read_table(out) == []
 
 
 class TestDtwMatrixCommand:

@@ -5,9 +5,8 @@ import pytest
 
 from helpers import assert_valid_path, brute_force_min_cost, dp_matrix_loops
 
-from timelock import DtwScore, dtw, dtw_score, energy, pearson, power
+from timelock import DtwScore, dtw, dtw_score, energy, pearson
 from timelock.errors import (
-    BadRateError,
     EmptyInputError,
     LengthMismatchError,
     MatrixTooLargeError,
@@ -240,22 +239,9 @@ class TestEnergyPower:
         x = np.sin(2 * np.pi * 8 * np.arange(n) / n)
         assert energy(x) == pytest.approx(n / 2, abs=1e-6 * n)
 
-    def test_power_direct(self):
-        assert power([2.0, 2.0], 2.0) == 4.0
-
-    def test_power_zero_signal(self):
-        assert power(np.zeros(10), 100.0) == 0.0
-
-    @pytest.mark.parametrize("rate", [0.0, -5.0, np.nan])
-    def test_power_bad_rate(self, rate):
-        with pytest.raises(BadRateError):
-            power([1.0], rate)
-
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             energy([])
-        with pytest.raises(EmptyInputError):
-            power([], 1.0)
 
 
 def test_example_path_count():

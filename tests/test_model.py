@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from timelock import EventMarker, Partition, Trial, partition_from_events, validate_trial
+from timelock import EventMarker, Partition, Trial, partition_from_events
 from timelock.errors import (
     BadEventsError,
     BadRateError,
@@ -21,8 +21,10 @@ def _trial(n=100, events=((20, "onset"), (50, "transition"), (80, "offset")), f_
 
 class TestTrialValidation:
     def test_valid_trial_passes(self):
-        t = Trial([0.0, 1.0, 0.0], 2048.0, (EventMarker(1, "onset"),))
-        assert validate_trial(t) is t
+        t = Trial([0.0, 1.0, 0.0], 2048, (EventMarker(1, "onset"),))
+        assert t.samples.tolist() == [0.0, 1.0, 0.0]
+        assert t.f_samp == 2048.0 and isinstance(t.f_samp, float)
+        assert t.events == (EventMarker(1, "onset"),)
 
     def test_empty_signal(self):
         with pytest.raises(EmptySignalError):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import nearest_remap_steps, scale_offset_steps
+
 from timelock import (
     EventMarker,
     FixedTargets,
@@ -21,6 +23,7 @@ from timelock.errors import (
     EmptyBatchError,
     InconsistentTrialsError,
 )
+from timelock.pipeline import _nearest_remap, _scale_offset
 
 
 def _smooth_trial(n, onset, transition, offset, seed=0, f_samp=256.0):
@@ -42,13 +45,11 @@ class TestPlanWarp:
         r1, r2 = spec.ratios(p)
         assert r1 == 1.25
         assert r2 == pytest.approx(600 / 720)
-        assert spec.directions(p) == ("contract", "expand")
 
     def test_identity_targets(self):
         p = Partition(0, 600, 1200, 1200)
         spec = plan_warp(p, 600, 600, 0.0, 2048.0)
         assert spec.ratios(p) == (1.0, 1.0)
-        assert spec.directions(p) == ("identity", "identity")
 
     def test_reference_padding_sample_count(self):
         p = Partition(0, 600, 1200, 1200)
@@ -81,6 +82,11 @@ class TestPlanWarp:
         p = Partition(0, 600, 1200, 1200)
         with pytest.raises(BadRateError):
             plan_warp(p, 600, 600, 0.1, 0.0)
+
+    def test_overflowing_pad_fraction(self):
+        p = Partition(0, 600, 1200, 1200)
+        with pytest.raises(BadTargetError):
+            plan_warp(p, 600, 600, 1e306, 2048.0)
 
     def test_warp_spec_validation(self):
         with pytest.raises(BadTargetError):
@@ -180,25 +186,17 @@ class TestWarpTrial:
             warp_trial(demo_trial, demo_partition, spec)
 
     def test_energy_accounting(self, demo_trial, demo_partition):
+        # energy_ratio = ratio * E_out / E_in, which is the power ratio
+        # ratio * P_out / P_in at one shared f_samp
         p = demo_partition
-        t1 = round(p.len_t1 * 0.75)
-        spec = plan_warp(p, t1, p.len_t1 + p.len_t2 - t1, 0.10, demo_trial.f_samp)
-        rep = warp_trial(demo_trial, p, spec)
-        for interval in (rep.t1, rep.t2):
-            assert interval.energy_in > 0
-            assert interval.energy_out > 0
-            assert interval.energy_ratio == pytest.approx(1.0, abs=0.01)
-
-    def test_power_scales_linearly_with_ratio(self, demo_trial, demo_partition):
-        from timelock import power
-
-        p = demo_partition
-        t1 = round(p.len_t1 * 0.8)
-        spec = plan_warp(p, t1, p.len_t1 + p.len_t2 - t1, 0.10, demo_trial.f_samp)
-        rep = warp_trial(demo_trial, p, spec)
-        p_in = power(demo_trial.samples[p.onset:p.transition], demo_trial.f_samp)
-        p_out = power(rep.warped.samples[p.onset:p.onset + t1], demo_trial.f_samp)
-        assert p_out * rep.t1.ratio == pytest.approx(p_in, rel=0.01)
+        for scale in (0.75, 0.8):
+            t1 = round(p.len_t1 * scale)
+            spec = plan_warp(p, t1, p.len_t1 + p.len_t2 - t1, 0.10, demo_trial.f_samp)
+            rep = warp_trial(demo_trial, p, spec)
+            for interval in (rep.t1, rep.t2):
+                assert interval.energy_in > 0
+                assert interval.energy_out > 0
+                assert interval.energy_ratio == pytest.approx(1.0, abs=0.01)
 
     def test_warped_unwarped_dtw_cost_is_near_zero(self, demo_trial, demo_partition):
         # accumulated corner cost per path step stays below 1% of the mean
@@ -306,3 +304,26 @@ class TestAlignBatch:
         trial, _ = _smooth_trial(1000, 100, 500, 900, seed=15)
         with pytest.raises(InconsistentTrialsError):
             align_batch([(trial, Partition(100, 500, 900, 1200))], MeanLengths(), 0.05)
+
+
+class TestIndexMaps:
+    """The correlation reference and the event remap read the resampler's
+    linspace grid; they must equal the step-multiple formulas exactly."""
+
+    def test_nearest_remap_matches_step_formula(self):
+        for n_in in range(1, 129):
+            seg = np.arange(n_in) * 1.5
+            for n_out in range(1, 129):
+                assert np.array_equal(_nearest_remap(seg, n_out),
+                                      nearest_remap_steps(seg, n_out)), (n_in, n_out)
+
+    def test_event_offsets_match_step_formula(self):
+        # every offset up to 64 x 64; the first, middle and last offset (where
+        # the step formula needed its clamp) for every pair up to 128 x 128
+        for old_len in range(1, 129):
+            for new_len in range(1, 129):
+                offsets = (range(old_len) if max(old_len, new_len) <= 64
+                           else sorted({0, old_len // 2, old_len - 1}))
+                got = [_scale_offset(k, old_len, new_len) for k in offsets]
+                want = [scale_offset_steps(k, old_len, new_len) for k in offsets]
+                assert got == want, (old_len, new_len)

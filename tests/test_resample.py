@@ -1,19 +1,16 @@
-import importlib
-
 import numpy as np
 import pytest
 
 from helpers import resample_direct
 
-from timelock import SincConfig, pearson, resample, resample_padded
+import timelock.resample as sincmod
+from timelock import SincConfig, pearson, resample_padded
 from timelock.errors import (
     BadOutputLengthError,
     RangeOutOfBoundsError,
     SegmentTooShortError,
 )
-
-# the package's `resample` attribute is the function, not this module
-sincmod = importlib.import_module("timelock.resample")
+from timelock.resample import resample
 
 # high-accuracy configuration used for analytic-oracle checks; the package
 # default (half_width=32, beta=8) trades accuracy for speed and sits around
@@ -210,6 +207,18 @@ class TestResamplePadded:
             resample_padded(x, (10, 20), 0, 0, 0)
         with pytest.raises(ValueError):
             resample_padded(x, (10, 20), 5, 0, 0, pad_mode="mirror")
+
+    @pytest.mark.parametrize("pad_mode", ["neighbor", "zero"])
+    def test_pad_budget(self, monkeypatch, pad_mode):
+        x = np.sin(0.1 * np.arange(100))
+        with pytest.raises(RangeOutOfBoundsError):
+            resample_padded(x, (10, 20), 7, 10**12, 0, pad_mode=pad_mode)
+        monkeypatch.setattr(sincmod, "_MAX_PAD", 8)
+        at_budget = resample_padded(x, (10, 20), 7, 8, 8, pad_mode=pad_mode)
+        assert at_budget.shape == (7,)
+        for pads in ((9, 0), (0, 9)):
+            with pytest.raises(RangeOutOfBoundsError):
+                resample_padded(x, (10, 20), 7, *pads, pad_mode=pad_mode)
 
 
 def _expected_cutoff(in_len, out_len, cfg):

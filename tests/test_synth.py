@@ -76,6 +76,12 @@ class TestGenerate:
         with pytest.raises(BadEventFracsError):
             generate(SynthSpec(duration_s=2.0 / 2048.0))
 
+    @pytest.mark.parametrize("n_samples", [0.2, 1.0])
+    def test_too_few_samples_rejected(self, n_samples):
+        # 0 or 1 samples fail the same event-index check, as a TimelockError
+        with pytest.raises(BadEventFracsError):
+            generate(SynthSpec(duration_s=n_samples / 2048.0))
+
     def test_phases_and_amplitudes_applied(self):
         spec = SynthSpec(amplitudes=(0.5, 2.0), phases=(0.3, -1.1), duration_s=1.0)
         t = generate(spec)
