@@ -17,6 +17,7 @@ from .errors import (
 
 _COST_BLOCK = 64  # anti-diagonals whose local costs are computed in one call
 _MAX_MATRIX_CELLS = 1 << 24  # largest cost matrix dtw() builds: 128 MiB of float64
+_STACK_ROWS = 1 << 15  # rows one stacked DP holds; its cost block is at most 16 MiB
 
 
 def _path_bound(x: np.ndarray, y: np.ndarray) -> float:
@@ -33,100 +34,155 @@ def _path_bound(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.cumsum(d * d)[-1])
 
 
-def _kept_rows(values: np.ndarray, lo: int, bound: float) -> tuple[int, int]:
-    """First and last row, counting values from row lo, not above the bound.
+def _kept_rows(values: np.ndarray, start: np.ndarray, lo: np.ndarray,
+               bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last row of each segment whose value is not above its bound.
 
-    When every value exceeds the bound the range is empty,
-    (lo + len(values), lo - 1). NaN compares as kept, so a NaN bound prunes
-    nothing.
+    bounds holds each slot's bound, the bound of the segment it belongs to.
+    Segment p begins at slot start[p], a separator that is never kept,
+    followed by rows lo[p] onwards. A segment with no such row gives a first
+    row past its last slot and a last row below lo[p]. NaN compares as kept,
+    so a NaN bound keeps every row.
     """
-    kept = np.flatnonzero(~(values > bound))
-    if len(kept) == 0:
-        return lo + len(values), lo - 1
-    return lo + int(kept[0]), lo + int(kept[-1])
+    drop = values > bounds
+    drop[start] = True
+    slot = np.arange(len(values))
+    first = np.minimum.reduceat(np.where(drop, len(values), slot), start)
+    last = np.maximum.reduceat(np.where(drop, -1, slot), start)
+    return lo - start - 1 + first, lo - start - 1 + last
 
 
-def _accumulate(x: np.ndarray, y: np.ndarray, acc: np.ndarray | None = None) -> float:
-    """Accumulated DTW cost at the far corner, for len(x) <= len(y).
+def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
+    """Accumulated DTW cost at the far corner of each (x, y), len(x) <= len(y).
 
     Local cost is the squared sample difference. Cell (i, j) on anti-diagonal
     k = i + j depends only on diagonals k - 1 and k - 2, so three buffers
-    indexed by row replace the n x m matrix: slot i + 1 holds row i. y is
-    reversed once so a diagonal's local costs are contiguous, and they are
-    computed for _COST_BLOCK diagonals at a time.
+    indexed by row replace the n x m matrix. y is reversed once so a
+    diagonal's local costs are contiguous, and they are computed for
+    _COST_BLOCK diagonals at a time.
 
-    Within a block every diagonal covers the same rows lo..hi, so the three
-    updates per diagonal run on views made once per block. Cells outside the
-    grid come out harmless: left of column 0 they stay inf, and right of
-    column m - 1 no grid cell reads them. Row lo - 1, and rows above the
-    previous block, are reset to inf before they are read.
+    The problems are independent and advance together, one diagonal of every
+    problem per step, so the three ufunc calls of a step serve them all.
+    Within a block each problem covers fixed rows lo..hi, laid out as one
+    segment of a flat buffer: a separator slot for row lo - 1, then the rows.
+    A separator's local cost is inf, so the recurrence keeps it inf and no
+    problem reads its neighbour. A problem that ends within a block gets inf
+    costs after its last diagonal, where its corner is read, and leaves the
+    layout at the next block. Cells outside a grid come out harmless: left of
+    column 0 they stay inf, and right of column m - 1 no grid cell reads them.
+    Rows that the previous block did not compute start at inf.
 
-    When acc is given, every row is kept and each diagonal is written into
-    acc, giving the full accumulated-cost matrix. Otherwise, between blocks,
-    rows are dropped from both ends of the last two diagonals while their
-    cost exceeds the straight-path bound. No such cell lies on the optimal
-    path, and a cell within the bound takes its minimum from a predecessor
-    within the bound, so every kept value and the corner come out bit for
-    bit as in the full DP. For similar sequences only a narrow band around
-    the optimal path is computed.
+    When acc is given, the one problem keeps every row and each diagonal is
+    written into acc, giving the full accumulated-cost matrix. Otherwise,
+    between blocks, rows are dropped from both ends of a segment while their
+    cost on both of the last two diagonals exceeds the problem's
+    straight-path bound. No such cell lies on the optimal path, and a cell
+    within the bound takes its minimum from a predecessor within the bound,
+    so every kept value and the corner come out bit for bit as in the full DP.
+    For similar sequences only a narrow band around the optimal path is
+    computed.
     """
-    n = x.shape[0]
-    m = y.shape[0]
-    bound = math.inf if acc is not None else _path_bound(x, y)
+    n = np.array([len(x) for x, _ in problems])
+    m = np.array([len(y) for _, y in problems])
+    final = n + m - 2  # each problem's last diagonal
+    bound = np.array([math.inf if acc is not None else _path_bound(x, y)
+                      for x, y in problems])
     flat = None if acc is None else acc.reshape(-1)
-    # ypad[n + m - 1 - k + i] == y[k - i]; the margins keep windows in range
-    ypad = np.zeros(m + 2 * n)
-    ypad[n:n + m] = y[::-1]
-    costs = np.empty((_COST_BLOCK, n))
-    older = np.full(n + 2, np.inf)  # diagonal k - 2
-    last = np.full(n + 2, np.inf)  # diagonal k - 1
-    spare = np.full(n + 2, np.inf)
-    d = x[0] - y[0]
-    last[1] = d * d
+    xs = [x for x, _ in problems]
+    windows = []
+    for x, y in problems:
+        # windows[p][s, c] == ypad[s + c], and ypad[n + m - 1 - k + i] == y[k - i];
+        # the margins keep every window in range
+        ypad = np.zeros(len(y) + 2 * len(x))
+        ypad[len(x):len(x) + len(y)] = y[::-1]
+        windows.append(sliding_window_view(ypad, len(x)))
+    d = np.array([x[0] - y[0] for x, y in problems])
+    corners = (d * d).tolist()
     if flat is not None:
-        flat[0] = last[1]
-    lo1 = hi1 = 0  # rows kept on diagonal k - 1
-    lo2, hi2 = n, -2  # and on diagonal k - 2 (none)
-    top = 0  # highest row of the previous block
+        flat[0] = corners[0]
+    rows, cols, finals = n.tolist(), m.tolist(), final.tolist()
+
+    # Diagonal 0 in a layout of two slots per problem; diagonal -1 is all inf.
+    ids = np.arange(len(n))  # problems in the layout, in layout order
+    last = np.full(2 * len(n), np.inf)
+    last[1::2] = corners
+    older = np.full(2 * len(n), np.inf)
+    start = 2 * ids  # each segment's separator slot
+    lo = np.zeros_like(n)  # rows of each segment
+    hi = np.zeros_like(n)
+    first = np.zeros_like(n)  # first and last row kept on diagonal k - 1 or k - 2
+    top = np.zeros_like(n)
+    n_ids, m_ids, final_ids = n, m, final
+    final_max = max(finals)
+    next_end = min(finals)
 
     k = 1
-    while k < n + m - 1:
-        kb = min(_COST_BLOCK, n + m - 1 - k)
+    while k <= final_max:
+        if k > next_end:
+            alive = final_ids >= k
+            ids, n_ids, m_ids, final_ids, start, lo, hi, first, top = (
+                v[alive] for v in (ids, n_ids, m_ids, final_ids, start, lo, hi, first, top))
+            next_end = int(final_ids.min())
+        kb = min(_COST_BLOCK, final_max + 1 - k)
+        old_start, old_lo, old_hi = start, lo, hi
         # Row lo - 1 is dropped on both earlier diagonals or lies right of
         # the grid; kept rows widen by at most one per diagonal.
-        lo = max(min(lo1, lo2), k - m - 1, 0)
-        hi = min(max(hi1, hi2) + kb, n - 1)
-        older[lo] = last[lo] = spare[lo] = np.inf
-        older[top + 2:hi + 2] = np.inf
-        last[top + 2:hi + 2] = np.inf
-        top = hi
+        lo = np.maximum(np.maximum(first, k - m_ids - 1), 0)
+        hi = np.minimum(top + kb, n_ids - 1)
         w = hi + 1 - lo
-        s = n + m - 1 - k + lo
-        block = costs[:kb, :w]
-        windows = sliding_window_view(ypad[s + 1 - kb:s + w], w)[::-1]
-        np.subtract(x[lo:hi + 1], windows, out=block)
+        start = np.cumsum(w + 1) - (w + 1)
+        size = int(start[-1] + w[-1] + 1)
+        p2 = np.full(size, np.inf)
+        p1 = np.full(size, np.inf)
+        cur = np.empty(size)
+        cur[0] = np.inf
+        block = np.empty((kb, size - 1))  # local costs of slots 1..size - 1
+        due: dict[int, list[tuple[int, int]]] = {}
+        for p, s, a, b, w_p, s0, a0, b0 in zip(
+                ids.tolist(), start.tolist(), lo.tolist(), hi.tolist(), w.tolist(),
+                old_start.tolist(), old_lo.tolist(), old_hi.tolist()):
+            keep = min(b, b0) + 1 - a
+            if keep > 0:
+                src = s0 + 1 + a - a0
+                p2[s + 1:s + 1 + keep] = older[src:src + keep]
+                p1[s + 1:s + 1 + keep] = last[src:src + keep]
+            if s:
+                block[:, s - 1] = np.inf  # the separator
+            steps = min(kb, finals[p] + 1 - k)
+            ys = rows[p] + cols[p] - 1 - k + a
+            np.subtract(xs[p][a:b + 1], windows[p][ys + 1 - steps:ys + 1, :w_p][::-1],
+                        out=block[:steps, s:s + w_p])
+            if steps < kb:
+                block[steps:, s:s + w_p] = np.inf
+            if finals[p] < k + kb:
+                due.setdefault(finals[p], []).append((p, s + rows[p] - a))
         np.multiply(block, block, out=block)
-        # (buffer, slots lo..hi, slots lo + 1..hi + 1)
-        p2 = (older, older[lo:hi + 1], older[lo + 1:hi + 2])
-        p1 = (last, last[lo:hi + 1], last[lo + 1:hi + 2])
-        cur = (spare, spare[lo:hi + 1], spare[lo + 1:hi + 2])
+        # (buffer, slots 0..size - 2, slots 1..size - 1)
+        p2 = (p2, p2[:size - 1], p2[1:size])
+        p1 = (p1, p1[:size - 1], p1[1:size])
+        cur = (cur, cur[:size - 1], cur[1:size])
+        if flat is not None:
+            row0, row1 = int(lo[0]), int(hi[0])
         for c in block:
-            # cell (i, k - i) reads slots i, i + 1 of diagonal k - 1 and
-            # slot i of diagonal k - 2
+            # the cell in slot f reads slots f - 1, f of diagonal k - 1 and
+            # slot f - 1 of diagonal k - 2
             span = cur[2]
             np.minimum(p2[1], p1[1], out=span)
             np.minimum(span, p1[2], out=span)
             np.add(span, c, out=span)
             if flat is not None:
-                a = max(lo, k - m + 1)
-                b = min(hi, k)
-                flat[a * (m - 1) + k:b * (m - 1) + k + 1:m - 1] = span[a - lo:b + 1 - lo]
+                a = max(row0, k - cols[0] + 1)
+                b = min(row1, k)
+                flat[a * (cols[0] - 1) + k:b * (cols[0] - 1) + k + 1:cols[0] - 1] = \
+                    span[a - row0:b + 1 - row0]
+            for p, f in due.get(k, ()):
+                corners[p] = float(cur[0][f])
             p2, p1, cur = p1, cur, p2
             k += 1
-        older, last, spare = p2[0], p1[0], cur[0]
-        lo1, hi1 = _kept_rows(p1[2], lo, bound)
-        lo2, hi2 = _kept_rows(p2[2], lo, bound)
-    return float(last[n])
+        older, last = p2[0], p1[0]
+        first, top = _kept_rows(np.minimum(older, last), start, lo,
+                                np.repeat(bound[ids], w + 1))
+    return corners
 
 
 def _backtrack(acc: np.ndarray) -> np.ndarray:
@@ -240,7 +296,7 @@ def dtw(x, y) -> DtwResult:
     # sequence on the row axis and the matrix is transposed back after.
     rows, cols = sorted((xa, ya), key=len)
     acc = np.empty((len(rows), len(cols)))
-    distance = math.sqrt(_accumulate(rows, cols, acc))
+    distance = math.sqrt(_accumulate([(rows, cols)], acc)[0])
     if rows is not xa:
         acc = np.ascontiguousarray(acc.T)
     path = _backtrack(acc)
@@ -255,14 +311,42 @@ def dtw_score(x, y) -> DtwScore:
     """The distance and normalized distance of dtw(x, y), without the matrix.
 
     Runs the same dynamic program without storing the n x m matrix, in
-    memory linear in n + m; the result equals dtw(x, y)'s distance and
-    normalized_distance exactly.
+    memory linear in n + m, as a stack of one in dtw_scores; the result
+    equals dtw(x, y)'s distance and normalized_distance exactly.
     """
-    xa = _metric_input(x)
-    ya = _metric_input(y)
-    distance = math.sqrt(_accumulate(*sorted((xa, ya), key=len)))
-    return DtwScore(distance=distance,
-                    normalized_distance=_normalized(xa, len(ya), distance))
+    return dtw_scores([(x, y)])[0]
+
+
+def dtw_scores(pairs) -> list[DtwScore]:
+    """dtw_score of each (x, y) pair, from dynamic programs run side by side.
+
+    The pairs advance together, one anti-diagonal of every pair per NumPy
+    step, in stacks of at most _STACK_ROWS rows of the shorter sequences; a
+    longer pair runs alone, and so does a pair holding NaN or inf, whose
+    NaN costs would reach its neighbours. Each score equals dtw_score(x, y)
+    bit for bit, and the memory is linear in the stack's rows.
+    """
+    inputs = [(_metric_input(x), _metric_input(y)) for x, y in pairs]
+    corners: list[float] = []
+    stack: list[tuple[np.ndarray, np.ndarray]] = []
+    rows = 0
+    for xa, ya in inputs:
+        weight = min(len(xa), len(ya))
+        if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+            weight = _STACK_ROWS  # a stack of its own
+        if stack and rows + weight > _STACK_ROWS:
+            corners += _accumulate(stack)
+            stack, rows = [], 0
+        stack.append(tuple(sorted((xa, ya), key=len)))
+        rows += weight
+    if stack:
+        corners += _accumulate(stack)
+    scores = []
+    for (xa, ya), corner in zip(inputs, corners):
+        distance = math.sqrt(corner)
+        scores.append(DtwScore(distance=distance,
+                               normalized_distance=_normalized(xa, len(ya), distance)))
+    return scores
 
 
 def _metric_input(x) -> np.ndarray:

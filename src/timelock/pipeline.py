@@ -14,7 +14,7 @@ from .errors import (
     InconsistentTrialsError,
     ZeroVarianceError,
 )
-from .metrics import DtwScore, dtw_score, energy, pearson
+from .metrics import DtwScore, dtw_scores, energy, pearson
 from .model import EventMarker, Partition, Trial
 from .resample import SincConfig, resample_padded
 
@@ -112,7 +112,17 @@ def warp_trial(trial: Trial, p: Partition, spec: WarpSpec,
     nearest-sample lookup to the target length (NaN if an interval is
     constant or one sample long), the DTW distance of original versus
     warped, and the signal energies before and after.
+
+    This is warp_intervals followed by build_reports on the one warp.
     """
+    return build_reports([warp_intervals(trial, p, spec, cfg, pad_mode)])[0]
+
+
+def warp_intervals(trial: Trial, p: Partition, spec: WarpSpec,
+                   cfg: SincConfig = SincConfig(),
+                   pad_mode: str = "neighbor") -> tuple[Trial, tuple]:
+    """The warp step of warp_trial: the warped trial, and the (original,
+    warped) samples of t1 and of t2, which build_reports scores."""
     if p.n_samples != len(trial):
         raise InconsistentTrialsError(
             f"partition covers {p.n_samples} samples but trial has {len(trial)}"
@@ -130,14 +140,30 @@ def warp_trial(trial: Trial, p: Partition, spec: WarpSpec,
     out = np.concatenate([x[:p.onset], warped_t1, warped_t2, x[p.offset:]])
     events = tuple(_remap_event(e, p, spec) for e in trial.events)
     warped = Trial(out, trial.f_samp, events)
-    return WarpReport(
-        warped=warped,
-        t1=_interval_report(x[p.onset:p.transition], warped_t1),
-        t2=_interval_report(x[p.transition:p.offset], warped_t2),
-    )
+    # the intervals are read back from the trial's own copy, so the
+    # resampler's outputs need not live until the warps are scored
+    t1_end = p.onset + spec.t1_target_len
+    t2_end = t1_end + spec.t2_target_len
+    return warped, ((x[p.onset:p.transition], warped.samples[p.onset:t1_end]),
+                    (x[p.transition:p.offset], warped.samples[t1_end:t2_end]))
 
 
-def _interval_report(original: np.ndarray, warped: np.ndarray) -> IntervalReport:
+def build_reports(warps) -> list[WarpReport]:
+    """The report step of warp_trial for many warps from warp_intervals.
+
+    Every interval of every warp is scored in one dtw_scores call, so the
+    DTW dynamic programs of all of them advance side by side.
+    """
+    warps = list(warps)
+    scores = iter(dtw_scores([pair for _, intervals in warps for pair in intervals]))
+    return [WarpReport(warped=warped,
+                       t1=_interval_report(*intervals[0], next(scores)),
+                       t2=_interval_report(*intervals[1], next(scores)))
+            for warped, intervals in warps]
+
+
+def _interval_report(original: np.ndarray, warped: np.ndarray,
+                     score: DtwScore) -> IntervalReport:
     ratio = len(original) / len(warped)
     reference = _nearest_remap(original, len(warped))
     try:
@@ -147,7 +173,7 @@ def _interval_report(original: np.ndarray, warped: np.ndarray) -> IntervalReport
     return IntervalReport(
         ratio=ratio,
         correlation=corr,
-        dtw=dtw_score(original, warped),
+        dtw=score,
         energy_in=energy(original),
         energy_out=energy(warped),
     )
@@ -202,7 +228,9 @@ def align_batch(items, policy: TargetPolicy, pad_fraction: float,
     All trials must share the onset index and, in preserving mode, the total
     warpable length; afterwards the onset, transition, and offset indices are
     identical across every output trial. The target-length reduction runs
-    before any warp; the per-trial warps are independent pure calls.
+    before any warp; the per-trial warps are independent pure calls. Scoring
+    runs after all the warps, as one stacked DTW over every interval of the
+    batch.
     """
     items = list(items)
     if not items:
@@ -239,9 +267,9 @@ def align_batch(items, policy: TargetPolicy, pad_fraction: float,
     else:
         raise TypeError(f"unknown target policy: {policy!r}")
 
-    reports = []
+    warps = []
     for trial, p in items:
         spec = plan_warp(p, t1_target, t2_target, pad_fraction, trial.f_samp,
                          preserve_length=preserve_length)
-        reports.append(warp_trial(trial, p, spec, cfg, pad_mode))
-    return reports
+        warps.append(warp_intervals(trial, p, spec, cfg, pad_mode))
+    return build_reports(warps)

@@ -63,8 +63,14 @@ class SincConfig:
             raise ValueError(f"half_width must be >= 4, got {self.half_width}")
         if self.window not in WINDOWS:
             raise ValueError(f"window must be one of {WINDOWS}, got {self.window!r}")
-        if self.window == "kaiser" and not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"Kaiser beta must be positive and finite, got {self.beta}")
+        if self.window == "kaiser":
+            if not (np.isfinite(self.beta) and self.beta > 0):
+                raise ValueError(f"Kaiser beta must be positive and finite, got {self.beta}")
+            # the taper is divided by i0(beta), which overflows from about 709.8
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.i0(self.beta)):
+                    raise ValueError(
+                        f"Kaiser beta must keep i0(beta) finite, got {self.beta}")
 
 
 def _window_values(u: np.ndarray, cfg: SincConfig) -> np.ndarray:
@@ -86,16 +92,19 @@ def _window_values(u: np.ndarray, cfg: SincConfig) -> np.ndarray:
 
 
 def _resample_at(segment: np.ndarray, positions: np.ndarray, cutoff: float,
-                 cfg: SincConfig) -> np.ndarray:
+                 cfg: SincConfig, shift: int = 0) -> np.ndarray:
     """Evaluate the windowed-sinc interpolant of segment at fractional positions.
 
-    Positions must lie in [0, len(segment) - 1]. Filter taps that fall outside
-    the segment wrap around, i.e. the segment is modelled as one period of a
-    periodic signal. Unless the signal happens to match across the wrap this
-    is a step discontinuity, so short or unpadded segments ring near their
-    endpoints; callers suppress that by padding the segment with true
-    neighbouring samples first. The kernel is renormalised to unit gain at
-    every output position, so constants are preserved exactly.
+    Positions, less shift, must lie in [0, len(segment) - 1]; shift is the
+    number of samples dropped from the front of the signal the positions
+    refer to, taken off the floored position so fractions keep their bits.
+    Filter taps that fall outside the segment wrap around, i.e. the segment
+    is modelled as one period of a periodic signal. Unless the signal
+    happens to match across the wrap this is a step discontinuity, so short
+    or unpadded segments ring near their endpoints; callers suppress that by
+    padding the segment with true neighbouring samples first. The kernel is
+    renormalised to unit gain at every output position, so constants are
+    preserved exactly.
 
     Outputs are computed _BLOCK at a time, so every temporary holds at most
     _BLOCK x (2 * half_width + 1) values whatever the output length.
@@ -110,7 +119,7 @@ def _resample_at(segment: np.ndarray, positions: np.ndarray, cutoff: float,
         pos = positions[s:s + _BLOCK]
         base = np.floor(pos)
         frac = pos - base
-        base = base.astype(np.int64)
+        base = base.astype(np.int64) - shift
         u = taps - frac[:, None]
         kernel = cutoff * np.sinc(cutoff * u) * _window_values(u, cfg)
         block = (kernel * rows[base]).sum(axis=1) / kernel.sum(axis=1)
@@ -175,9 +184,16 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int,
         raise BadOutputLengthError(f"output length must be a positive integer, got {out_len}")
     out_len = int(out_len)
 
+    # No tap reaches past half_width samples from the interval, so when both
+    # pads reach that far only half_width samples per side are built. A
+    # shorter pad lets taps wrap into the far pad, which is then kept whole.
+    left, right = pad_left, pad_right
+    if min(pad_left, pad_right) >= cfg.half_width:
+        left = right = cfg.half_width
     if pad_mode == "zero":
-        padded = np.pad(x[start:stop], (pad_left, pad_right))
+        padded = np.pad(x[start:stop], (left, right))
     else:
-        padded = x[np.clip(np.arange(start - pad_left, stop + pad_right), 0, len(x) - 1)]
+        padded = x[np.clip(np.arange(start - left, stop + right), 0, len(x) - 1)]
     positions = pad_left + np.linspace(0.0, in_len - 1.0, out_len)
-    return _resample_at(padded, positions, _cutoff(in_len, out_len, cfg), cfg)
+    return _resample_at(padded, positions, _cutoff(in_len, out_len, cfg), cfg,
+                        pad_left - left)

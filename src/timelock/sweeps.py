@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 from .errors import TimelockError
 from .model import Partition, partition_from_events
-from .pipeline import WarpReport, plan_warp, warp_trial
+from .pipeline import build_reports, plan_warp, warp_intervals
 from .resample import SincConfig
 from .synth import SynthSpec, generate
 
@@ -96,19 +96,22 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
 
     Rows come out ordered by direction, interval, then pad fraction; a cell
     that raises records the error class name in its rows' status instead of
-    aborting the sweep.
+    aborting the sweep. Scoring runs after all the warps, as one stacked DTW
+    over every interval of every successful cell.
     """
     trial = generate(synth_spec)
     part = partition_from_events(trial)
-    cells: dict[tuple[str, float], WarpReport | str] = {}
+    cells = {}
     for direction in sweep.directions:
         t1_target, t2_target = direction_targets(part, direction, sweep.warp_magnitude)
         for pad in sweep.pad_fractions:
             try:
                 spec = plan_warp(part, t1_target, t2_target, pad, trial.f_samp)
-                cells[(direction, pad)] = warp_trial(trial, part, spec, sinc)
+                cells[(direction, pad)] = warp_intervals(trial, part, spec, sinc)
             except TimelockError as err:
                 cells[(direction, pad)] = type(err).__name__
+    warped = [key for key, cell in cells.items() if not isinstance(cell, str)]
+    cells.update(zip(warped, build_reports(cells[key] for key in warped)))
 
     rows = []
     for direction in sweep.directions:

@@ -80,10 +80,14 @@ def read_events_json(path: str | Path) -> tuple[EventMarker, ...]:
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: invalid JSON: {err}") from None
     try:
-        return tuple(EventMarker(int(item["index"]), str(item["label"]))
-                     for item in payload["events"])
+        events = tuple((item["index"], str(item["label"])) for item in payload["events"])
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"{path}: malformed events payload: {err}") from None
+    for index, _ in events:
+        # a JSON float or boolean would otherwise truncate to some sample
+        if type(index) is not int:
+            raise ParseError(f"{path}: event index must be a JSON integer, got {index!r}")
+    return tuple(EventMarker(index, label) for index, label in events)
 
 
 def _cell(value) -> str:

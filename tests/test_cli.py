@@ -128,6 +128,25 @@ class TestWarpCommand:
         assert "pad amounts" in err
         assert "Traceback" not in err
 
+    def test_overflowing_kaiser_beta_exits_2(self, run_cli, tmp_path, demo_2400):
+        # i0(800) overflows, so the taper would be NaN; the flag is refused
+        # before any warp, with no NumPy warning
+        code, _, err = run_cli("warp", "-i", demo_2400, "-o", tmp_path / "w.csv",
+                               "--t1-target", 480, "--t2-target", 720, "--beta", 800)
+        assert code == 2
+        assert err.splitlines() == ["error: Kaiser beta must keep i0(beta) finite, got 800.0"]
+
+    @pytest.mark.parametrize("index", ["1023.7", "600.0", "true", '"600"'])
+    def test_event_index_must_be_a_json_integer(self, run_cli, tmp_path, demo_2400, index):
+        # int() would truncate 1023.7 to 1023 and warp around a moved event
+        sidecar = tmp_path / "demo.events.json"
+        sidecar.write_text(sidecar.read_text().replace("1200", index))
+        code, _, err = run_cli("warp", "-i", demo_2400, "-o", tmp_path / "w.csv",
+                               "--t1-target", 480, "--t2-target", 720)
+        assert code == 2
+        assert "JSON integer" in err
+        assert not (tmp_path / "w.csv").exists()
+
     def test_non_preserving_needs_flag(self, run_cli, tmp_path, demo_2400):
         args = ("warp", "-i", demo_2400, "-o", tmp_path / "w.csv",
                 "--t1-target", 480, "--t2-target", 600)

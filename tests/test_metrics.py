@@ -5,14 +5,14 @@ import pytest
 
 from helpers import assert_valid_path, brute_force_min_cost, dp_matrix_loops
 
-from timelock import DtwScore, dtw, dtw_score, energy, pearson
+from timelock import DtwScore, dtw, dtw_score, energy, metrics, pearson
 from timelock.errors import (
     EmptyInputError,
     LengthMismatchError,
     MatrixTooLargeError,
     ZeroVarianceError,
 )
-from timelock.metrics import _worst_case_corner
+from timelock.metrics import _worst_case_corner, dtw_scores
 
 
 class TestPearson:
@@ -169,16 +169,21 @@ class TestDtw:
                 assert np.array_equal(dtw(a, b).cost_matrix, expected)
 
     def test_kept_rows_of_a_diagonal_above_the_bound_is_empty(self):
-        # an empty range lies past both ends of the diagonal's rows, so the
-        # next block spans only the other diagonal's kept rows; only a NaN
-        # bound keeps every row
+        # two segments, each a separator slot and then rows 10..13 and 0..3;
+        # a segment with no row within its bound gets a first row past its
+        # rows and a last row below them; only a NaN or infinite bound keeps
+        # every row, and a separator is never kept
         from timelock.metrics import _kept_rows
 
-        values = np.array([3.0, 1.0, 2.0, 5.0])
-        assert _kept_rows(values, 10, 2.0) == (11, 12)
-        lo, hi = _kept_rows(values, 10, 0.5)
-        assert lo >= 10 + len(values) and hi < 10
-        assert _kept_rows(values, 10, math.nan) == (10, 13)
+        values = np.array([np.inf, 3.0, 1.0, 2.0, 5.0] * 2)
+        start = np.array([0, 5])
+        lo = np.array([10, 0])
+        first, last = _kept_rows(values, start, lo, np.repeat([2.0, 0.5], 5))
+        assert (first[0], last[0]) == (11, 12)
+        assert first[1] >= 4 and last[1] < 0
+        for bound in (math.nan, math.inf):
+            first, last = _kept_rows(values, start, lo, np.full(10, bound))
+            assert first.tolist() == [10, 0] and last.tolist() == [13, 3]
 
     def test_worst_case_closed_form_matches_dp(self):
         # the closed form used for normalization must agree with the DP it
@@ -224,6 +229,87 @@ class TestDtw:
             res.cost_matrix[0, 0] = 9.0
         with pytest.raises(ValueError):
             res.path[0, 0] = 9
+
+
+@pytest.fixture(scope="module")
+def stack_cases():
+    """Mixed DTW problems and their loop-oracle distances.
+
+    1 x 1, 1 x m and m x 1, n == m, identity pairs, a warped 300 x 420 pair
+    that ends many blocks after the rest, and 6 x (6 + e) pairs whose last
+    anti-diagonals, 10 + e for e < 66, fall on every offset of a 64-diagonal
+    block.
+    """
+    rng = np.random.default_rng(110)
+    x = np.cumsum(rng.normal(size=30))
+    wave = np.sin(np.linspace(0.0, 20.0, 300))
+    warped = np.interp(np.linspace(0.0, 1.0, 420) ** 1.3 * 299, np.arange(300), wave)
+    pairs = [
+        (np.array([0.5]), np.array([-1.0])),
+        (np.array([2.0]), rng.normal(size=9)),
+        (rng.normal(size=9), np.array([2.0])),
+        (x, x.copy()),
+        (wave, warped + 0.01 * rng.normal(size=420)),
+        (x, x[::-1].copy()),
+        (wave, wave.copy()),
+    ]
+    for extra in range(66):
+        a = rng.normal(size=6)
+        b = np.cumsum(rng.normal(size=6 + extra))
+        pairs.insert(3 + 2 * extra, (a, b) if extra % 2 else (b, a))
+    expected = [math.sqrt(dp_matrix_loops(a, b)[-1, -1]) for a, b in pairs]
+    return pairs, expected
+
+
+class TestStackedDtw:
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("budget", [1 << 15, 40])
+    def test_stack_matches_loop_oracle_and_stacks_of_one(self, monkeypatch, stack_cases,
+                                                         block, budget):
+        # a budget of 40 rows splits the list into stacks of a few problems
+        # and runs the 300-row pair alone
+        monkeypatch.setattr(metrics, "_COST_BLOCK", block)
+        monkeypatch.setattr(metrics, "_STACK_ROWS", budget)
+        pairs, expected = stack_cases
+        scores = dtw_scores(pairs)
+        assert [s.distance for s in scores] == expected
+        for (a, b), score in zip(pairs, scores):
+            assert dtw_scores([(a, b)]) == [score]
+            assert dtw_score(a, b) == score
+            assert dtw(a, b).distance == score.distance
+
+    def test_costs_past_a_problems_end_are_not_read_from_stale_memory(
+            self, monkeypatch, stack_cases):
+        # the cost block is allocated uninitialised; with fresh memory full of
+        # NaN, a problem that ends inside a block must still not carry it
+        # through the separator into its neighbour
+        real_empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            out = real_empty(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        pairs, expected = stack_cases
+        assert [s.distance for s in dtw_scores(pairs)] == expected
+
+    def test_problem_with_nan_leaves_its_neighbours_alone(self):
+        # in a shared stack the NaN row of the short middle problem would
+        # pass through the separator into the next problem's grid
+        rng = np.random.default_rng(111)
+        pairs = [(rng.normal(size=n), rng.normal(size=n + 3)) for n in (20, 5, 30)]
+        bad = pairs[1][1].copy()
+        bad[0] = np.nan
+        scores = dtw_scores([pairs[0], (pairs[1][0], bad), pairs[2]])
+        assert scores[0] == dtw_score(*pairs[0])
+        assert scores[2] == dtw_score(*pairs[2])
+        assert math.isnan(scores[1].distance)
+
+    def test_empty_list_and_empty_input(self):
+        assert dtw_scores([]) == []
+        with pytest.raises(EmptyInputError):
+            dtw_scores([([1.0], [2.0]), ([], [1.0])])
 
 
 class TestEnergyPower:

@@ -14,6 +14,7 @@ from timelock import (
     WarpSpec,
     align_batch,
     dtw,
+    dtw_score,
     plan_warp,
     warp_trial,
 )
@@ -268,6 +269,24 @@ class TestAlignBatch:
         assert np.array_equal(batch_rep.warped.samples, direct.warped.samples)
         assert batch_rep.t1.correlation == direct.t1.correlation
         assert batch_rep.t1.dtw.distance == direct.t1.dtw.distance
+
+    def test_every_interval_scores_as_dtw_score(self):
+        # the batch scores all of its intervals in one stacked DP; each score
+        # must equal the one-pair dtw_score of the original and the warped
+        # interval, and a batch of one must equal warp_trial
+        items = [_smooth_trial(1400, 100, 500 + 60 * k, 1300, seed=20 + k) for k in range(5)]
+        reports = align_batch(items, MeanLengths(), 0.05)
+        for (trial, p), rep in zip(items, reports):
+            onset, transition, offset = (e.index for e in rep.warped.events)
+            pieces = (
+                (trial.samples[p.onset:p.transition], rep.warped.samples[onset:transition]),
+                (trial.samples[p.transition:p.offset], rep.warped.samples[transition:offset]),
+            )
+            for (original, warped), r in zip(pieces, (rep.t1, rep.t2)):
+                assert r.dtw == dtw_score(original, warped)
+            spec = plan_warp(p, transition - onset, offset - transition, 0.05, trial.f_samp)
+            direct = warp_trial(trial, p, spec)
+            assert (direct.t1, direct.t2) == (rep.t1, rep.t2)
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatchError):

@@ -48,7 +48,7 @@ class TestSincConfig:
         with pytest.raises(ValueError):
             SincConfig(window="tukey")
 
-    @pytest.mark.parametrize("beta", [0.0, -2.0, np.nan])
+    @pytest.mark.parametrize("beta", [0.0, -2.0, np.nan, 710.0, 1e6])
     def test_bad_beta(self, beta):
         with pytest.raises(ValueError):
             SincConfig(beta=beta)
@@ -265,6 +265,49 @@ class TestBlockedEvaluation:
                                        _expected_cutoff(stop - start, out_len, cfg), cfg)
             got = resample_padded(full, (start, stop), out_len, pad_left, pad_right, cfg)
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("pad_mode", ["neighbor", "zero"])
+    @pytest.mark.parametrize("window", ["kaiser", "hann", "blackman"])
+    def test_pads_straddling_half_width_match_direct_evaluation(self, pad_mode, window):
+        # pads of at least half_width on both sides are cut to half_width
+        # before evaluation; a shorter pad on either side keeps both whole,
+        # since its taps wrap into the far pad. Either way the bits equal the
+        # whole padded segment evaluated at once.
+        cfg = SincConfig(half_width=16, window=window)
+        rng = np.random.default_rng(43)
+        full = rng.normal(size=400)
+        start, stop = 150, 260
+        for pad_left in (0, 15, 16, 17, 40, 200):
+            for pad_right in (0, 15, 16, 17, 40, 200):
+                for out_len in (37, 110, 251):
+                    if pad_mode == "zero":
+                        padded = np.pad(full[start:stop], (pad_left, pad_right))
+                    else:
+                        padded = full[np.clip(np.arange(start - pad_left, stop + pad_right),
+                                              0, len(full) - 1)]
+                    positions = pad_left + np.linspace(0.0, stop - start - 1.0, out_len)
+                    expected = resample_direct(
+                        padded, positions, _expected_cutoff(stop - start, out_len, cfg), cfg)
+                    got = resample_padded(full, (start, stop), out_len, pad_left,
+                                          pad_right, cfg, pad_mode)
+                    assert np.array_equal(got, expected), (pad_left, pad_right, out_len)
+
+    def test_huge_pads_build_only_the_kernel_reach(self):
+        import tracemalloc
+
+        x = np.sin(0.01 * np.arange(4096))
+        tracemalloc.start()
+        try:
+            out = resample_padded(x, (1024, 2048), 900, 2**21, 2**21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        pad = 2**21
+        padded = x[np.clip(np.arange(1024 - pad, 2048 + pad), 0, len(x) - 1)]
+        positions = pad + np.linspace(0.0, 1023.0, 900)
+        cutoff = _expected_cutoff(1024, 900, SincConfig())
+        assert np.array_equal(out, resample_direct(padded, positions, cutoff, SincConfig()))
 
     def test_padded_endpoints_land_on_interval_ends(self):
         # the last position is exactly the interval's last sample, where the

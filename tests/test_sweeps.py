@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from timelock import SweepConfig, SynthSpec, fsamp_sweep, padding_sweep
+from timelock import (SweepConfig, SynthSpec, dtw_score, fsamp_sweep, generate,
+                      padding_sweep, partition_from_events, plan_warp, warp_trial)
 from timelock.sweeps import CONTRACT_T1, DIRECTIONS, EXPAND_T1, direction_targets
 from timelock.model import Partition
 
@@ -94,6 +95,30 @@ class TestPaddingSweep:
         rows = padding_sweep(SweepConfig(pad_fractions=(0.0,)), QUICK_SYNTH)
         assert len(rows) == 4
         assert all(r.status == "ok" for r in rows)
+
+    def test_scores_equal_dtw_score_of_each_cell(self):
+        # successful cells are scored together after all the warps; each row
+        # must hold the one-pair dtw_score of its interval, and the failing
+        # huge-pad cells keep their error rows
+        sweep = SweepConfig(pad_fractions=(0.001, 1e12, 0.1))
+        rows = padding_sweep(sweep, QUICK_SYNTH)
+        trial = generate(QUICK_SYNTH)
+        part = partition_from_events(trial)
+        for row in rows:
+            if row.pad_fraction == 1e12:
+                assert row.status == "RangeOutOfBoundsError"
+                continue
+            t1, t2 = direction_targets(part, row.direction, sweep.warp_magnitude)
+            spec = plan_warp(part, t1, t2, row.pad_fraction, trial.f_samp)
+            out = warp_trial(trial, part, spec).warped.samples
+            if row.interval == "t1":
+                pair = trial.samples[part.onset:part.transition], out[part.onset:part.onset + t1]
+            else:
+                pair = (trial.samples[part.transition:part.offset],
+                        out[part.onset + t1:part.onset + t1 + t2])
+            score = dtw_score(*pair)
+            assert (row.status, row.dtw_distance, row.dtw_similarity) == \
+                ("ok", score.distance, score.similarity)
 
     def test_failing_cells_become_error_rows(self):
         # a 4-sample trial leaves single-sample intervals the resampler rejects

@@ -1,0 +1,103 @@
+"""Golden outputs of the timelock CLI, as hashes that two checkouts can diff.
+
+Usage: python tools/golden.py OUTDIR
+
+Runs a fixed list of CLI commands in process, with OUTDIR as the working
+directory: synth, warp, sweep-padding, sweep-fsamp and dtw-matrix on their
+success paths, then exit-2 and exit-3 cases. It prints one line per command
+(exit code, SHA-256 of its stderr, arguments) and then one line per output
+file (`sha256  name`). The package is imported from the checkout that holds
+this script, so a refactor that must keep every byte is checked by copying
+the script into a checkout of the parent commit, running it in both, and
+diffing the two listings.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from timelock.cli import main  # noqa: E402
+
+SWEEP_CONFIG = ("pad_fractions = 0.002, 0.05\n"
+                "directions = expand_t1_contract_t2\n"
+                "warp_magnitude = 0.15\n")
+BAD_CONFIG = "pad_fractions = 0.1\nspeed = 3\n"
+BAD_EVENTS = '{"events": [{"index": 2048}]}\n'
+
+COMMANDS = [
+    "synth -o demo.csv",
+    "synth -o short.csv --duration 1",
+    "synth -o small.csv --duration 0.05",
+    "synth -o custom.csv --f-samp 1000 --duration 0.09 --f1 3 --f2 11 "
+    "--amplitudes 1 0.5 --phases 0.3 1.1 --event-fracs 0.2 0.45 0.8",
+    "warp -i short.csv -o w1.csv --t1-target 410 --t2-target 614",
+    "warp -i demo.csv -o w2.csv --t1-target 2458 --t2-target 2100 --no-preserve",
+    "warp -i demo.csv -o w3.csv --t1-target 1638 --t2-target 2458 --zero-pad",
+    "warp -i short.csv -o w4.csv --t1-target 600 --t2-target 424 --window hann --no-anti-alias",
+    "warp -i short.csv -o w5.csv --t1-target 300 --t2-target 800 --window blackman --no-preserve",
+    "warp -i short.csv -o w6.csv --t1-target 410 --t2-target 614 --pad-fraction 0",
+    "warp -i short.csv -o w7.csv --t1-target 1 --t2-target 1023",
+    "warp -i demo.csv -o w8.csv --onset 2000 --transition 4100 --offset 6000 "
+    "--t1-target 1800 --t2-target 2200 --report w8.json",
+    "sweep-padding -o pad1.csv",
+    "sweep-padding -o pad2.csv --duration 0.5 --pad-fractions 0.001 0.1",
+    "sweep-padding -o pad3.csv --config sweep.cfg --warp-magnitude 0.3 --window hann",
+    "sweep-fsamp -o fs1.csv",
+    "sweep-fsamp -o fs2.csv --duration 0.5 --fsamp-factors 1.0 0.5 --pad-fractions 0.1",
+    "sweep-fsamp -o fs3.csv --config sweep.cfg --duration 1",
+    "sweep-fsamp -o fs4.csv --duration 0.02 --fsamp-factors 1 0.5 0.03125 --pad-fractions 0.001",
+    "dtw-matrix small.csv small.csv -o d1",
+    "dtw-matrix small.csv custom.csv -o d2",
+    "dtw-matrix custom.csv small.csv -o d3",
+    # exit 2: input and parse errors
+    "warp -i missing.csv -o x.csv --t1-target 1 --t2-target 1",
+    "warp -i short.csv -o x.csv --t1-target 410 --t2-target 614 --half-width 2",
+    "warp -i short.csv -o x.csv --t1-target 410 --t2-target 614 --onset 5",
+    "warp -i demo.csv -o x.csv --t1-target 2048 --t2-target 2048 --events bad.events.json",
+    "sweep-padding -o x.csv --config bad.cfg",
+    "sweep-fsamp -o x.csv --fsamp-factors 0.5 1.0",
+    "dtw-matrix missing.csv small.csv -o x",
+    # exit 3: domain and pipeline errors
+    "synth -o x.csv --f1 600 --f2 700 --f-samp 1024",
+    "warp -i short.csv -o x.csv --t1-target 400 --t2-target 400",
+    "warp -i short.csv -o x.csv --t1-target 410 --t2-target 614 --pad-fraction 1e12",
+    "dtw-matrix demo.csv demo.csv -o x",
+]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(outdir: Path) -> list[str]:
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "sweep.cfg").write_text(SWEEP_CONFIG, encoding="utf-8")
+    (outdir / "bad.cfg").write_text(BAD_CONFIG, encoding="utf-8")
+    (outdir / "bad.events.json").write_text(BAD_EVENTS, encoding="utf-8")
+    lines = []
+    cwd = os.getcwd()
+    os.chdir(outdir)
+    try:
+        for command in COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(command.split())
+            lines.append(f"exit {code}  stderr {sha256(err.getvalue().encode())}  {command}")
+    finally:
+        os.chdir(cwd)
+    for path in sorted(outdir.iterdir()):
+        lines.append(f"{sha256(path.read_bytes())}  {path.name}")
+    return lines
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.strip().splitlines()[2])
+    print("\n".join(run(Path(sys.argv[1]))))
