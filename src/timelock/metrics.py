@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyInputError,
@@ -89,13 +88,15 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
                       for x, y in problems])
     flat = None if acc is None else acc.reshape(-1)
     xs = [x for x, _ in problems]
-    windows = []
-    for x, y in problems:
-        # windows[p][s, c] == ypad[s + c], and ypad[n + m - 1 - k + i] == y[k - i];
-        # the margins keep every window in range
-        ypad = np.zeros(len(y) + 2 * len(x))
-        ypad[len(x):len(x) + len(y)] = y[::-1]
-        windows.append(sliding_window_view(ypad, len(x)))
+    # ypads[p][margin + m - 1 - k + i] == y[k - i]. A block's rows grow by at
+    # most one per diagonal, so no computed cell lies more than margin
+    # columns past either end of y.
+    margin = _COST_BLOCK + 1
+    ypads = []
+    for _, y in problems:
+        ypad = np.zeros(len(y) + 2 * margin)
+        ypad[margin:margin + len(y)] = y[::-1]
+        ypads.append(ypad)
     d = np.array([x[0] - y[0] for x, y in problems])
     corners = (d * d).tolist()
     if flat is not None:
@@ -149,9 +150,12 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
             if s:
                 block[:, s - 1] = np.inf  # the separator
             steps = min(kb, finals[p] + 1 - k)
-            ys = rows[p] + cols[p] - 1 - k + a
-            np.subtract(xs[p][a:b + 1], windows[p][ys + 1 - steps:ys + 1, :w_p][::-1],
-                        out=block[:steps, s:s + w_p])
+            # row r of the view holds y[k + r - i] for rows i = a..b
+            ypad = ypads[p]
+            item = ypad.itemsize
+            ys = np.ndarray((steps, w_p), buffer=ypad, strides=(-item, item),
+                            offset=(margin + cols[p] - 1 - k + a) * item)
+            np.subtract(xs[p][a:b + 1], ys, out=block[:steps, s:s + w_p])
             if steps < kb:
                 block[steps:, s:s + w_p] = np.inf
             if finals[p] < k + kb:

@@ -28,8 +28,10 @@ WINDOWS = ("kaiser", "hann", "blackman")
 PAD_MODES = ("neighbor", "zero")
 
 _KAISER_TABLE_SIZE = 1 << 16
-_BLOCK = 1024  # output positions evaluated per block
+_CELLS = 1 << 14  # kernel cells (outputs x taps) evaluated per block
+_EPS = float(np.finfo(np.float64).eps)  # np.sinc's stand-in for a zero argument
 _MAX_PAD = 1 << 24  # largest pad per side resample_padded builds: 128 MiB of float64
+_MAX_HALF_WIDTH = 1 << 12  # widest kernel: one row of taps fits in _CELLS
 
 
 @lru_cache(maxsize=32)
@@ -46,7 +48,7 @@ def _kaiser_table(beta: float) -> np.ndarray:
 class SincConfig:
     """Filter shape for windowed-sinc resampling.
 
-    half_width: taps per side, in input-sample units.
+    half_width: taps per side, in input-sample units; at most 4096.
     window: taper applied to the sinc kernel; one of "kaiser", "hann",
         "blackman".
     beta: Kaiser shape parameter, ignored by the other windows.
@@ -61,6 +63,8 @@ class SincConfig:
     def __post_init__(self) -> None:
         if self.half_width < 4:
             raise ValueError(f"half_width must be >= 4, got {self.half_width}")
+        if self.half_width > _MAX_HALF_WIDTH:
+            raise ValueError(f"half_width must be <= {_MAX_HALF_WIDTH}, got {self.half_width}")
         if self.window not in WINDOWS:
             raise ValueError(f"window must be one of {WINDOWS}, got {self.window!r}")
         if self.window == "kaiser":
@@ -73,31 +77,44 @@ class SincConfig:
                         f"Kaiser beta must keep i0(beta) finite, got {self.beta}")
 
 
-def _window_values(u: np.ndarray, cfg: SincConfig) -> np.ndarray:
-    """Taper value at offset u input samples from the kernel centre."""
-    x = np.abs(u) / cfg.half_width
-    inside = x <= 1.0
-    x = np.where(inside, x, 1.0)
+def _taper(x: np.ndarray, cfg: SincConfig, out: np.ndarray,
+           scratch: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Taper at x = |u| / half_width, for x in [0, 1], written into out.
+
+    u is the offset from the kernel centre in input samples. x is
+    overwritten; scratch (float64) and index (int64) are work buffers of
+    its shape.
+    """
     if cfg.window == "kaiser":
         table = _kaiser_table(cfg.beta)
-        pos = x * _KAISER_TABLE_SIZE
-        left = np.minimum(pos.astype(np.int64), _KAISER_TABLE_SIZE - 1)
-        frac = pos - left
-        w = table[left] * (1.0 - frac) + table[left + 1] * frac
-    elif cfg.window == "hann":
-        w = 0.5 + 0.5 * np.cos(np.pi * x)
-    else:  # blackman
-        w = 0.42 + 0.5 * np.cos(np.pi * x) + 0.08 * np.cos(2.0 * np.pi * x)
-    return np.where(inside, w, 0.0)
+        pos = np.multiply(x, _KAISER_TABLE_SIZE, out=x)
+        np.copyto(index, pos, casting="unsafe")
+        np.minimum(index, _KAISER_TABLE_SIZE - 1, out=index)
+        frac = np.subtract(pos, index, out=x)
+        # table[index] * (1 - frac) + table[index + 1] * frac
+        np.take(table, index, out=out, mode="clip")
+        np.multiply(out, np.subtract(1.0, frac, out=scratch), out=out)
+        index += 1
+        np.take(table, index, out=scratch, mode="clip")
+        np.add(out, np.multiply(scratch, frac, out=scratch), out=out)
+    else:
+        # hann: 0.5 + 0.5 cos(pi x); blackman: 0.42 + 0.5 cos(pi x) + 0.08 cos(2 pi x)
+        np.cos(np.multiply(x, np.pi, out=out), out=out)
+        np.multiply(out, 0.5, out=out)
+        if cfg.window == "hann":
+            np.add(out, 0.5, out=out)
+        else:
+            np.add(out, 0.42, out=out)
+            np.cos(np.multiply(x, 2.0 * np.pi, out=scratch), out=scratch)
+            np.add(out, np.multiply(scratch, 0.08, out=scratch), out=out)
+    return out
 
 
-def _resample_at(segment: np.ndarray, positions: np.ndarray, cutoff: float,
-                 cfg: SincConfig, shift: int = 0) -> np.ndarray:
-    """Evaluate the windowed-sinc interpolant of segment at fractional positions.
+def _resample_at(segment: np.ndarray, base: np.ndarray, frac: np.ndarray,
+                 cutoff: float, cfg: SincConfig) -> np.ndarray:
+    """Evaluate the windowed-sinc interpolant of segment at positions base + frac.
 
-    Positions, less shift, must lie in [0, len(segment) - 1]; shift is the
-    number of samples dropped from the front of the signal the positions
-    refer to, taken off the floored position so fractions keep their bits.
+    base holds integer indices into segment and frac fractions in [0, 1).
     Filter taps that fall outside the segment wrap around, i.e. the segment
     is modelled as one period of a periodic signal. Unless the signal
     happens to match across the wrap this is a step discontinuity, so short
@@ -106,28 +123,53 @@ def _resample_at(segment: np.ndarray, positions: np.ndarray, cutoff: float,
     renormalised to unit gain at every output position, so constants are
     preserved exactly.
 
-    Outputs are computed _BLOCK at a time, so every temporary holds at most
-    _BLOCK x (2 * half_width + 1) values whatever the output length.
+    Outputs are computed in blocks of at most _CELLS kernel cells (outputs x
+    taps), in preallocated buffers, so the temporaries stay bounded whatever
+    the output length.
     """
     h = cfg.half_width
-    taps = np.arange(-h, h + 1, dtype=np.float64)
+    width = 2 * h + 1
     # rows[b] holds the taps of an output whose position floors to b
     extended = np.take(segment, np.arange(-h, len(segment) + h), mode="wrap")
-    rows = sliding_window_view(extended, 2 * h + 1)
-    out = np.empty(len(positions))
-    for s in range(0, len(positions), _BLOCK):
-        pos = positions[s:s + _BLOCK]
-        base = np.floor(pos)
-        frac = pos - base
-        base = base.astype(np.int64) - shift
-        u = taps - frac[:, None]
-        kernel = cutoff * np.sinc(cutoff * u) * _window_values(u, cfg)
-        block = (kernel * rows[base]).sum(axis=1) / kernel.sum(axis=1)
-        if cutoff == 1.0:
-            # At unit cutoff the kernel is an exact delta on integral positions.
-            integral = frac == 0.0
-            block[integral] = segment[base[integral]]
-        out[s:s + _BLOCK] = block
+    rows = sliding_window_view(extended, width)
+    out = np.empty(len(base))
+    if cutoff == 1.0:
+        # At unit cutoff the kernel is an exact delta on integral positions.
+        integral = frac == 0.0
+        out[integral] = segment[base[integral]]
+        todo = np.flatnonzero(~integral)
+    else:
+        todo = np.arange(len(base))
+    taps = np.arange(-h, h + 1, dtype=np.float64)
+    n = max(1, _CELLS // width)
+    u, arg, kernel, scratch = (np.empty((n, width)) for _ in range(4))
+    index = np.empty((n, width), dtype=np.int64)
+    for s in range(0, len(todo), n):
+        which = todo[s:s + n]
+        f = frac[which]
+        k = len(which)
+        u_, arg_, kernel_, scratch_, index_ = (
+            v[:k] for v in (u, arg, kernel, scratch, index))
+        np.subtract(taps, f[:, None], out=u_)
+        # np.sinc(cutoff * u): sin(x) / x at x = pi * cutoff * u, with x == 0
+        # replaced by eps; u is 0 only at the centre tap of an integral position
+        x = u_ if cutoff == 1.0 else np.multiply(u_, cutoff, out=arg_)
+        x = np.multiply(x, np.pi, out=arg_)
+        centre = x[:, h]
+        centre[centre == 0.0] = _EPS
+        sinc = np.divide(np.sin(x, out=scratch_), x, out=arg_)
+        if cutoff != 1.0:
+            np.multiply(sinc, cutoff, out=sinc)
+        # only the first tap can lie outside the window, |u| > half_width
+        x = np.divide(np.abs(u_, out=u_), h, out=u_)
+        outside = x[:, 0] > 1.0
+        x[outside, 0] = 1.0
+        window = _taper(x, cfg, kernel_, scratch_, index_)
+        window[outside, 0] = 0.0
+        kernel_ = np.multiply(sinc, window, out=kernel_)
+        values = rows[base[which]]
+        np.multiply(values, kernel_, out=values)
+        out[which] = values.sum(axis=1) / kernel_.sum(axis=1)
     return out
 
 
@@ -135,6 +177,23 @@ def _cutoff(in_len: int, out_len: int, cfg: SincConfig) -> float:
     if not cfg.anti_alias or out_len >= in_len or out_len < 2:
         return 1.0
     return (out_len - 1) / (in_len - 1)
+
+
+def built_pads(pad_left: int, pad_right: int, half_width: int) -> tuple[int, int]:
+    """The pads resample_padded builds for the pads it is given.
+
+    No tap reaches past half_width samples from the interval, so when both
+    pads reach that far only half_width samples per side are built. A
+    shorter pad lets taps wrap into the far pad, which is then kept whole.
+    Raises RangeOutOfBoundsError for a pad outside [0, _MAX_PAD].
+    """
+    if not (0 <= pad_left <= _MAX_PAD and 0 <= pad_right <= _MAX_PAD):
+        raise RangeOutOfBoundsError(
+            f"pad amounts must lie in [0, {_MAX_PAD}], got ({pad_left}, {pad_right})"
+        )
+    if min(pad_left, pad_right) >= half_width:
+        return half_width, half_width
+    return pad_left, pad_right
 
 
 def resample(segment, out_len: int, cfg: SincConfig = SincConfig()) -> np.ndarray:
@@ -162,6 +221,11 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int,
     interval and whose ends are the interval's first and last samples; the
     pads only feed the filter taps. pad_mode "zero" fills the extensions with
     zeros instead, for comparing against zero-padding.
+
+    Output k is read at t = linspace(0, stop - start - 1, out_len)[k] past
+    start, taken apart as floor(t) and t - floor(t) (an exact subtraction),
+    so the pads move no position's bits. Only built_pads' samples are built,
+    and pads that build the same samples give bitwise identical outputs.
     """
     x = np.asarray(full, dtype=np.float64)
     if x.ndim != 1:
@@ -171,10 +235,7 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int,
         raise RangeOutOfBoundsError(
             f"range [{start}, {stop}) does not fit signal of length {len(x)}"
         )
-    if not (0 <= pad_left <= _MAX_PAD and 0 <= pad_right <= _MAX_PAD):
-        raise RangeOutOfBoundsError(
-            f"pad amounts must lie in [0, {_MAX_PAD}], got ({pad_left}, {pad_right})"
-        )
+    left, right = built_pads(pad_left, pad_right, cfg.half_width)
     if pad_mode not in PAD_MODES:
         raise ValueError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
     in_len = stop - start
@@ -184,16 +245,11 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int,
         raise BadOutputLengthError(f"output length must be a positive integer, got {out_len}")
     out_len = int(out_len)
 
-    # No tap reaches past half_width samples from the interval, so when both
-    # pads reach that far only half_width samples per side are built. A
-    # shorter pad lets taps wrap into the far pad, which is then kept whole.
-    left, right = pad_left, pad_right
-    if min(pad_left, pad_right) >= cfg.half_width:
-        left = right = cfg.half_width
     if pad_mode == "zero":
         padded = np.pad(x[start:stop], (left, right))
     else:
         padded = x[np.clip(np.arange(start - left, stop + right), 0, len(x) - 1)]
-    positions = pad_left + np.linspace(0.0, in_len - 1.0, out_len)
-    return _resample_at(padded, positions, _cutoff(in_len, out_len, cfg), cfg,
-                        pad_left - left)
+    t = np.linspace(0.0, in_len - 1.0, out_len)
+    whole = np.floor(t)
+    return _resample_at(padded, whole.astype(np.int64) + left, t - whole,
+                        _cutoff(in_len, out_len, cfg), cfg)

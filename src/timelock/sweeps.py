@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from .errors import TimelockError
 from .model import Partition, partition_from_events
 from .pipeline import build_reports, plan_warp, warp_intervals
-from .resample import SincConfig
+from .resample import SincConfig, built_pads
 from .synth import SynthSpec, generate
 
 CONTRACT_T1 = "contract_t1_expand_t2"
@@ -96,22 +96,35 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
 
     Rows come out ordered by direction, interval, then pad fraction; a cell
     that raises records the error class name in its rows' status instead of
-    aborting the sweep. Scoring runs after all the warps, as one stacked DTW
-    over every interval of every successful cell.
+    aborting the sweep. Cells with the same effective spec, the same target
+    lengths and the same built_pads, have bitwise identical warps, so each
+    such spec is warped and scored once and its rows are copied to every
+    cell that shares it. Scoring runs after all the warps, as one stacked
+    DTW over every interval of every successful warp.
     """
     trial = generate(synth_spec)
     part = partition_from_events(trial)
-    cells = {}
+    cells = {}  # (direction, pad) -> effective spec, or the error class name
+    warps = {}  # effective spec -> its warp, or the error class name
     for direction in sweep.directions:
         t1_target, t2_target = direction_targets(part, direction, sweep.warp_magnitude)
         for pad in sweep.pad_fractions:
             try:
                 spec = plan_warp(part, t1_target, t2_target, pad, trial.f_samp)
-                cells[(direction, pad)] = warp_intervals(trial, part, spec, sinc)
+                key = (t1_target, t2_target,
+                       built_pads(spec.pad_left, spec.pad_right, sinc.half_width))
             except TimelockError as err:
                 cells[(direction, pad)] = type(err).__name__
-    warped = [key for key, cell in cells.items() if not isinstance(cell, str)]
-    cells.update(zip(warped, build_reports(cells[key] for key in warped)))
+                continue
+            cells[(direction, pad)] = key
+            if key not in warps:
+                try:
+                    warps[key] = warp_intervals(trial, part, spec, sinc)
+                except TimelockError as err:
+                    warps[key] = type(err).__name__
+    warped = [key for key, warp in warps.items() if not isinstance(warp, str)]
+    warps.update(zip(warped, build_reports(warps[key] for key in warped)))
+    cells = {at: key if isinstance(key, str) else warps[key] for at, key in cells.items()}
 
     rows = []
     for direction in sweep.directions:

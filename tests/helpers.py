@@ -110,27 +110,42 @@ def dp_matrix_loops(x, y):
     return acc
 
 
-def resample_direct(segment, positions, cutoff, cfg):
-    """Windowed-sinc interpolant of segment at positions, every output at once.
+def resample_grid(in_len, out_len, pad_left=0):
+    """The resampler's output grid on a segment padded by pad_left samples:
+    t = linspace(0, in_len - 1, out_len) taken apart as floor(t) + pad_left
+    and t - floor(t)."""
+    t = np.linspace(0.0, in_len - 1.0, out_len)
+    whole = np.floor(t)
+    return whole.astype(np.int64) + pad_left, t - whole
+
+
+def resample_direct(segment, base, frac, cutoff, cfg):
+    """Windowed-sinc interpolant of segment at positions base + frac, every
+    output at once.
 
     The (n_out x taps) form: integer tap indices wrapped with np.mod, offsets
-    idx - positions, and the exact delta at unit cutoff on integral positions.
-    Shares only the taper with the resampler under test, which evaluates the
-    same sums block by block and must match this bit for bit.
+    taps - frac, the window's support applied to every tap, np.sinc itself,
+    and the exact delta at unit cutoff on integral positions. Shares only
+    the taper with the resampler under test, which evaluates the same sums
+    block by block and must match this bit for bit.
     """
-    from timelock.resample import _window_values
+    from timelock.resample import _taper
 
     segment = np.asarray(segment, float)
     h = cfg.half_width
-    base = np.floor(positions).astype(np.int64)
     taps = np.arange(-h, h + 1, dtype=np.int64)
     idx = base[:, None] + taps[None, :]
-    u = idx.astype(np.float64) - positions[:, None]
-    kernel = cutoff * np.sinc(cutoff * u) * _window_values(u, cfg)
+    u = taps.astype(np.float64)[None, :] - frac[:, None]
+    x = np.abs(u) / h
+    inside = x <= 1.0
+    x = np.where(inside, x, 1.0)
+    taper = _taper(x, cfg, np.empty_like(x), np.empty_like(x),
+                   np.empty(x.shape, dtype=np.int64))
+    kernel = cutoff * np.sinc(cutoff * u) * np.where(inside, taper, 0.0)
     values = segment[np.mod(idx, len(segment))]
     out = (kernel * values).sum(axis=1) / kernel.sum(axis=1)
     if cutoff == 1.0:
-        integral = positions == base
+        integral = frac == 0.0
         out[integral] = segment[base[integral]]
     return out
 

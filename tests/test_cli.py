@@ -136,6 +136,16 @@ class TestWarpCommand:
         assert code == 2
         assert err.splitlines() == ["error: Kaiser beta must keep i0(beta) finite, got 800.0"]
 
+    def test_half_width_over_the_cap_exits_2(self, run_cli, tmp_path, demo_2400):
+        # a 100000-tap half width would need gigabytes of kernel; it is
+        # refused before any warp
+        code, _, err = run_cli("warp", "-i", demo_2400, "-o", tmp_path / "w.csv",
+                               "--t1-target", 480, "--t2-target", 720,
+                               "--half-width", 100000)
+        assert code == 2
+        assert err.splitlines() == ["error: half_width must be <= 4096, got 100000"]
+        assert not (tmp_path / "w.csv").exists()
+
     @pytest.mark.parametrize("index", ["1023.7", "600.0", "true", '"600"'])
     def test_event_index_must_be_a_json_integer(self, run_cli, tmp_path, demo_2400, index):
         # int() would truncate 1023.7 to 1023 and warp around a moved event

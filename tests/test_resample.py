@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import resample_direct
+from helpers import resample_direct, resample_grid
 
 import timelock.resample as sincmod
 from timelock import SincConfig, pearson, resample_padded
@@ -53,6 +53,13 @@ class TestSincConfig:
         with pytest.raises(ValueError):
             SincConfig(beta=beta)
 
+    def test_half_width_cap(self):
+        assert SincConfig(half_width=sincmod._MAX_HALF_WIDTH).half_width == 4096
+        with pytest.raises(ValueError, match="half_width must be <= 4096"):
+            SincConfig(half_width=sincmod._MAX_HALF_WIDTH + 1)
+        # one row of taps of the widest kernel fits the cell budget
+        assert 2 * sincmod._MAX_HALF_WIDTH + 1 <= sincmod._CELLS
+
 
 class TestResample:
     @pytest.mark.parametrize("anti_alias", [True, False])
@@ -61,13 +68,15 @@ class TestResample:
         rng = np.random.default_rng(3)
         x = rng.normal(size=257)
         y = resample(x, 257, SincConfig(half_width=half_width, anti_alias=anti_alias))
-        assert np.abs(y - x).max() <= 1e-9
+        # every position is integral, where the unit-cutoff kernel is an
+        # exact delta: the input comes back bit for bit
+        assert np.array_equal(y, x)
 
     @pytest.mark.parametrize("window", ["kaiser", "hann", "blackman"])
     def test_identity_all_windows(self, window):
         rng = np.random.default_rng(4)
         x = rng.normal(size=100)
-        assert np.abs(resample(x, 100, SincConfig(window=window)) - x).max() <= 1e-9
+        assert np.array_equal(resample(x, 100, SincConfig(window=window)), x)
 
     @pytest.mark.parametrize("out_len", [1, 37, 256, 511, 1000])
     @pytest.mark.parametrize("window", ["kaiser", "hann", "blackman"])
@@ -231,26 +240,32 @@ class TestBlockedEvaluation:
     # oracle: the whole (n_out x taps) grid evaluated at once, as the
     # resampler did before it worked in blocks
     @pytest.mark.parametrize("window", ["kaiser", "hann", "blackman"])
-    @pytest.mark.parametrize("in_len", [900, 3000])
+    @pytest.mark.parametrize("in_len", [900, 3000, 829])
     @pytest.mark.parametrize("anti_alias", [True, False])
     def test_blocks_match_direct_evaluation(self, window, in_len, anti_alias):
-        # three blocks, the last one partial; 900 samples expand (unit cutoff,
-        # exact deltas on integral positions), 3000 contract
+        # ten blocks of _CELLS // 65 = 252 outputs, the last one partial;
+        # 900 samples expand (unit cutoff, exact deltas on integral
+        # positions), 3000 contract, and 829 expand with every third output
+        # on an input sample, copied rather than evaluated
         cfg = SincConfig(window=window, anti_alias=anti_alias)
-        out_len = 2 * sincmod._BLOCK + 437
+        out_len = 2485
+        rows = sincmod._CELLS // 65
+        assert rows == 252 and 9 * rows < out_len < 10 * rows
         x = np.random.default_rng(31).normal(size=in_len)
-        expected = resample_direct(x, np.linspace(0.0, in_len - 1.0, out_len),
+        expected = resample_direct(x, *resample_grid(in_len, out_len),
                                    _expected_cutoff(in_len, out_len, cfg), cfg)
         assert np.array_equal(resample(x, out_len, cfg), expected)
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_small_blocks_match_direct_evaluation(self, monkeypatch, block):
-        monkeypatch.setattr(sincmod, "_BLOCK", block)
         rng = np.random.default_rng(37)
         for case in range(40):
             cfg = SincConfig(half_width=int(rng.integers(4, 40)),
                              window=("kaiser", "hann", "blackman")[case % 3],
                              anti_alias=bool(case % 2))
+            # a budget of block rows of taps, and some cells to spare
+            width = 2 * cfg.half_width + 1
+            monkeypatch.setattr(sincmod, "_CELLS", block * width + case % width)
             full = rng.normal(size=int(rng.integers(2, 300)))
             start = int(rng.integers(0, len(full) - 1))
             stop = int(rng.integers(start + 2, len(full) + 1))
@@ -260,8 +275,7 @@ class TestBlockedEvaluation:
             left = [full[max(i, 0)] for i in range(start - pad_left, start)]
             right = [full[min(i, len(full) - 1)] for i in range(stop, stop + pad_right)]
             padded = np.concatenate([left, full[start:stop], right])
-            positions = pad_left + np.linspace(0.0, stop - start - 1.0, out_len)
-            expected = resample_direct(padded, positions,
+            expected = resample_direct(padded, *resample_grid(stop - start, out_len, pad_left),
                                        _expected_cutoff(stop - start, out_len, cfg), cfg)
             got = resample_padded(full, (start, stop), out_len, pad_left, pad_right, cfg)
             assert np.array_equal(got, expected)
@@ -285,12 +299,25 @@ class TestBlockedEvaluation:
                     else:
                         padded = full[np.clip(np.arange(start - pad_left, stop + pad_right),
                                               0, len(full) - 1)]
-                    positions = pad_left + np.linspace(0.0, stop - start - 1.0, out_len)
                     expected = resample_direct(
-                        padded, positions, _expected_cutoff(stop - start, out_len, cfg), cfg)
+                        padded, *resample_grid(stop - start, out_len, pad_left),
+                        _expected_cutoff(stop - start, out_len, cfg), cfg)
                     got = resample_padded(full, (start, stop), out_len, pad_left,
                                           pad_right, cfg, pad_mode)
                     assert np.array_equal(got, expected), (pad_left, pad_right, out_len)
+
+    @pytest.mark.parametrize("pad_mode", ["neighbor", "zero"])
+    @pytest.mark.parametrize("out_len", [900, 1638, 2458])
+    def test_pads_of_half_width_or_more_give_identical_outputs(self, pad_mode, out_len):
+        # the grid does not depend on the pads, and every pad of at least
+        # half_width builds the same half_width samples per side
+        x = np.random.default_rng(47).normal(size=8192)
+        outs = [resample_padded(x, (2048, 4096), out_len, pad, pad, pad_mode=pad_mode)
+                for pad in (32, 33, 100, 512, 2**20)]
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+        assert sincmod.built_pads(2**20, 33, 32) == (32, 32)
+        assert sincmod.built_pads(31, 2**20, 32) == (31, 2**20)
 
     def test_huge_pads_build_only_the_kernel_reach(self):
         import tracemalloc
@@ -305,9 +332,25 @@ class TestBlockedEvaluation:
         assert peak < 16 * 2**20
         pad = 2**21
         padded = x[np.clip(np.arange(1024 - pad, 2048 + pad), 0, len(x) - 1)]
-        positions = pad + np.linspace(0.0, 1023.0, 900)
         cutoff = _expected_cutoff(1024, 900, SincConfig())
-        assert np.array_equal(out, resample_direct(padded, positions, cutoff, SincConfig()))
+        assert np.array_equal(out, resample_direct(padded, *resample_grid(1024, 900, pad),
+                                                   cutoff, SincConfig()))
+
+    def test_widest_kernel_keeps_temporaries_bounded(self):
+        # the cell budget bounds every temporary of the widest accepted kernel
+        import tracemalloc
+
+        cfg = SincConfig(half_width=sincmod._MAX_HALF_WIDTH)
+        x = np.sin(0.3 * np.arange(16))
+        tracemalloc.start()
+        try:
+            out = resample(x, 1000, cfg)  # 8.2 M kernel cells, 66 MB at once
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        base, frac = resample_grid(16, 1000)
+        assert np.array_equal(out[:40], resample_direct(x, base[:40], frac[:40], 1.0, cfg))
 
     def test_padded_endpoints_land_on_interval_ends(self):
         # the last position is exactly the interval's last sample, where the

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from timelock import (SweepConfig, SynthSpec, dtw_score, fsamp_sweep, generate,
-                      padding_sweep, partition_from_events, plan_warp, warp_trial)
+import timelock.pipeline as pipeline
+from timelock import (SincConfig, SweepConfig, SynthSpec, dtw_score, fsamp_sweep,
+                      generate, padding_sweep, partition_from_events, plan_warp,
+                      warp_trial)
 from timelock.sweeps import CONTRACT_T1, DIRECTIONS, EXPAND_T1, direction_targets
 from timelock.model import Partition
 
@@ -120,6 +122,27 @@ class TestPaddingSweep:
             assert (row.status, row.dtw_distance, row.dtw_similarity) == \
                 ("ok", score.distance, score.similarity)
 
+    def test_rows_equal_warp_trial_of_each_cell(self):
+        # at half width 16 the pads are 10, 16, 16, 20 and 512: the last four
+        # cells share one warp and one score, the 1e12 cells fail alone. Each
+        # row must equal warp_trial of its own cell in every column.
+        sinc = SincConfig(half_width=16)
+        sweep = SweepConfig(pad_fractions=(0.005, 1e12, 0.0078, 0.008, 0.01, 0.25))
+        rows = padding_sweep(sweep, QUICK_SYNTH, sinc)
+        trial = generate(QUICK_SYNTH)
+        part = partition_from_events(trial)
+        for row in rows:
+            if row.pad_fraction == 1e12:
+                assert row.status == "RangeOutOfBoundsError"
+                assert row.correlation is None and row.dtw_distance is None
+                continue
+            t1, t2 = direction_targets(part, row.direction, sweep.warp_magnitude)
+            spec = plan_warp(part, t1, t2, row.pad_fraction, trial.f_samp)
+            r = warp_trial(trial, part, spec, sinc).intervals[row.interval]
+            assert (row.status, row.correlation, row.dtw_distance, row.dtw_similarity,
+                    row.energy_ratio) == ("ok", r.correlation, r.dtw.distance,
+                                          r.dtw.similarity, r.energy_ratio)
+
     def test_failing_cells_become_error_rows(self):
         # a 4-sample trial leaves single-sample intervals the resampler rejects
         tiny = SynthSpec(duration_s=4.0 / 2048.0)
@@ -148,6 +171,21 @@ class TestFsampSweep:
         assert len(rows) == 2 * 2 * 2 * 2
         assert [r.fsamp_factor for r in rows[:8]] == [1.0] * 8
         assert [r.fsamp_factor for r in rows[8:]] == [0.5] * 8
+
+    def test_each_effective_spec_is_resampled_once(self, monkeypatch):
+        # 6 rates x 2 directions x 8 pads are 96 cells, 192 intervals; pads of
+        # at least half_width, and equal small pads, share their warps
+        calls = []
+        resample_padded = pipeline.resample_padded
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return resample_padded(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "resample_padded", counted)
+        rows = fsamp_sweep(SweepConfig())
+        assert len(rows) == 192
+        assert len(calls) == 140
 
     def test_nyquist_breaking_factor_yields_error_rows(self):
         rows = fsamp_sweep(SweepConfig(pad_fractions=(0.1,),

@@ -49,6 +49,8 @@ COMMANDS = [
     "sweep-padding -o pad1.csv",
     "sweep-padding -o pad2.csv --duration 0.5 --pad-fractions 0.001 0.1",
     "sweep-padding -o pad3.csv --config sweep.cfg --warp-magnitude 0.3 --window hann",
+    # pads 10, 16, 16, 20 and 512 against a half width of 16
+    "sweep-padding -o pad4.csv --half-width 16 --pad-fractions 0.005 0.0078 0.008 0.01 0.25",
     "sweep-fsamp -o fs1.csv",
     "sweep-fsamp -o fs2.csv --duration 0.5 --fsamp-factors 1.0 0.5 --pad-fractions 0.1",
     "sweep-fsamp -o fs3.csv --config sweep.cfg --duration 1",
