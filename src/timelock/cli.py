@@ -275,8 +275,8 @@ def cmd_warp(args) -> int:
         "t1_target_len": spec.t1_target_len,
         "t2_target_len": spec.t2_target_len,
         "pad_fraction": args.pad_fraction,
-        "pad_left": spec.pad_left,
-        "pad_right": spec.pad_right,
+        "pad_left": spec.pad,
+        "pad_right": spec.pad,
         "pad_mode": pad_mode,
         "preserve_length": spec.preserve_length,
         "ratios": {"t1": r1, "t2": r2},

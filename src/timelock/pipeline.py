@@ -25,8 +25,7 @@ class WarpSpec:
 
     t1_target_len: int
     t2_target_len: int
-    pad_left: int = 0
-    pad_right: int = 0
+    pad: int = 0
     preserve_length: bool = True
 
     def __post_init__(self) -> None:
@@ -34,10 +33,8 @@ class WarpSpec:
                         ("t2_target_len", self.t2_target_len)):
             if int(v) != v or v < 1:
                 raise BadTargetError(f"{name} must be a positive integer, got {v}")
-        if self.pad_left < 0 or self.pad_right < 0:
-            raise BadTargetError(
-                f"pad amounts must be >= 0, got ({self.pad_left}, {self.pad_right})"
-            )
+        if self.pad < 0:
+            raise BadTargetError(f"pad must be >= 0, got {self.pad}")
 
     def ratios(self, p: Partition) -> tuple[float, float]:
         """Input-over-output length ratio per interval; >1 contracts, <1 expands."""
@@ -77,7 +74,7 @@ class WarpReport:
 
 def plan_warp(p: Partition, t1_target: int, t2_target: int, pad_fraction: float,
               f_samp: float, preserve_length: bool = True) -> WarpSpec:
-    """Build a WarpSpec: pads are round(pad_fraction * f_samp) per side.
+    """Build a WarpSpec: the pad is round(pad_fraction * f_samp) per side.
 
     In preserving mode (the default) the targets must sum to the current
     warpable length so the output trial keeps the input length.
@@ -93,8 +90,7 @@ def plan_warp(p: Partition, t1_target: int, t2_target: int, pad_fraction: float,
         )
     if not math.isfinite(pad_fraction * f_samp):
         raise BadTargetError(f"pad_fraction {pad_fraction} at f_samp {f_samp} overflows")
-    pads = round(pad_fraction * f_samp)
-    return WarpSpec(t1_target, t2_target, pad_left=pads, pad_right=pads,
+    return WarpSpec(t1_target, t2_target, pad=round(pad_fraction * f_samp),
                     preserve_length=preserve_length)
 
 
@@ -133,10 +129,8 @@ def warp_intervals(trial: Trial, p: Partition, spec: WarpSpec,
             "preserve_length=False for a non-preserving warp"
         )
     x = trial.samples
-    warped_t1 = resample_padded(x, p.t1, spec.t1_target_len, spec.pad_left,
-                                spec.pad_right, cfg, pad_mode)
-    warped_t2 = resample_padded(x, p.t2, spec.t2_target_len, spec.pad_left,
-                                spec.pad_right, cfg, pad_mode)
+    warped_t1 = resample_padded(x, p.t1, spec.t1_target_len, spec.pad, cfg, pad_mode)
+    warped_t2 = resample_padded(x, p.t2, spec.t2_target_len, spec.pad, cfg, pad_mode)
     out = np.concatenate([x[:p.onset], warped_t1, warped_t2, x[p.offset:]])
     events = tuple(_remap_event(e, p, spec) for e in trial.events)
     warped = Trial(out, trial.f_samp, events)
@@ -235,11 +229,6 @@ def align_batch(items, policy: TargetPolicy, pad_fraction: float,
     items = list(items)
     if not items:
         raise EmptyBatchError("no trials to align")
-    for trial, p in items:
-        if p.n_samples != len(trial):
-            raise InconsistentTrialsError(
-                f"partition covers {p.n_samples} samples but trial has {len(trial)}"
-            )
     onsets = sorted({p.onset for _, p in items})
     if len(onsets) != 1:
         raise InconsistentTrialsError(f"onset indices differ across trials: {onsets}")

@@ -5,13 +5,16 @@ so the first and last input samples map to the first and last output samples
 and a resampled interval concatenates with untouched neighbours without a
 step. Each output value is a windowed-sinc weighted sum of nearby input
 samples, renormalised to unit gain at every output position; constants
-therefore survive exactly. Beyond the segment ends the filter sees the
-segment repeated periodically (the classical discrete-signal model), so a
-segment whose ends do not match up rings near its endpoints; resample_padded
-feeds the filter true neighbouring samples instead, pushing those artifacts
-out of the interval of interest. When contracting with anti-aliasing enabled,
-the kernel cutoff is lowered to the output rate so content above the new
-Nyquist is attenuated rather than folded back.
+therefore survive exactly. resample_padded extends the segment by one pad of
+true neighbouring samples per side, pushing endpoint ringing out of the
+interval of interest; no tap reaches more than half_width samples past the
+interval, so only min(pad, half_width) samples per side are ever read. Taps
+past a shorter pad see the padded segment repeated periodically (the
+classical discrete-signal model) and wrap into the opposite pad, so an
+unpadded segment whose ends do not match up rings near its endpoints. When
+contracting with anti-aliasing enabled, the kernel cutoff is lowered to the
+output rate so content above the new Nyquist is attenuated rather than
+folded back.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ PAD_MODES = ("neighbor", "zero")
 _KAISER_TABLE_SIZE = 1 << 16
 _CELLS = 1 << 14  # kernel cells (outputs x taps) evaluated per block
 _EPS = float(np.finfo(np.float64).eps)  # np.sinc's stand-in for a zero argument
-_MAX_PAD = 1 << 24  # largest pad per side resample_padded builds: 128 MiB of float64
+_MAX_PAD = 1 << 24  # largest pad accepted per side: an input check, as at most half_width are read
 _MAX_HALF_WIDTH = 1 << 12  # widest kernel: one row of taps fits in _CELLS
 
 
@@ -110,18 +113,15 @@ def _taper(x: np.ndarray, cfg: SincConfig, out: np.ndarray,
     return out
 
 
-def _resample_at(segment: np.ndarray, base: np.ndarray, frac: np.ndarray,
+def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
                  cutoff: float, cfg: SincConfig) -> np.ndarray:
-    """Evaluate the windowed-sinc interpolant of segment at positions base + frac.
+    """Evaluate the windowed-sinc interpolant at positions base + frac.
 
-    base holds integer indices into segment and frac fractions in [0, 1).
-    Filter taps that fall outside the segment wrap around, i.e. the segment
-    is modelled as one period of a periodic signal. Unless the signal
-    happens to match across the wrap this is a step discontinuity, so short
-    or unpadded segments ring near their endpoints; callers suppress that by
-    padding the segment with true neighbouring samples first. The kernel is
-    renormalised to unit gain at every output position, so constants are
-    preserved exactly.
+    base holds integer indices into the interval and frac fractions in
+    [0, 1). reach holds every sample a tap can read: the interval and
+    half_width samples on each side, so reach[base + h + j] is tap j of the
+    output at base. The kernel is renormalised to unit gain at every output
+    position, so constants are preserved exactly.
 
     Outputs are computed in blocks of at most _CELLS kernel cells (outputs x
     taps), in preallocated buffers, so the temporaries stay bounded whatever
@@ -130,13 +130,12 @@ def _resample_at(segment: np.ndarray, base: np.ndarray, frac: np.ndarray,
     h = cfg.half_width
     width = 2 * h + 1
     # rows[b] holds the taps of an output whose position floors to b
-    extended = np.take(segment, np.arange(-h, len(segment) + h), mode="wrap")
-    rows = sliding_window_view(extended, width)
+    rows = sliding_window_view(reach, width)
     out = np.empty(len(base))
     if cutoff == 1.0:
         # At unit cutoff the kernel is an exact delta on integral positions.
         integral = frac == 0.0
-        out[integral] = segment[base[integral]]
+        out[integral] = reach[base[integral] + h]
         todo = np.flatnonzero(~integral)
     else:
         todo = np.arange(len(base))
@@ -179,53 +178,48 @@ def _cutoff(in_len: int, out_len: int, cfg: SincConfig) -> float:
     return (out_len - 1) / (in_len - 1)
 
 
-def built_pads(pad_left: int, pad_right: int, half_width: int) -> tuple[int, int]:
-    """The pads resample_padded builds for the pads it is given.
+def built_pad(pad: int, half_width: int) -> int:
+    """The pad resample_padded reads per side for the pad it is given.
 
-    No tap reaches past half_width samples from the interval, so when both
-    pads reach that far only half_width samples per side are built. A
-    shorter pad lets taps wrap into the far pad, which is then kept whole.
-    Raises RangeOutOfBoundsError for a pad outside [0, _MAX_PAD].
+    No tap reaches past half_width samples from the interval, so pads of
+    half_width or more read the same samples. Raises RangeOutOfBoundsError
+    for a pad outside [0, _MAX_PAD].
     """
-    if not (0 <= pad_left <= _MAX_PAD and 0 <= pad_right <= _MAX_PAD):
-        raise RangeOutOfBoundsError(
-            f"pad amounts must lie in [0, {_MAX_PAD}], got ({pad_left}, {pad_right})"
-        )
-    if min(pad_left, pad_right) >= half_width:
-        return half_width, half_width
-    return pad_left, pad_right
+    if not 0 <= pad <= _MAX_PAD:
+        raise RangeOutOfBoundsError(f"pad must lie in [0, {_MAX_PAD}], got {pad}")
+    return min(pad, half_width)
 
 
 def resample(segment, out_len: int, cfg: SincConfig = SincConfig()) -> np.ndarray:
     """Resample a segment to out_len samples by windowed-sinc interpolation.
 
     Endpoints map to endpoints, so out_len == len(segment) is the identity.
-    This is resample_padded of the whole segment without pads.
+    This is resample_padded of the whole segment with pad 0.
     """
     seg = np.asarray(segment, dtype=np.float64)
     if seg.size < 2:
         raise SegmentTooShortError(f"segment needs at least 2 samples, got {seg.size}")
-    return resample_padded(seg, (0, len(seg)), out_len, 0, 0, cfg)
+    return resample_padded(seg, (0, len(seg)), out_len, 0, cfg)
 
 
-def resample_padded(full, index_range: tuple[int, int], out_len: int,
-                    pad_left: int, pad_right: int,
+def resample_padded(full, index_range: tuple[int, int], out_len: int, pad: int,
                     cfg: SincConfig = SincConfig(),
                     pad_mode: str = "neighbor") -> np.ndarray:
-    """Resample full[start:stop] to out_len samples with side padding.
+    """Resample full[start:stop] to out_len samples with pad samples per side.
 
-    The segment is extended by pad_left / pad_right samples of the true
+    The segment is extended on each side by pad samples of the true
     neighbouring signal (clamped at the trial boundary, any deficit filled by
     repeating the edge value) and evaluated at exactly the out_len output
     positions covering [start, stop), a grid whose step matches the target
     interval and whose ends are the interval's first and last samples; the
-    pads only feed the filter taps. pad_mode "zero" fills the extensions with
+    pad only feeds the filter taps. pad_mode "zero" fills the extensions with
     zeros instead, for comparing against zero-padding.
 
     Output k is read at t = linspace(0, stop - start - 1, out_len)[k] past
     start, taken apart as floor(t) and t - floor(t) (an exact subtraction),
-    so the pads move no position's bits. Only built_pads' samples are built,
-    and pads that build the same samples give bitwise identical outputs.
+    so the pad moves no position's bits. Only built_pad(pad, half_width)
+    samples per side are read, and pads with the same built_pad give
+    bitwise identical outputs.
     """
     x = np.asarray(full, dtype=np.float64)
     if x.ndim != 1:
@@ -235,7 +229,7 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int,
         raise RangeOutOfBoundsError(
             f"range [{start}, {stop}) does not fit signal of length {len(x)}"
         )
-    left, right = built_pads(pad_left, pad_right, cfg.half_width)
+    b = built_pad(pad, cfg.half_width)
     if pad_mode not in PAD_MODES:
         raise ValueError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
     in_len = stop - start
@@ -245,11 +239,14 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int,
         raise BadOutputLengthError(f"output length must be a positive integer, got {out_len}")
     out_len = int(out_len)
 
+    # the samples the taps reach: half_width per side of the segment padded
+    # by b; a tap past a pad shorter than half_width wraps into the other pad
+    h = cfg.half_width
+    source = start - b + np.arange(b - h, b - h + in_len + 2 * h) % (in_len + 2 * b)
+    reach = x[np.clip(source, 0, len(x) - 1)]
     if pad_mode == "zero":
-        padded = np.pad(x[start:stop], (left, right))
-    else:
-        padded = x[np.clip(np.arange(start - left, stop + right), 0, len(x) - 1)]
+        reach[(source < start) | (source >= stop)] = 0.0
     t = np.linspace(0.0, in_len - 1.0, out_len)
     whole = np.floor(t)
-    return _resample_at(padded, whole.astype(np.int64) + left, t - whole,
+    return _resample_at(reach, whole.astype(np.int64), t - whole,
                         _cutoff(in_len, out_len, cfg), cfg)

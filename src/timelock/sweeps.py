@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from .errors import TimelockError
 from .model import Partition, partition_from_events
 from .pipeline import build_reports, plan_warp, warp_intervals
-from .resample import SincConfig, built_pads
+from .resample import SincConfig, built_pad
 from .synth import SynthSpec, generate
 
 CONTRACT_T1 = "contract_t1_expand_t2"
@@ -97,7 +97,7 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
     Rows come out ordered by direction, interval, then pad fraction; a cell
     that raises records the error class name in its rows' status instead of
     aborting the sweep. Cells with the same effective spec, the same target
-    lengths and the same built_pads, have bitwise identical warps, so each
+    lengths and the same built_pad, have bitwise identical warps, so each
     such spec is warped and scored once and its rows are copied to every
     cell that shares it. Scoring runs after all the warps, as one stacked
     DTW over every interval of every successful warp.
@@ -111,8 +111,7 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
         for pad in sweep.pad_fractions:
             try:
                 spec = plan_warp(part, t1_target, t2_target, pad, trial.f_samp)
-                key = (t1_target, t2_target,
-                       built_pads(spec.pad_left, spec.pad_right, sinc.half_width))
+                key = (t1_target, t2_target, built_pad(spec.pad, sinc.half_width))
             except TimelockError as err:
                 cells[(direction, pad)] = type(err).__name__
                 continue

@@ -110,13 +110,13 @@ def dp_matrix_loops(x, y):
     return acc
 
 
-def resample_grid(in_len, out_len, pad_left=0):
-    """The resampler's output grid on a segment padded by pad_left samples:
-    t = linspace(0, in_len - 1, out_len) taken apart as floor(t) + pad_left
+def resample_grid(in_len, out_len, pad=0):
+    """The resampler's output grid on a segment padded by pad samples per
+    side: t = linspace(0, in_len - 1, out_len) taken apart as floor(t) + pad
     and t - floor(t)."""
     t = np.linspace(0.0, in_len - 1.0, out_len)
     whole = np.floor(t)
-    return whole.astype(np.int64) + pad_left, t - whole
+    return whole.astype(np.int64) + pad, t - whole
 
 
 def resample_direct(segment, base, frac, cutoff, cfg):

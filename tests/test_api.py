@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import types
 
 import timelock
@@ -20,3 +22,12 @@ def test_removed_names_stay_out_of_the_package():
 def test_all_names_resolve():
     for name in timelock.__all__:
         assert hasattr(timelock, name), name
+
+
+def test_one_pad_per_side():
+    fields = {f.name for f in dataclasses.fields(timelock.WarpSpec)}
+    assert "pad" in fields
+    assert not fields & {"pad_left", "pad_right"}
+    params = list(inspect.signature(timelock.resample_padded).parameters)
+    assert params[:4] == ["full", "index_range", "out_len", "pad"]
+    assert not set(params) & {"pad_left", "pad_right"}

@@ -125,7 +125,7 @@ class TestWarpCommand:
                                "--t1-target", "500", "--t2-target", "700",
                                "--pad-fraction", "1e12")
         assert code == 3
-        assert "pad amounts" in err
+        assert "pad must lie in [0, 16777216], got 2048000000000000" in err
         assert "Traceback" not in err
 
     def test_overflowing_kaiser_beta_exits_2(self, run_cli, tmp_path, demo_2400):

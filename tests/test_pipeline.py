@@ -55,8 +55,7 @@ class TestPlanWarp:
     def test_reference_padding_sample_count(self):
         p = Partition(0, 600, 1200, 1200)
         spec = plan_warp(p, 480, 720, 0.10, 2048.0)
-        assert spec.pad_left == 205
-        assert spec.pad_right == 205
+        assert spec.pad == 205
 
     def test_non_preserving_targets_rejected_by_default(self):
         p = Partition(0, 600, 1200, 1200)
@@ -93,7 +92,7 @@ class TestPlanWarp:
         with pytest.raises(BadTargetError):
             WarpSpec(t1_target_len=0, t2_target_len=5)
         with pytest.raises(BadTargetError):
-            WarpSpec(t1_target_len=5, t2_target_len=5, pad_left=-1)
+            WarpSpec(t1_target_len=5, t2_target_len=5, pad=-1)
 
 
 class TestWarpTrial:
@@ -158,8 +157,7 @@ class TestWarpTrial:
 
     def test_non_preserving_warp(self):
         trial, p = _smooth_trial(1000, 100, 500, 900, seed=3)
-        spec = WarpSpec(p.len_t1, p.len_t2 + 100, pad_left=10, pad_right=10,
-                        preserve_length=False)
+        spec = WarpSpec(p.len_t1, p.len_t2 + 100, pad=10, preserve_length=False)
         rep = warp_trial(trial, p, spec)
         assert len(rep.warped) == 1100
         assert np.array_equal(rep.warped.samples[-100:], trial.samples[-100:])

@@ -147,13 +147,13 @@ class TestResamplePadded:
     def test_zero_pads_degenerate_to_bare_resample(self):
         x = _band_limited(np.random.default_rng(23))
         direct = resample(x[100:700], 450)
-        padded = resample_padded(x, (100, 700), 450, 0, 0)
+        padded = resample_padded(x, (100, 700), 450, 0)
         assert np.array_equal(direct, padded)
 
     def test_output_length_exact(self):
         x = _band_limited(np.random.default_rng(29))
         for out_len in (7, 301, 600, 977):
-            got = resample_padded(x, (100, 700), out_len, 205, 205)
+            got = resample_padded(x, (100, 700), out_len, 205)
             assert got.shape == (out_len,)
 
     def test_padding_suppresses_endpoint_ringing(self, demo_trial, demo_partition):
@@ -165,20 +165,20 @@ class TestResamplePadded:
         ref = np.rint(np.arange(target) * ((p.len_t1 - 1) / (target - 1))).astype(int)
         reference = demo_trial.samples[p.onset:p.transition][ref]
 
-        pads_small = round(1e-3 * fs)
-        pads_large = round(0.10 * fs)
-        corr_small = pearson(resample_padded(demo_trial.samples, p.t1, target,
-                                             pads_small, pads_small), reference)
-        corr_large = pearson(resample_padded(demo_trial.samples, p.t1, target,
-                                             pads_large, pads_large), reference)
+        pad_small = round(1e-3 * fs)
+        pad_large = round(0.10 * fs)
+        corr_small = pearson(resample_padded(demo_trial.samples, p.t1, target, pad_small),
+                             reference)
+        corr_large = pearson(resample_padded(demo_trial.samples, p.t1, target, pad_large),
+                             reference)
         assert corr_large >= 0.85
         assert corr_small < corr_large
 
     def test_energy_scales_inversely_with_ratio(self, demo_trial, demo_partition):
         p = demo_partition
-        pads = round(0.10 * demo_trial.f_samp)
+        pad = round(0.10 * demo_trial.f_samp)
         for target in (round(p.len_t1 * 0.8), round(p.len_t1 * 1.25)):
-            out = resample_padded(demo_trial.samples, p.t1, target, pads, pads)
+            out = resample_padded(demo_trial.samples, p.t1, target, pad)
             ratio = p.len_t1 / target
             e_in = float(np.dot(*(demo_trial.samples[p.onset:p.transition],) * 2))
             e_out = float(np.dot(out, out))
@@ -186,48 +186,47 @@ class TestResamplePadded:
 
     def test_identity_with_pads_is_exact(self, demo_trial, demo_partition):
         p = demo_partition
-        out = resample_padded(demo_trial.samples, p.t1, p.len_t1, 205, 205)
+        out = resample_padded(demo_trial.samples, p.t1, p.len_t1, 205)
         assert np.array_equal(out, demo_trial.samples[p.onset:p.transition])
 
     def test_pad_deficit_replicates_trial_edge(self):
         x = np.arange(10.0) + 3.0
-        out = resample_padded(x, (1, 6), 5, pad_left=5, pad_right=0)
+        out = resample_padded(x, (1, 6), 5, pad=5)
         assert np.array_equal(out, x[1:6])
 
     def test_zero_pad_mode_differs_from_neighbor(self, demo_trial, demo_partition):
         p = demo_partition
         target = round(p.len_t1 * 0.8)
-        near = resample_padded(demo_trial.samples, p.t1, target, 10, 10)
-        zero = resample_padded(demo_trial.samples, p.t1, target, 10, 10, pad_mode="zero")
+        near = resample_padded(demo_trial.samples, p.t1, target, 10)
+        zero = resample_padded(demo_trial.samples, p.t1, target, 10, pad_mode="zero")
         assert near.shape == zero.shape
         assert not np.array_equal(near, zero)
 
     def test_bad_ranges(self):
         x = np.zeros(100)
         with pytest.raises(RangeOutOfBoundsError):
-            resample_padded(x, (50, 120), 10, 0, 0)
+            resample_padded(x, (50, 120), 10, 0)
         with pytest.raises(RangeOutOfBoundsError):
-            resample_padded(x, (-1, 20), 10, 0, 0)
+            resample_padded(x, (-1, 20), 10, 0)
         with pytest.raises(RangeOutOfBoundsError):
-            resample_padded(x, (10, 20), 10, -1, 0)
+            resample_padded(x, (10, 20), 10, -1)
         with pytest.raises(SegmentTooShortError):
-            resample_padded(x, (10, 11), 10, 0, 0)
+            resample_padded(x, (10, 11), 10, 0)
         with pytest.raises(BadOutputLengthError):
-            resample_padded(x, (10, 20), 0, 0, 0)
+            resample_padded(x, (10, 20), 0, 0)
         with pytest.raises(ValueError):
-            resample_padded(x, (10, 20), 5, 0, 0, pad_mode="mirror")
+            resample_padded(x, (10, 20), 5, 0, pad_mode="mirror")
 
     @pytest.mark.parametrize("pad_mode", ["neighbor", "zero"])
     def test_pad_budget(self, monkeypatch, pad_mode):
         x = np.sin(0.1 * np.arange(100))
         with pytest.raises(RangeOutOfBoundsError):
-            resample_padded(x, (10, 20), 7, 10**12, 0, pad_mode=pad_mode)
+            resample_padded(x, (10, 20), 7, 10**12, pad_mode=pad_mode)
         monkeypatch.setattr(sincmod, "_MAX_PAD", 8)
-        at_budget = resample_padded(x, (10, 20), 7, 8, 8, pad_mode=pad_mode)
+        at_budget = resample_padded(x, (10, 20), 7, 8, pad_mode=pad_mode)
         assert at_budget.shape == (7,)
-        for pads in ((9, 0), (0, 9)):
-            with pytest.raises(RangeOutOfBoundsError):
-                resample_padded(x, (10, 20), 7, *pads, pad_mode=pad_mode)
+        with pytest.raises(RangeOutOfBoundsError):
+            resample_padded(x, (10, 20), 7, 9, pad_mode=pad_mode)
 
 
 def _expected_cutoff(in_len, out_len, cfg):
@@ -269,55 +268,51 @@ class TestBlockedEvaluation:
             full = rng.normal(size=int(rng.integers(2, 300)))
             start = int(rng.integers(0, len(full) - 1))
             stop = int(rng.integers(start + 2, len(full) + 1))
-            pad_left, pad_right = (int(v) for v in rng.integers(0, 50, size=2))
+            pad = int(rng.integers(0, 50))
             out_len = int(rng.integers(1, 3 * (stop - start) + 2))
             # neighbour padding built independently: clamp to the edge samples
-            left = [full[max(i, 0)] for i in range(start - pad_left, start)]
-            right = [full[min(i, len(full) - 1)] for i in range(stop, stop + pad_right)]
+            left = [full[max(i, 0)] for i in range(start - pad, start)]
+            right = [full[min(i, len(full) - 1)] for i in range(stop, stop + pad)]
             padded = np.concatenate([left, full[start:stop], right])
-            expected = resample_direct(padded, *resample_grid(stop - start, out_len, pad_left),
+            expected = resample_direct(padded, *resample_grid(stop - start, out_len, pad),
                                        _expected_cutoff(stop - start, out_len, cfg), cfg)
-            got = resample_padded(full, (start, stop), out_len, pad_left, pad_right, cfg)
+            got = resample_padded(full, (start, stop), out_len, pad, cfg)
             assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("pad_mode", ["neighbor", "zero"])
     @pytest.mark.parametrize("window", ["kaiser", "hann", "blackman"])
     def test_pads_straddling_half_width_match_direct_evaluation(self, pad_mode, window):
-        # pads of at least half_width on both sides are cut to half_width
-        # before evaluation; a shorter pad on either side keeps both whole,
-        # since its taps wrap into the far pad. Either way the bits equal the
-        # whole padded segment evaluated at once.
+        # a pad of at least half_width is read only half_width samples deep;
+        # taps past a shorter pad wrap into the opposite pad. Either way the
+        # bits equal the whole padded segment evaluated at once.
         cfg = SincConfig(half_width=16, window=window)
         rng = np.random.default_rng(43)
         full = rng.normal(size=400)
         start, stop = 150, 260
-        for pad_left in (0, 15, 16, 17, 40, 200):
-            for pad_right in (0, 15, 16, 17, 40, 200):
-                for out_len in (37, 110, 251):
-                    if pad_mode == "zero":
-                        padded = np.pad(full[start:stop], (pad_left, pad_right))
-                    else:
-                        padded = full[np.clip(np.arange(start - pad_left, stop + pad_right),
-                                              0, len(full) - 1)]
-                    expected = resample_direct(
-                        padded, *resample_grid(stop - start, out_len, pad_left),
-                        _expected_cutoff(stop - start, out_len, cfg), cfg)
-                    got = resample_padded(full, (start, stop), out_len, pad_left,
-                                          pad_right, cfg, pad_mode)
-                    assert np.array_equal(got, expected), (pad_left, pad_right, out_len)
+        for pad in (0, 15, 16, 17, 40, 200):
+            for out_len in (37, 110, 251):
+                if pad_mode == "zero":
+                    padded = np.pad(full[start:stop], pad)
+                else:
+                    padded = full[np.clip(np.arange(start - pad, stop + pad), 0, len(full) - 1)]
+                expected = resample_direct(
+                    padded, *resample_grid(stop - start, out_len, pad),
+                    _expected_cutoff(stop - start, out_len, cfg), cfg)
+                got = resample_padded(full, (start, stop), out_len, pad, cfg, pad_mode)
+                assert np.array_equal(got, expected), (pad, out_len)
 
     @pytest.mark.parametrize("pad_mode", ["neighbor", "zero"])
     @pytest.mark.parametrize("out_len", [900, 1638, 2458])
     def test_pads_of_half_width_or_more_give_identical_outputs(self, pad_mode, out_len):
-        # the grid does not depend on the pads, and every pad of at least
-        # half_width builds the same half_width samples per side
+        # the grid does not depend on the pad, and every pad of at least
+        # half_width reads the same half_width samples per side
         x = np.random.default_rng(47).normal(size=8192)
-        outs = [resample_padded(x, (2048, 4096), out_len, pad, pad, pad_mode=pad_mode)
+        outs = [resample_padded(x, (2048, 4096), out_len, pad, pad_mode=pad_mode)
                 for pad in (32, 33, 100, 512, 2**20)]
         for out in outs[1:]:
             assert np.array_equal(out, outs[0])
-        assert sincmod.built_pads(2**20, 33, 32) == (32, 32)
-        assert sincmod.built_pads(31, 2**20, 32) == (31, 2**20)
+        assert sincmod.built_pad(2**20, 32) == 32
+        assert sincmod.built_pad(31, 32) == 31
 
     def test_huge_pads_build_only_the_kernel_reach(self):
         import tracemalloc
@@ -325,11 +320,14 @@ class TestBlockedEvaluation:
         x = np.sin(0.01 * np.arange(4096))
         tracemalloc.start()
         try:
-            out = resample_padded(x, (1024, 2048), 900, 2**21, 2**21)
+            out = resample_padded(x, (1024, 2048), 900, sincmod._MAX_PAD)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert sincmod._MAX_PAD == 2**24
         assert peak < 16 * 2**20
+        # no tap of the oracle reaches past half_width samples from the
+        # interval either, so any pad of more serves; 2**21 keeps it small
         pad = 2**21
         padded = x[np.clip(np.arange(1024 - pad, 2048 + pad), 0, len(x) - 1)]
         cutoff = _expected_cutoff(1024, 900, SincConfig())
@@ -357,7 +355,7 @@ class TestBlockedEvaluation:
         # expanding (unit-cutoff) kernel is an exact delta; a position one ulp
         # short would floor to the sample before and miss it
         x = np.sin(0.01 * np.arange(3000))
-        out = resample_padded(x, (100, 1511), 2614, 5, 5)
+        out = resample_padded(x, (100, 1511), 2614, 5)
         assert out[0] == x[100]
         assert out[-1] == x[1510]
 

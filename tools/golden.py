@@ -46,6 +46,8 @@ COMMANDS = [
     "warp -i short.csv -o w7.csv --t1-target 1 --t2-target 1023",
     "warp -i demo.csv -o w8.csv --onset 2000 --transition 4100 --offset 6000 "
     "--t1-target 1800 --t2-target 2200 --report w8.json",
+    # pad 20 against a half width of 32: taps wrap into the opposite pad
+    "warp -i short.csv -o w9.csv --t1-target 410 --t2-target 614 --pad-fraction 0.01",
     "sweep-padding -o pad1.csv",
     "sweep-padding -o pad2.csv --duration 0.5 --pad-fractions 0.001 0.1",
     "sweep-padding -o pad3.csv --config sweep.cfg --warp-magnitude 0.3 --window hann",
