@@ -7,6 +7,7 @@ errors. All outputs are byte-deterministic for identical flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -78,14 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-padding",
                        help="sweep pad_fraction on the demonstration trial")
     _add_sweep_flags(p)
-    p.set_defaults(handler=cmd_sweep_padding)
+    p.set_defaults(handler=cmd_sweep, sweep=padding_sweep, row_type=PaddingSweepRow)
 
     p = sub.add_parser("sweep-fsamp",
                        help="rerun the padding sweep across sampling-rate factors")
     _add_sweep_flags(p)
     p.add_argument("--fsamp-factors", type=float, nargs="+",
                    help="rate factors in (0, 1], sorted descending")
-    p.set_defaults(handler=cmd_sweep_fsamp)
+    p.set_defaults(handler=cmd_sweep, sweep=fsamp_sweep, row_type=FsampSweepRow)
 
     p = sub.add_parser("dtw-matrix",
                        help="write the DTW accumulated-cost matrix and warping path")
@@ -103,7 +104,8 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f-samp", type=float, default=d.f_samp, help="sampling rate in Hz")
     p.add_argument("--f1", type=float, default=d.f1, help="first component frequency in Hz")
     p.add_argument("--f2", type=float, default=d.f2, help="second component frequency in Hz")
-    p.add_argument("--duration", type=float, default=d.duration_s, help="trial length in seconds")
+    p.add_argument("--duration", type=float, default=d.duration_s, dest="duration_s",
+                   metavar="DURATION", help="trial length in seconds")
     p.add_argument("--event-fracs", type=float, nargs=3, default=list(d.event_fracs),
                    metavar=("ONSET", "TRANSITION", "OFFSET"),
                    help="event positions as fractions of the trial")
@@ -117,7 +119,7 @@ def _add_sinc_flags(p: argparse.ArgumentParser) -> None:
                    help="filter taps per side, in input samples")
     p.add_argument("--window", choices=WINDOWS, default=d.window)
     p.add_argument("--beta", type=float, default=d.beta, help="Kaiser shape parameter")
-    p.add_argument("--no-anti-alias", action="store_true",
+    p.add_argument("--no-anti-alias", action="store_false", dest="anti_alias",
                    help="keep the full cutoff when contracting")
 
 
@@ -131,33 +133,54 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--warp-magnitude", type=float,
                    help="fractional change applied to t1 (default 0.2)")
     p.add_argument("--f-samp", type=float, help="base sampling rate (default 2048)")
-    p.add_argument("--duration", type=float, help="trial length in seconds (default 4)")
+    p.add_argument("--duration", type=float, dest="duration_s", metavar="DURATION",
+                   help="trial length in seconds (default 4)")
     _add_sinc_flags(p)
+
+
+def _fields_from_args(cls, args, **values):
+    """cls(**values), overridden by every parsed flag named after one of its
+    fields whose value is not None; lists become tuples."""
+    for field in dataclasses.fields(cls):
+        value = getattr(args, field.name, None)
+        if value is not None:
+            values[field.name] = tuple(value) if isinstance(value, list) else value
+    return cls(**values)
 
 
 def _sinc_from_args(args) -> SincConfig:
     try:
-        return SincConfig(half_width=args.half_width, window=args.window,
-                          beta=args.beta, anti_alias=not args.no_anti_alias)
+        return _fields_from_args(SincConfig, args)
     except ValueError as err:
         raise ParseError(str(err)) from None
 
 
-def _synth_spec_from_args(args) -> SynthSpec:
-    kwargs = {}
-    if getattr(args, "f_samp", None) is not None:
-        kwargs["f_samp"] = args.f_samp
-    if getattr(args, "duration", None) is not None:
-        kwargs["duration_s"] = args.duration
-    return SynthSpec(**kwargs)
+def _numbers(text: str, path: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(p) for p in text.replace(",", " ").split())
+    except ValueError:
+        raise ParseError(f"{path}: expected a list of numbers, got {text!r}") from None
 
 
-_CONFIG_KEYS = ("pad_fractions", "fsamp_factors", "directions", "warp_magnitude")
+def _magnitude(text: str, path: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"{path}: bad warp_magnitude {text!r}") from None
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+# the keys a sweep config file may set, each with its value parser, in parse order
+_CONFIG_PARSERS = {
+    "pad_fractions": _numbers,
+    "fsamp_factors": _numbers,
+    "directions": lambda text, path: tuple(text.replace(",", " ").split()),
+    "warp_magnitude": _magnitude,
+}
+
+
+def _read_config_file(path: str) -> dict:
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(trialio.read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -165,49 +188,17 @@ def _read_config_file(path: str) -> dict[str, str]:
         if not sep:
             raise ParseError(f"{path}: line {lineno}: expected 'key = value', got {line!r}")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_PARSERS:
             raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")
         entries[key] = value.strip()
-    return entries
-
-
-def _parse_float_list(text: str, origin: str) -> tuple[float, ...]:
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"{origin}: expected a list of numbers, got {text!r}") from None
+    return {key: parse(entries[key], path)
+            for key, parse in _CONFIG_PARSERS.items() if key in entries}
 
 
 def _sweep_config_from_args(args) -> SweepConfig:
-    merged: dict = {}
-    if args.config:
-        entries = _read_config_file(args.config)
-        if "pad_fractions" in entries:
-            merged["pad_fractions"] = _parse_float_list(entries["pad_fractions"], args.config)
-        if "fsamp_factors" in entries:
-            merged["fsamp_factors"] = _parse_float_list(entries["fsamp_factors"], args.config)
-        if "directions" in entries:
-            merged["directions"] = tuple(
-                p for chunk in entries["directions"].split(",") for p in chunk.split()
-            )
-        if "warp_magnitude" in entries:
-            try:
-                merged["warp_magnitude"] = float(entries["warp_magnitude"])
-            except ValueError:
-                raise ParseError(
-                    f"{args.config}: bad warp_magnitude {entries['warp_magnitude']!r}"
-                ) from None
-    if args.pad_fractions is not None:
-        merged["pad_fractions"] = tuple(args.pad_fractions)
-    if args.directions is not None:
-        merged["directions"] = tuple(args.directions)
-    if args.warp_magnitude is not None:
-        merged["warp_magnitude"] = args.warp_magnitude
-    if getattr(args, "fsamp_factors", None) is not None:
-        merged["fsamp_factors"] = tuple(args.fsamp_factors)
+    values = _read_config_file(args.config) if args.config else {}
     try:
-        return SweepConfig(**merged)
+        return _fields_from_args(SweepConfig, args, **values)
     except ValueError as err:
         raise ParseError(str(err)) from None
 
@@ -224,16 +215,7 @@ def _sweep_header(sweep: SweepConfig, spec: SynthSpec) -> dict[str, str]:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        f_samp=args.f_samp,
-        f1=args.f1,
-        f2=args.f2,
-        duration_s=args.duration,
-        event_fracs=tuple(args.event_fracs),
-        amplitudes=tuple(args.amplitudes),
-        phases=tuple(args.phases),
-    )
-    trial = generate(spec)
+    trial = generate(_fields_from_args(SynthSpec, args))
     trialio.write_trial_csv(args.output, trial)
     trialio.write_events_json(trialio.events_sidecar_path(args.output), trial.events)
     return EXIT_OK
@@ -269,7 +251,6 @@ def cmd_warp(args) -> int:
     trialio.write_events_json(trialio.events_sidecar_path(args.output),
                               report.warped.events)
     report_path = args.report or Path(args.output).with_suffix(".report.json")
-    r1, r2 = spec.ratios(part)
     context = {
         "input": str(args.input),
         "t1_target_len": spec.t1_target_len,
@@ -279,25 +260,17 @@ def cmd_warp(args) -> int:
         "pad_right": spec.pad,
         "pad_mode": pad_mode,
         "preserve_length": spec.preserve_length,
-        "ratios": {"t1": r1, "t2": r2},
+        "ratios": {"t1": report.t1.ratio, "t2": report.t2.ratio},
     }
     trialio.write_warp_report_json(report_path, report, context)
     return EXIT_OK
 
 
-def cmd_sweep_padding(args) -> int:
+def cmd_sweep(args) -> int:
     sweep = _sweep_config_from_args(args)
-    spec = _synth_spec_from_args(args)
-    rows = padding_sweep(sweep, spec, _sinc_from_args(args))
-    trialio.write_sweep_table(args.output, PaddingSweepRow, rows, _sweep_header(sweep, spec))
-    return EXIT_OK
-
-
-def cmd_sweep_fsamp(args) -> int:
-    sweep = _sweep_config_from_args(args)
-    spec = _synth_spec_from_args(args)
-    rows = fsamp_sweep(sweep, spec, _sinc_from_args(args))
-    trialio.write_sweep_table(args.output, FsampSweepRow, rows, _sweep_header(sweep, spec))
+    spec = _fields_from_args(SynthSpec, args)
+    rows = args.sweep(sweep, spec, _sinc_from_args(args))
+    trialio.write_sweep_table(args.output, args.row_type, rows, _sweep_header(sweep, spec))
     return EXIT_OK
 
 

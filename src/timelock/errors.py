@@ -16,7 +16,7 @@ class EmptySignalError(TimelockError):
 
 
 class NonFiniteError(TimelockError):
-    """Trial contains NaN or infinite samples."""
+    """A trial or a DTW input contains NaN or infinite samples."""
 
 
 class BadRateError(TimelockError):
@@ -48,7 +48,8 @@ class SegmentTooShortError(TimelockError):
 
 
 class BadOutputLengthError(TimelockError):
-    """Requested output length is not a positive integer."""
+    """Requested output length is not a positive integer or exceeds the
+    output budget of 2**24 samples."""
 
 
 class RangeOutOfBoundsError(TimelockError):

@@ -11,6 +11,7 @@ from .errors import (
     EmptyInputError,
     LengthMismatchError,
     MatrixTooLargeError,
+    NonFiniteError,
     ZeroVarianceError,
 )
 
@@ -52,7 +53,7 @@ def _kept_rows(values: np.ndarray, start: np.ndarray, lo: np.ndarray,
 
 
 def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
-    """Accumulated DTW cost at the far corner of each (x, y), len(x) <= len(y).
+    """Accumulated DTW cost at the far corner of each (x, y).
 
     Local cost is the squared sample difference. Cell (i, j) on anti-diagonal
     k = i + j depends only on diagonals k - 1 and k - 2, so three buffers
@@ -72,8 +73,9 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     Rows that the previous block did not compute start at inf.
 
     When acc is given, the one problem keeps every row and each diagonal is
-    written into acc, giving the full accumulated-cost matrix. Otherwise,
-    between blocks, rows are dropped from both ends of a segment while their
+    written into acc, giving the full accumulated-cost matrix, in either
+    orientation. Otherwise every problem has len(x) <= len(y) and, between
+    blocks, rows are dropped from both ends of a segment while their
     cost on both of the last two diagonals exceeds the problem's
     straight-path bound. No such cell lies on the optimal path, and a cell
     within the bound takes its minimum from a predecessor within the bound,
@@ -177,7 +179,9 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
             if flat is not None:
                 a = max(row0, k - cols[0] + 1)
                 b = min(row1, k)
-                flat[a * (cols[0] - 1) + k:b * (cols[0] - 1) + k + 1:cols[0] - 1] = \
+                # a one-column matrix has one cell per diagonal: any step
+                step = max(cols[0] - 1, 1)
+                flat[a * (cols[0] - 1) + k:b * (cols[0] - 1) + k + 1:step] = \
                     span[a - row0:b + 1 - row0]
             for p, f in due.get(k, ()):
                 corners[p] = float(cur[0][f])
@@ -286,23 +290,19 @@ def dtw(x, y) -> DtwResult:
     range is farther (the costlier of the two), clamped to [0, 1];
     1 - normalized_distance is the similarity used in reports and sweeps.
 
-    Raises MatrixTooLargeError, before allocating, when the matrix would
-    have more than 2**24 cells; dtw_score needs no matrix.
+    Raises NonFiniteError for a NaN or infinite sample, and
+    MatrixTooLargeError, before allocating, when the matrix would have more
+    than 2**24 cells; dtw_score needs no matrix.
     """
-    xa = _metric_input(x)
-    ya = _metric_input(y)
+    xa = _dtw_input(x)
+    ya = _dtw_input(y)
     if len(xa) * len(ya) > _MAX_MATRIX_CELLS:
         raise MatrixTooLargeError(
             f"a {len(xa)} x {len(ya)} DTW cost matrix exceeds the limit of "
             f"{_MAX_MATRIX_CELLS} cells"
         )
-    # The squared difference is symmetric, so the DP runs with the shorter
-    # sequence on the row axis and the matrix is transposed back after.
-    rows, cols = sorted((xa, ya), key=len)
-    acc = np.empty((len(rows), len(cols)))
-    distance = math.sqrt(_accumulate([(rows, cols)], acc)[0])
-    if rows is not xa:
-        acc = np.ascontiguousarray(acc.T)
+    acc = np.empty((len(xa), len(ya)))
+    distance = math.sqrt(_accumulate([(xa, ya)], acc)[0])
     path = _backtrack(acc)
     acc.flags.writeable = False
     path.flags.writeable = False
@@ -326,18 +326,16 @@ def dtw_scores(pairs) -> list[DtwScore]:
 
     The pairs advance together, one anti-diagonal of every pair per NumPy
     step, in stacks of at most _STACK_ROWS rows of the shorter sequences; a
-    longer pair runs alone, and so does a pair holding NaN or inf, whose
-    NaN costs would reach its neighbours. Each score equals dtw_score(x, y)
-    bit for bit, and the memory is linear in the stack's rows.
+    longer pair runs alone. Each score equals dtw_score(x, y) bit for bit,
+    and the memory is linear in the stack's rows. Raises NonFiniteError if
+    any pair holds a NaN or infinite sample.
     """
-    inputs = [(_metric_input(x), _metric_input(y)) for x, y in pairs]
+    inputs = [(_dtw_input(x), _dtw_input(y)) for x, y in pairs]
     corners: list[float] = []
     stack: list[tuple[np.ndarray, np.ndarray]] = []
     rows = 0
     for xa, ya in inputs:
         weight = min(len(xa), len(ya))
-        if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
-            weight = _STACK_ROWS  # a stack of its own
         if stack and rows + weight > _STACK_ROWS:
             corners += _accumulate(stack)
             stack, rows = [], 0
@@ -359,6 +357,13 @@ def _metric_input(x) -> np.ndarray:
         raise ValueError(f"input must be one-dimensional, got shape {xa.shape}")
     if len(xa) == 0:
         raise EmptyInputError("input sequence is empty")
+    return xa
+
+
+def _dtw_input(x) -> np.ndarray:
+    xa = _metric_input(x)
+    if not np.isfinite(xa).all():
+        raise NonFiniteError("DTW input contains NaN or infinite samples")
     return xa
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +32,10 @@ class WarpSpec:
     def __post_init__(self) -> None:
         for name, v in (("t1_target_len", self.t1_target_len),
                         ("t2_target_len", self.t2_target_len)):
-            if int(v) != v or v < 1:
+            if not isinstance(v, numbers.Integral) or v < 1:
                 raise BadTargetError(f"{name} must be a positive integer, got {v}")
-        if self.pad < 0:
-            raise BadTargetError(f"pad must be >= 0, got {self.pad}")
-
-    def ratios(self, p: Partition) -> tuple[float, float]:
-        """Input-over-output length ratio per interval; >1 contracts, <1 expands."""
-        return (p.len_t1 / self.t1_target_len, p.len_t2 / self.t2_target_len)
+        if not isinstance(self.pad, numbers.Integral) or self.pad < 0:
+            raise BadTargetError(f"pad must be a non-negative integer, got {self.pad}")
 
 
 @dataclass(frozen=True)

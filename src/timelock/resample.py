@@ -19,6 +19,7 @@ folded back.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +36,7 @@ _CELLS = 1 << 14  # kernel cells (outputs x taps) evaluated per block
 _EPS = float(np.finfo(np.float64).eps)  # np.sinc's stand-in for a zero argument
 _MAX_PAD = 1 << 24  # largest pad accepted per side: an input check, as at most half_width are read
 _MAX_HALF_WIDTH = 1 << 12  # widest kernel: one row of taps fits in _CELLS
+_MAX_OUT_LEN = 1 << 24  # longest output resample_padded builds: 128 MiB of float64
 
 
 @lru_cache(maxsize=32)
@@ -51,7 +53,8 @@ def _kaiser_table(beta: float) -> np.ndarray:
 class SincConfig:
     """Filter shape for windowed-sinc resampling.
 
-    half_width: taps per side, in input-sample units; at most 4096.
+    half_width: taps per side, in input-sample units; an integer in
+        [4, 4096].
     window: taper applied to the sinc kernel; one of "kaiser", "hann",
         "blackman".
     beta: Kaiser shape parameter, ignored by the other windows.
@@ -64,6 +67,8 @@ class SincConfig:
     anti_alias: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.half_width, numbers.Integral):
+            raise ValueError(f"half_width must be an integer, got {self.half_width!r}")
         if self.half_width < 4:
             raise ValueError(f"half_width must be >= 4, got {self.half_width}")
         if self.half_width > _MAX_HALF_WIDTH:
@@ -183,8 +188,10 @@ def built_pad(pad: int, half_width: int) -> int:
 
     No tap reaches past half_width samples from the interval, so pads of
     half_width or more read the same samples. Raises RangeOutOfBoundsError
-    for a pad outside [0, _MAX_PAD].
+    for a pad that is not an integer in [0, _MAX_PAD].
     """
+    if not isinstance(pad, numbers.Integral):
+        raise RangeOutOfBoundsError(f"pad must be an integer, got {pad!r}")
     if not 0 <= pad <= _MAX_PAD:
         raise RangeOutOfBoundsError(f"pad must lie in [0, {_MAX_PAD}], got {pad}")
     return min(pad, half_width)
@@ -219,7 +226,8 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int, pad: int,
     start, taken apart as floor(t) and t - floor(t) (an exact subtraction),
     so the pad moves no position's bits. Only built_pad(pad, half_width)
     samples per side are read, and pads with the same built_pad give
-    bitwise identical outputs.
+    bitwise identical outputs. An out_len over 2**24 raises
+    BadOutputLengthError before anything is allocated.
     """
     x = np.asarray(full, dtype=np.float64)
     if x.ndim != 1:
@@ -237,6 +245,9 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int, pad: int,
         raise SegmentTooShortError(f"interval needs at least 2 samples, got {in_len}")
     if int(out_len) != out_len or out_len < 1:
         raise BadOutputLengthError(f"output length must be a positive integer, got {out_len}")
+    if out_len > _MAX_OUT_LEN:
+        raise BadOutputLengthError(
+            f"output length {out_len} exceeds the limit of {_MAX_OUT_LEN} samples")
     out_len = int(out_len)
 
     # the samples the taps reach: half_width per side of the segment padded

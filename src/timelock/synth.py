@@ -10,6 +10,8 @@ import numpy as np
 from .errors import BadEventFracsError, BadRateError, NyquistViolationError
 from .model import OFFSET, ONSET, TRANSITION, EventMarker, Trial
 
+_MAX_SAMPLES = 1 << 24  # longest trial generate builds: 128 MiB of float64
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -17,7 +19,8 @@ class SynthSpec:
 
     Defaults give a 4 s trial at 2048 Hz mixing unit-amplitude sines at
     5/pi Hz and 5/2 Hz (mutually non-divisible, so the mix never repeats)
-    with onset/transition/offset markers at the quarter points.
+    with onset/transition/offset markers at the quarter points. A trial
+    holds at most 2**24 samples, round(duration_s * f_samp).
     """
 
     f_samp: float = 2048.0
@@ -33,6 +36,10 @@ class SynthSpec:
             raise BadRateError(f"f_samp must be positive and finite, got {self.f_samp}")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        n = self.duration_s * self.f_samp
+        if not (math.isfinite(n) and round(n) <= _MAX_SAMPLES):
+            raise ValueError(
+                f"duration_s * f_samp = {n} samples exceeds the limit of {_MAX_SAMPLES}")
         nyq = self.f_samp / 2.0
         for name, f in (("f1", self.f1), ("f2", self.f2)):
             if not (math.isfinite(f) and f > 0):

@@ -31,6 +31,14 @@ def events_sidecar_path(trial_path: str | Path) -> Path:
     return Path(trial_path).with_suffix(".events.json")
 
 
+def read_text(path: str | Path) -> str:
+    """The file's text; raises ParseError naming the file if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text: {err}") from None
+
+
 def write_trial_csv(path: str | Path, trial: Trial) -> None:
     lines = [f"# f_samp: {fmt(trial.f_samp)}", f"# samples: {len(trial)}"]
     lines.extend(fmt(v) for v in trial.samples)
@@ -39,7 +47,7 @@ def write_trial_csv(path: str | Path, trial: Trial) -> None:
 
 def read_trial_csv(path: str | Path) -> Trial:
     """Parse a trial file; raises ParseError with a line number on bad rows."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     f_samp = None
     values: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -76,7 +84,7 @@ def write_events_json(path: str | Path, events) -> None:
 
 def read_events_json(path: str | Path) -> tuple[EventMarker, ...]:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: invalid JSON: {err}") from None
     try:

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from timelock import FsampSweepRow, PaddingSweepRow, Trial, trialio
+from timelock import (FsampSweepRow, PaddingSweepRow, SincConfig, SweepConfig, SynthSpec,
+                      Trial, trialio)
+from timelock.cli import (_fields_from_args, _sinc_from_args, _sweep_config_from_args,
+                          build_parser)
 
 
 def _read_values(path):
@@ -37,6 +40,15 @@ class TestSynthCommand:
                                "--f1", "600", "--f2", "700", "--f-samp", "1024")
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("flags", [("--duration", "1e12"),
+                                       ("--duration", "1e308", "--f-samp", "1e10")])
+    def test_trial_over_sample_budget_exits_3(self, run_cli, tmp_path, flags):
+        code, _, err = run_cli("synth", "-o", tmp_path / "t.csv", *flags)
+        assert code == 3
+        assert "exceeds the limit of 16777216" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_roundtrip_read(self, run_cli, tmp_path):
         out = _synth(run_cli, tmp_path / "t.csv", "--duration", "0.25")
@@ -79,6 +91,15 @@ class TestWarpCommand:
             assert interval["correlation"] >= 0.85
         events = json.loads((tmp_path / "warped.events.json").read_text())["events"]
         assert [e["index"] for e in events] == [600, 1080, 1800]
+
+    def test_report_ratios_are_the_interval_ratios(self, run_cli, tmp_path, demo_2400):
+        code, _, err = run_cli("warp", "-i", demo_2400, "-o", tmp_path / "w.csv",
+                               "--t1-target", 500, "--t2-target", 700)
+        assert code == 0, err
+        report = json.loads((tmp_path / "w.report.json").read_text())
+        assert report["ratios"] == {"t1": 600 / 500, "t2": 600 / 700}
+        assert report["ratios"] == {name: interval["ratio"]
+                                    for name, interval in report["intervals"].items()}
 
     def test_inline_event_flags(self, run_cli, tmp_path, demo_2400):
         out = tmp_path / "warped.csv"
@@ -157,6 +178,23 @@ class TestWarpCommand:
         assert "JSON integer" in err
         assert not (tmp_path / "w.csv").exists()
 
+    def test_output_over_budget_exits_3(self, run_cli, tmp_path, demo_2400):
+        code, _, err = run_cli("warp", "-i", demo_2400, "-o", tmp_path / "w.csv",
+                               "--t1-target", 100, "--t2-target", 100000000,
+                               "--no-preserve")
+        assert code == 3
+        assert err.splitlines() == [
+            "error: output length 100000000 exceeds the limit of 16777216 samples"]
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_events_file_not_utf8_exits_2(self, run_cli, tmp_path, demo_2400):
+        sidecar = tmp_path / "demo.events.json"
+        sidecar.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli("warp", "-i", demo_2400, "-o", tmp_path / "w.csv",
+                               "--t1-target", 600, "--t2-target", 600)
+        assert code == 2
+        assert f"{sidecar}: not UTF-8 text" in err
+
     def test_non_preserving_needs_flag(self, run_cli, tmp_path, demo_2400):
         args = ("warp", "-i", demo_2400, "-o", tmp_path / "w.csv",
                 "--t1-target", 480, "--t2-target", 600)
@@ -218,6 +256,24 @@ class TestSweepCommands:
         assert code == 2
         assert "line 1" in err
 
+    def test_config_file_not_utf8_exits_2(self, run_cli, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli("sweep-padding", "-o", tmp_path / "pad.csv",
+                               "--config", cfg)
+        assert code == 2
+        assert f"{cfg}: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("sweep-fsamp", ("--duration", "1e9")),
+        ("sweep-padding", ("--duration", "1e308", "--f-samp", "1e10")),
+    ])
+    def test_trial_over_sample_budget_exits_3(self, run_cli, tmp_path, command, flags):
+        code, _, err = run_cli(command, "-o", tmp_path / "s.csv", *flags)
+        assert code == 3
+        assert "exceeds the limit of 16777216" in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_fsamp_table(self, run_cli, tmp_path):
         out = tmp_path / "fs.csv"
         code, _, err = run_cli("sweep-fsamp", "-o", out, "--duration", "0.5",
@@ -257,6 +313,34 @@ class TestSweepCommands:
         assert [r["status"] for r in rows] == ["ok"] * 8 + ["BadEventFracsError"] * 4
         assert {r["fsamp_factor"] for r in rows[8:]} == {"0.03125"}
         assert all(r["correlation"] == "" for r in rows[8:])
+
+
+class TestConfigsFromFlags:
+    def test_flags_named_after_fields_override_the_config_file(self, tmp_path):
+        # each config is built from the flags named after its fields, with
+        # list flags as tuples, and flags override the file's values
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("pad_fractions = 0.05, 0.2\nwarp_magnitude = 0.1\n"
+                       "directions = expand_t1_contract_t2\n")
+        args = build_parser().parse_args([
+            "sweep-fsamp", "-o", "x.csv", "--config", str(cfg), "--duration", "0.5",
+            "--fsamp-factors", "1", "0.5", "--warp-magnitude", "0.3",
+            "--half-width", "16", "--window", "hann", "--no-anti-alias"])
+        assert _sweep_config_from_args(args) == SweepConfig(
+            pad_fractions=(0.05, 0.2), fsamp_factors=(1.0, 0.5),
+            directions=("expand_t1_contract_t2",), warp_magnitude=0.3)
+        assert _fields_from_args(SynthSpec, args) == SynthSpec(duration_s=0.5)
+        assert _sinc_from_args(args) == SincConfig(half_width=16, window="hann",
+                                                   anti_alias=False)
+
+    def test_synth_flags_set_every_field(self):
+        args = build_parser().parse_args([
+            "synth", "-o", "x.csv", "--f-samp", "1000", "--duration", "0.09",
+            "--f1", "3", "--f2", "11", "--amplitudes", "1", "0.5",
+            "--phases", "0.3", "1.1", "--event-fracs", "0.2", "0.45", "0.8"])
+        assert _fields_from_args(SynthSpec, args) == SynthSpec(
+            f_samp=1000.0, f1=3.0, f2=11.0, duration_s=0.09,
+            event_fracs=(0.2, 0.45, 0.8), amplitudes=(1.0, 0.5), phases=(0.3, 1.1))
 
 
 class TestSweepTable:
@@ -308,6 +392,13 @@ class TestDtwMatrixCommand:
         assert code == 3
         assert "4097 x 4097 DTW cost matrix exceeds the limit" in err
         assert not (tmp_path / "out.matrix.csv").exists()
+
+    def test_trial_file_not_utf8_exits_2(self, run_cli, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli("dtw-matrix", path, path, "-o", tmp_path / "out")
+        assert code == 2
+        assert f"{path}: not UTF-8 text" in err
 
     def test_missing_input_exit_2(self, run_cli, tmp_path):
         code, _, err = run_cli("dtw-matrix", tmp_path / "nope.csv",

@@ -10,6 +10,7 @@ from timelock.errors import (
     EmptyInputError,
     LengthMismatchError,
     MatrixTooLargeError,
+    NonFiniteError,
     ZeroVarianceError,
 )
 from timelock.metrics import _worst_case_corner, dtw_scores
@@ -120,14 +121,18 @@ class TestDtw:
         res = dtw([0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0])
         assert res.normalized_distance == 1.0
 
-    def test_diagonal_fallback_matches_primary_dp(self):
+    def test_matrix_matches_loop_oracle(self):
         # the vectorised anti-diagonal DP, both the matrix dtw() returns and
         # the matrix-free distance reports use, must equal the plain row-wise
-        # loop recurrence bit for bit
+        # loop recurrence bit for bit; dtw() builds the matrix in the
+        # caller's orientation, so one-column, one-row and tall shapes are
+        # listed explicitly
         rng = np.random.default_rng(108)
-        for _ in range(30):
-            x = rng.normal(size=int(rng.integers(1, 40)))
-            y = rng.normal(size=int(rng.integers(1, 40)))
+        shapes = [(7, 1), (1, 7), (2, 1), (1, 2), (90, 1), (40, 3), (130, 70)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 40, size=2)) for _ in range(30)]
+        for n, m in shapes:
+            x = rng.normal(size=n)
+            y = rng.normal(size=m)
             expected = dp_matrix_loops(x, y)
             res = dtw(x, y)
             assert np.array_equal(res.cost_matrix, expected)
@@ -294,17 +299,22 @@ class TestStackedDtw:
         pairs, expected = stack_cases
         assert [s.distance for s in dtw_scores(pairs)] == expected
 
-    def test_problem_with_nan_leaves_its_neighbours_alone(self):
-        # in a shared stack the NaN row of the short middle problem would
-        # pass through the separator into the next problem's grid
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_refused(self, value):
+        # a NaN distance would read as similarity 0; every entry point
+        # refuses it, alone and inside a stack, on either side of a pair
         rng = np.random.default_rng(111)
         pairs = [(rng.normal(size=n), rng.normal(size=n + 3)) for n in (20, 5, 30)]
         bad = pairs[1][1].copy()
-        bad[0] = np.nan
-        scores = dtw_scores([pairs[0], (pairs[1][0], bad), pairs[2]])
-        assert scores[0] == dtw_score(*pairs[0])
-        assert scores[2] == dtw_score(*pairs[2])
-        assert math.isnan(scores[1].distance)
+        bad[0] = value
+        with pytest.raises(NonFiniteError):
+            dtw_score([1.0, value], [1.0, 2.0])
+        with pytest.raises(NonFiniteError):
+            dtw([1.0, 2.0], [value, 2.0])
+        with pytest.raises(NonFiniteError):
+            dtw_scores([pairs[0], (pairs[1][0], bad), pairs[2]])
+        with pytest.raises(NonFiniteError):
+            dtw_scores([pairs[0], (bad, pairs[1][0]), pairs[2]])
 
     def test_empty_list_and_empty_input(self):
         assert dtw_scores([]) == []

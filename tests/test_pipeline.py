@@ -41,16 +41,15 @@ def _smooth_trial(n, onset, transition, offset, seed=0, f_samp=256.0):
 
 class TestPlanWarp:
     def test_ratio_arithmetic(self):
-        p = Partition(0, 600, 1200, 1200)
-        spec = plan_warp(p, 480, 720, 0.0, 2048.0)
-        r1, r2 = spec.ratios(p)
-        assert r1 == 1.25
-        assert r2 == pytest.approx(600 / 720)
+        trial, p = _smooth_trial(1400, 100, 700, 1300)
+        rep = warp_trial(trial, p, plan_warp(p, 480, 720, 0.0, trial.f_samp))
+        assert rep.t1.ratio == 1.25
+        assert rep.t2.ratio == pytest.approx(600 / 720)
 
     def test_identity_targets(self):
-        p = Partition(0, 600, 1200, 1200)
-        spec = plan_warp(p, 600, 600, 0.0, 2048.0)
-        assert spec.ratios(p) == (1.0, 1.0)
+        trial, p = _smooth_trial(1400, 100, 700, 1300)
+        rep = warp_trial(trial, p, plan_warp(p, 600, 600, 0.0, trial.f_samp))
+        assert (rep.t1.ratio, rep.t2.ratio) == (1.0, 1.0)
 
     def test_reference_padding_sample_count(self):
         p = Partition(0, 600, 1200, 1200)
@@ -93,6 +92,16 @@ class TestPlanWarp:
             WarpSpec(t1_target_len=0, t2_target_len=5)
         with pytest.raises(BadTargetError):
             WarpSpec(t1_target_len=5, t2_target_len=5, pad=-1)
+
+    def test_warp_spec_takes_only_integers(self, demo_trial, demo_partition):
+        # an integral float would reach the resampler's slices and indices
+        for targets, pad in (((1638.0, 2458), 204), ((1638, 2458.0), 204),
+                             ((1638, 2458), 20.5), ((1638, 2458), 204.0)):
+            with pytest.raises(BadTargetError):
+                WarpSpec(*targets, pad=pad)
+        spec = WarpSpec(np.int64(1638), np.int64(2458), pad=np.int64(204))
+        rep = warp_trial(demo_trial, demo_partition, spec)
+        assert len(rep.warped) == len(demo_trial)
 
 
 class TestWarpTrial:

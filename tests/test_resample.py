@@ -44,6 +44,12 @@ class TestSincConfig:
         with pytest.raises(ValueError):
             SincConfig(half_width=3)
 
+    def test_half_width_must_be_an_integer(self):
+        # an integral float would reach the tap offsets and slices
+        with pytest.raises(ValueError, match="half_width must be an integer"):
+            SincConfig(half_width=32.0)
+        assert SincConfig(half_width=np.int64(16)).half_width == 16
+
     def test_unknown_window(self):
         with pytest.raises(ValueError):
             SincConfig(window="tukey")
@@ -227,6 +233,26 @@ class TestResamplePadded:
         assert at_budget.shape == (7,)
         with pytest.raises(RangeOutOfBoundsError):
             resample_padded(x, (10, 20), 7, 9, pad_mode=pad_mode)
+
+
+    def test_pad_must_be_an_integer(self):
+        x = np.sin(0.01 * np.arange(400))
+        for pad in (3.5, 3.0):
+            with pytest.raises(RangeOutOfBoundsError, match="pad must be an integer"):
+                resample_padded(x, (100, 300), 50, pad)
+        assert np.array_equal(resample_padded(x, (100, 300), 50, np.int64(3)),
+                              resample_padded(x, (100, 300), 50, 3))
+
+    def test_output_budget(self, monkeypatch):
+        # refused before anything is allocated, so the real limit is cheap to
+        # test from above; the boundary is checked with the limit patched small
+        x = np.sin(0.1 * np.arange(100))
+        with pytest.raises(BadOutputLengthError, match="exceeds the limit of 16777216"):
+            resample_padded(x, (10, 20), sincmod._MAX_OUT_LEN + 1, 0)
+        monkeypatch.setattr(sincmod, "_MAX_OUT_LEN", 8)
+        assert resample_padded(x, (10, 20), 8, 5).shape == (8,)
+        with pytest.raises(BadOutputLengthError, match="exceeds the limit of 8"):
+            resample_padded(x, (10, 20), 9, 5)
 
 
 def _expected_cutoff(in_len, out_len, cfg):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import timelock.pipeline as pipeline
+import timelock.resample as sincmod
 from timelock import (SincConfig, SweepConfig, SynthSpec, dtw_score, fsamp_sweep,
                       generate, padding_sweep, partition_from_events, plan_warp,
                       warp_trial)
@@ -150,6 +151,18 @@ class TestPaddingSweep:
         assert len(rows) == 4
         assert all(r.status == "SegmentTooShortError" for r in rows)
         assert all(r.correlation is None for r in rows)
+
+
+    def test_over_long_outputs_become_error_rows(self, monkeypatch):
+        # on a 1 s trial both directions give one interval a 614-sample target
+        spec = SynthSpec(duration_s=1.0)
+        sweep = SweepConfig(pad_fractions=(0.01, 0.1))
+        monkeypatch.setattr(sincmod, "_MAX_OUT_LEN", 614)
+        assert {r.status for r in padding_sweep(sweep, spec)} == {"ok"}
+        monkeypatch.setattr(sincmod, "_MAX_OUT_LEN", 613)
+        rows = padding_sweep(sweep, spec)
+        assert len(rows) == 8
+        assert {r.status for r in rows} == {"BadOutputLengthError"}
 
 
 class TestFsampSweep:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import timelock.synth as synth
 from timelock import SynthSpec, generate
 from timelock.errors import BadEventFracsError, BadRateError, NyquistViolationError
 
@@ -28,6 +29,17 @@ class TestSynthSpec:
     def test_bad_duration(self):
         with pytest.raises(ValueError):
             SynthSpec(duration_s=0.0)
+
+    def test_sample_budget(self, monkeypatch):
+        # a trial of more than 2**24 samples, or an infinite count, is refused
+        # before anything is allocated
+        for f_samp, duration_s in ((2048.0, 1e12), (1e10, 1e308)):
+            with pytest.raises(ValueError, match="exceeds the limit of 16777216"):
+                SynthSpec(f_samp=f_samp, duration_s=duration_s)
+        monkeypatch.setattr(synth, "_MAX_SAMPLES", 100)
+        assert len(generate(SynthSpec(f_samp=100.0, duration_s=1.004))) == 100
+        with pytest.raises(ValueError, match="exceeds the limit of 100"):
+            SynthSpec(f_samp=100.0, duration_s=1.01)
 
     @pytest.mark.parametrize("fracs", [
         (0.5, 0.25, 0.75),

@@ -30,6 +30,7 @@ SWEEP_CONFIG = ("pad_fractions = 0.002, 0.05\n"
                 "warp_magnitude = 0.15\n")
 BAD_CONFIG = "pad_fractions = 0.1\nspeed = 3\n"
 BAD_EVENTS = '{"events": [{"index": 2048}]}\n'
+NOT_UTF8 = b"\xff\xfe"
 
 COMMANDS = [
     "synth -o demo.csv",
@@ -68,11 +69,14 @@ COMMANDS = [
     "sweep-padding -o x.csv --config bad.cfg",
     "sweep-fsamp -o x.csv --fsamp-factors 0.5 1.0",
     "dtw-matrix missing.csv small.csv -o x",
+    "dtw-matrix bin.csv bin.csv -o x",
     # exit 3: domain and pipeline errors
     "synth -o x.csv --f1 600 --f2 700 --f-samp 1024",
     "warp -i short.csv -o x.csv --t1-target 400 --t2-target 400",
     "warp -i short.csv -o x.csv --t1-target 410 --t2-target 614 --pad-fraction 1e12",
     "dtw-matrix demo.csv demo.csv -o x",
+    "synth -o x.csv --duration 1e12",
+    "warp -i short.csv -o x.csv --t1-target 100 --t2-target 100000000 --no-preserve",
 ]
 
 
@@ -85,6 +89,7 @@ def run(outdir: Path) -> list[str]:
     (outdir / "sweep.cfg").write_text(SWEEP_CONFIG, encoding="utf-8")
     (outdir / "bad.cfg").write_text(BAD_CONFIG, encoding="utf-8")
     (outdir / "bad.events.json").write_text(BAD_EVENTS, encoding="utf-8")
+    (outdir / "bin.csv").write_bytes(NOT_UTF8)
     lines = []
     cwd = os.getcwd()
     os.chdir(outdir)
