@@ -180,17 +180,16 @@ _CONFIG_PARSERS = {
 
 def _read_config_file(path: str) -> dict:
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(trialio.read_text(path).splitlines(), 1):
+    for lineno, raw in enumerate(trialio.read_lines(path), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = map(str.strip, line.partition("="))
         if not sep:
             raise ParseError(f"{path}: line {lineno}: expected 'key = value', got {line!r}")
-        key = key.strip()
         if key not in _CONFIG_PARSERS:
             raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")
-        entries[key] = value.strip()
+        entries[key] = value
     return {key: parse(entries[key], path)
             for key, parse in _CONFIG_PARSERS.items() if key in entries}
 

@@ -41,8 +41,7 @@ def _kept_rows(values: np.ndarray, start: np.ndarray, lo: np.ndarray,
     bounds holds each slot's bound, the bound of the segment it belongs to.
     Segment p begins at slot start[p], a separator that is never kept,
     followed by rows lo[p] onwards. A segment with no such row gives a first
-    row past its last slot and a last row below lo[p]. NaN compares as kept,
-    so a NaN bound keeps every row.
+    row past its last slot and a last row below lo[p].
     """
     drop = values > bounds
     drop[start] = True

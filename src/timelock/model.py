@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class EventMarker:
     label: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.index, numbers.Integral):
+            raise BadEventsError(f"event index must be an integer, got {self.index!r}")
         if self.index < 0:
             raise BadEventsError(f"event index must be >= 0, got {self.index}")
 

@@ -226,8 +226,9 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int, pad: int,
     start, taken apart as floor(t) and t - floor(t) (an exact subtraction),
     so the pad moves no position's bits. Only built_pad(pad, half_width)
     samples per side are read, and pads with the same built_pad give
-    bitwise identical outputs. An out_len over 2**24 raises
-    BadOutputLengthError before anything is allocated.
+    bitwise identical outputs. An out_len that is not a positive integer
+    (numbers.Integral) or is over 2**24 raises BadOutputLengthError before
+    anything is allocated.
     """
     x = np.asarray(full, dtype=np.float64)
     if x.ndim != 1:
@@ -243,7 +244,7 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int, pad: int,
     in_len = stop - start
     if in_len < 2:
         raise SegmentTooShortError(f"interval needs at least 2 samples, got {in_len}")
-    if int(out_len) != out_len or out_len < 1:
+    if not isinstance(out_len, numbers.Integral) or out_len < 1:
         raise BadOutputLengthError(f"output length must be a positive integer, got {out_len}")
     if out_len > _MAX_OUT_LEN:
         raise BadOutputLengthError(

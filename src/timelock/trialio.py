@@ -1,10 +1,10 @@
 """Reading and writing trial files, event sidecars, reports, and sweep tables.
 
-Trial files are UTF-8 CSV: `#`-prefixed metadata lines (`# f_samp: 2048.0`)
-followed by one sample value per row. Events live in a JSON sidecar
-(`<stem>.events.json`). Every float is written with repr(), the shortest
-decimal string that round-trips, so identical inputs always produce
-byte-identical files.
+Trial files are UTF-8 CSV: `#`-prefixed metadata lines (`# f_samp: 2048.0`,
+`# samples: 8192`) followed by one sample value per row. Events live in a
+JSON sidecar (`<stem>.events.json`). Every float is written with repr(), the
+shortest decimal string that round-trips, so identical inputs always produce
+byte-identical files. Every file is read and written one line at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from array import array
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,60 +33,74 @@ def events_sidecar_path(trial_path: str | Path) -> Path:
     return Path(trial_path).with_suffix(".events.json")
 
 
-def read_text(path: str | Path) -> str:
-    """The file's text; raises ParseError naming the file if it is not UTF-8."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise ParseError(f"{path}: not UTF-8 text: {err}") from None
+_METADATA = {"f_samp": float, "samples": int}  # trial file keys and their parsers
+
+
+def read_lines(path: str | Path):
+    """Yield the file's lines (CRLF and CR read as LF); ParseError if not UTF-8."""
+    with Path(path).open(encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{path}: not UTF-8 text: {err}") from None
+
+
+def _write_lines(path: str | Path, lines) -> None:
+    """Write each line followed by a newline; the only writer of files."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def _blocks(a: np.ndarray, size: int = 4096):
+    """a's items along its first axis as Python values, size at a time."""
+    for start in range(0, len(a), size):
+        yield a[start:start + size].tolist()
 
 
 def write_trial_csv(path: str | Path, trial: Trial) -> None:
-    lines = [f"# f_samp: {fmt(trial.f_samp)}", f"# samples: {len(trial)}"]
-    lines.extend(fmt(v) for v in trial.samples)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = [f"# f_samp: {fmt(trial.f_samp)}", f"# samples: {len(trial)}"]
+    samples = ("\n".join(map(fmt, block)) for block in _blocks(trial.samples))
+    _write_lines(path, chain(header, samples))
 
 
 def read_trial_csv(path: str | Path) -> Trial:
     """Parse a trial file; raises ParseError with a line number on bad rows."""
-    text = read_text(path)
-    f_samp = None
-    values: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    metadata = {}
+    values = array("d")
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
-            key, _, val = line[1:].partition(":")
-            if key.strip() == "f_samp":
+            key, _, val = map(str.strip, line[1:].partition(":"))
+            if key in _METADATA:
                 try:
-                    f_samp = float(val)
+                    metadata[key] = _METADATA[key](val)
                 except ValueError:
-                    raise ParseError(
-                        f"{path}: line {lineno}: bad f_samp value {val.strip()!r}"
-                    ) from None
-            continue
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise ParseError(
-                f"{path}: line {lineno}: could not parse {line!r} as a sample value"
-            ) from None
-    if f_samp is None:
+                    raise ParseError(f"{path}: line {lineno}: bad {key} value {val!r}") from None
+        elif line:
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {lineno}: could not parse {line!r} as a sample value"
+                ) from None
+    if "f_samp" not in metadata:
         raise ParseError(f"{path}: missing '# f_samp:' metadata line")
     if not values:
         raise ParseError(f"{path}: no sample rows")
-    return Trial(np.array(values), f_samp)
+    if metadata.get("samples", len(values)) != len(values):
+        raise ParseError(f"{path}: '# samples: {metadata['samples']}' but "
+                         f"{len(values)} sample rows; the file may be cut short")
+    return Trial(np.frombuffer(values), metadata["f_samp"])
 
 
 def write_events_json(path: str | Path, events) -> None:
     payload = {"events": [{"index": int(e.index), "label": e.label} for e in events]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_lines(path, [json.dumps(payload, indent=2)])
 
 
 def read_events_json(path: str | Path) -> tuple[EventMarker, ...]:
     try:
-        payload = json.loads(read_text(path))
+        payload = json.loads("".join(read_lines(path)))
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: invalid JSON: {err}") from None
     try:
@@ -113,17 +129,16 @@ def write_sweep_table(path: str | Path, row_type: type, rows, header: dict[str, 
     table without rows still has its header; missing values are empty cells.
     """
     columns = [f.name for f in dataclasses.fields(row_type)]
-    lines = [f"# {k}: {v}" for k, v in header.items()]
-    lines.append(",".join(columns))
-    lines.extend(",".join(_cell(getattr(r, c)) for c in columns) for r in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, chain(
+        (f"# {k}: {v}" for k, v in header.items()),
+        [",".join(columns)],
+        (",".join(_cell(getattr(r, c)) for c in columns) for r in rows)))
 
 
 def read_table(path: str | Path) -> list[dict[str, str]]:
     """Read a sweep table back as a list of row dicts (metadata lines skipped)."""
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        data_lines = [line for line in fh if not line.startswith("#")]
-    return list(csv.DictReader(data_lines))
+    return list(csv.DictReader(line for line in read_lines(path)
+                               if not line.startswith("#")))
 
 
 def write_warp_report_json(path: str | Path, report: WarpReport,
@@ -146,19 +161,15 @@ def write_warp_report_json(path: str | Path, report: WarpReport,
                             "t2": interval_payload(report.t2)}
     payload["events"] = [{"index": e.index, "label": e.label}
                          for e in report.warped.events]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_lines(path, [json.dumps(payload, indent=2)])
 
 
 def write_dtw_matrix_csv(path: str | Path, result: DtwResult) -> None:
-    """Write the cost matrix one row at a time, never holding the whole text."""
     acc = result.cost_matrix
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"# shape: {acc.shape[0]},{acc.shape[1]}\n")
-        for row in acc:
-            fh.write(",".join(map(fmt, row.tolist())) + "\n")
+    _write_lines(path, chain([f"# shape: {acc.shape[0]},{acc.shape[1]}"],
+                             (",".join(map(fmt, row.tolist())) for row in acc)))
 
 
 def write_dtw_path_csv(path: str | Path, result: DtwResult) -> None:
-    lines = ["i,j"]
-    lines.extend(f"{i},{j}" for i, j in result.path)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    steps = (f"{i},{j}" for block in _blocks(result.path) for i, j in block)
+    _write_lines(path, chain(["i,j"], steps))

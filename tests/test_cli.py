@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,128 @@ class TestDtwMatrixCommand:
         code, _, err = run_cli("dtw-matrix", tmp_path / "nope.csv",
                                tmp_path / "nope.csv", "-o", tmp_path / "out")
         assert code == 2
+
+
+class TestReaders:
+    """Every reader path of the trial, events and config files, through the CLI."""
+
+    def _dtw_matrix(self, run_cli, tmp_path, text, newline="\n"):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.replace("\n", newline).encode())
+        code, _, err = run_cli("dtw-matrix", path, path, "-o", tmp_path / "out")
+        return path, code, err
+
+    @pytest.mark.parametrize("text, message", [
+        ("# f_samp: fast\n0.5\n", "line 1: bad f_samp value 'fast'"),
+        ("0.5\n1.0\n", "missing '# f_samp:' metadata line"),
+        ("# f_samp: 100.0\n\n# note\n", "no sample rows"),
+    ])
+    def test_bad_trial_file_exits_2(self, run_cli, tmp_path, text, message):
+        path, code, err = self._dtw_matrix(run_cli, tmp_path, text)
+        assert code == 2
+        assert err.splitlines() == [f"error: {path}: {message}"]
+        assert not (tmp_path / "out.matrix.csv").exists()
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\n# made by hand\n# f_samp: 100.0\n\n0.5\n  \n# gap\n-1.5\n\n")
+        trial = trialio.read_trial_csv(path)
+        assert trial.f_samp == 100.0
+        assert trial.samples.tolist() == [0.5, -1.5]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_line_ends_read_like_lf(self, run_cli, tmp_path, newline):
+        lf = _synth(run_cli, tmp_path / "lf.csv", "--duration", "0.05")
+        other = tmp_path / "other.csv"
+        other.write_bytes(lf.read_bytes().replace(b"\n", newline.encode()))
+        a, b = trialio.read_trial_csv(lf), trialio.read_trial_csv(other)
+        assert b.f_samp == a.f_samp
+        assert np.array_equal(b.samples, a.samples)
+
+    def test_line_number_counts_crlf_lines(self, run_cli, tmp_path):
+        path, code, err = self._dtw_matrix(run_cli, tmp_path,
+                                           "# f_samp: 100.0\n0.5\n\nx\n", "\r\n")
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: {path}: line 4: could not parse 'x' as a sample value"]
+
+    def test_file_cut_short_exits_2(self, run_cli, tmp_path):
+        # the first 1000 lines of a 2048-sample trial: 2 metadata lines and
+        # 998 samples, which read silently as a 998-sample trial before
+        full = _synth(run_cli, tmp_path / "full.csv", "--duration", "1")
+        cut = tmp_path / "cut.csv"
+        cut.write_text("".join(full.read_text().splitlines(keepends=True)[:1000]))
+        message = f"error: {cut}: '# samples: 2048' but 998 sample rows; the file may be cut short"
+        code, _, err = run_cli("dtw-matrix", cut, cut, "-o", tmp_path / "out")
+        assert (code, err.splitlines()) == (2, [message])
+        assert not (tmp_path / "out.matrix.csv").exists()
+        (tmp_path / "full.events.json").rename(tmp_path / "cut.events.json")
+        code, _, err = run_cli("warp", "-i", cut, "-o", tmp_path / "w.csv",
+                               "--t1-target", 512, "--t2-target", 512)
+        assert (code, err.splitlines()) == (2, [message])
+
+    def test_samples_line_must_be_an_integer(self, run_cli, tmp_path):
+        path, code, err = self._dtw_matrix(run_cli, tmp_path,
+                                           "# f_samp: 100.0\n# samples: 2.0\n0.5\n1.0\n")
+        assert code == 2
+        assert err.splitlines() == [f"error: {path}: line 2: bad samples value '2.0'"]
+
+    def test_only_newlines_end_lines(self, run_cli, tmp_path):
+        # a separator such as \x1c between two values keeps them on one line;
+        # at the end of a line it is stripped like other whitespace
+        path = tmp_path / "t.csv"
+        path.write_text("# f_samp: 100.0\n0.5\x1c\n1.0 \n")
+        assert trialio.read_trial_csv(path).samples.tolist() == [0.5, 1.0]
+        path, code, err = self._dtw_matrix(run_cli, tmp_path, "# f_samp: 100.0\n0.5\x1c1.0\n")
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: {path}: line 2: could not parse '0.5\\x1c1.0' as a sample value"]
+
+    def test_trial_file_memory_stays_bounded(self, tmp_path):
+        # the whole text of a 100000-sample file took 11 MiB to write and
+        # 12 MiB to read
+        trial = Trial(np.random.default_rng(5).normal(size=100_000), 2048.0)
+        path = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            trialio.write_trial_csv(path, trial)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            back = trialio.read_trial_csv(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert write_peak < 2**20
+        assert read_peak < 4 * 2**20
+        assert back.samples.tobytes() == trial.samples.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"events": [', "invalid JSON: "),
+        ('{"events": [{"index": 600}]}', "malformed events payload: 'label'"),
+    ])
+    def test_bad_events_file_exits_2(self, run_cli, tmp_path, text, message):
+        trial = _synth(run_cli, tmp_path / "t.csv", "--duration", "0.5")
+        sidecar = tmp_path / "t.events.json"
+        sidecar.write_text(text)
+        code, _, err = run_cli("warp", "-i", trial, "-o", tmp_path / "w.csv",
+                               "--t1-target", 256, "--t2-target", 256)
+        assert code == 2
+        assert err.startswith(f"error: {sidecar}: {message}")
+        assert not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("pad_fractions = 0.1, fast\n",
+         "expected a list of numbers, got '0.1, fast'"),
+        ("# comment\nwarp_magnitude = big\n", "bad warp_magnitude 'big'"),
+    ])
+    def test_bad_config_value_exits_2(self, run_cli, tmp_path, text, message):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        code, _, err = run_cli("sweep-padding", "-o", tmp_path / "pad.csv",
+                               "--config", cfg)
+        assert code == 2
+        assert err.splitlines() == [f"error: {cfg}: {message}"]
+        assert not (tmp_path / "pad.csv").exists()
 
 
 class TestDeterminism:

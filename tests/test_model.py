@@ -52,6 +52,18 @@ class TestTrialValidation:
         with pytest.raises(BadEventsError):
             EventMarker(-1, "a")
 
+    @pytest.mark.parametrize("index", [1024.0, 1024.5, "1024", None])
+    def test_event_index_must_be_an_integer(self, index):
+        # a float index built a trial that partitioned and then failed in a
+        # slice, or gave a fractional partition
+        with pytest.raises(BadEventsError, match="event index must be an integer"):
+            EventMarker(index, "onset")
+
+    def test_numpy_integer_event_index(self):
+        t = Trial(np.zeros(10), 1.0, (EventMarker(np.int64(3), "a"),
+                                      EventMarker(np.int32(7), "b")))
+        assert [e.index for e in t.events] == [3, 7]
+
     def test_duplicate_index_rejected(self):
         with pytest.raises(BadEventsError):
             Trial(np.zeros(10), 1.0, (EventMarker(3, "a"), EventMarker(3, "b")))

@@ -143,7 +143,7 @@ class TestResample:
         with pytest.raises(SegmentTooShortError):
             resample([1.0], 5)
 
-    @pytest.mark.parametrize("out_len", [0, -3])
+    @pytest.mark.parametrize("out_len", [0, -3, 2.5, 100.0, np.inf, np.nan])
     def test_bad_output_length(self, out_len):
         with pytest.raises(BadOutputLengthError):
             resample(np.zeros(16), out_len)

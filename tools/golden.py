@@ -4,7 +4,8 @@ Usage: python tools/golden.py OUTDIR
 
 Runs a fixed list of CLI commands in process, with OUTDIR as the working
 directory: synth, warp, sweep-padding, sweep-fsamp and dtw-matrix on their
-success paths, then exit-2 and exit-3 cases. It prints one line per command
+success paths (one of them on a CRLF copy of a synthesized trial), then
+exit-2 and exit-3 cases. It prints one line per command
 (exit code, SHA-256 of its stderr, arguments) and then one line per output
 file (`sha256  name`). The package is imported from the checkout that holds
 this script, so a refactor that must keep every byte is checked by copying
@@ -29,15 +30,22 @@ SWEEP_CONFIG = ("pad_fractions = 0.002, 0.05\n"
                 "directions = expand_t1_contract_t2\n"
                 "warp_magnitude = 0.15\n")
 BAD_CONFIG = "pad_fractions = 0.1\nspeed = 3\n"
+BAD_NUMBER_CONFIG = "pad_fractions = 0.1, fast\n"
 BAD_EVENTS = '{"events": [{"index": 2048}]}\n'
+BROKEN_EVENTS = '{"events": [\n'
+NO_FSAMP = "0.5\n1.0\n"
 NOT_UTF8 = b"\xff\xfe"
 
-COMMANDS = [
+SYNTH_COMMANDS = [
     "synth -o demo.csv",
     "synth -o short.csv --duration 1",
     "synth -o small.csv --duration 0.05",
     "synth -o custom.csv --f-samp 1000 --duration 0.09 --f1 3 --f2 11 "
     "--amplitudes 1 0.5 --phases 0.3 1.1 --event-fracs 0.2 0.45 0.8",
+]
+
+# run once SYNTH_COMMANDS have written small.csv and its CRLF copy
+COMMANDS = [
     "warp -i short.csv -o w1.csv --t1-target 410 --t2-target 614",
     "warp -i demo.csv -o w2.csv --t1-target 2458 --t2-target 2100 --no-preserve",
     "warp -i demo.csv -o w3.csv --t1-target 1638 --t2-target 2458 --zero-pad",
@@ -61,15 +69,20 @@ COMMANDS = [
     "dtw-matrix small.csv small.csv -o d1",
     "dtw-matrix small.csv custom.csv -o d2",
     "dtw-matrix custom.csv small.csv -o d3",
+    # the same bytes as d1, read from CRLF line ends
+    "dtw-matrix small_crlf.csv small_crlf.csv -o d4",
     # exit 2: input and parse errors
     "warp -i missing.csv -o x.csv --t1-target 1 --t2-target 1",
     "warp -i short.csv -o x.csv --t1-target 410 --t2-target 614 --half-width 2",
     "warp -i short.csv -o x.csv --t1-target 410 --t2-target 614 --onset 5",
     "warp -i demo.csv -o x.csv --t1-target 2048 --t2-target 2048 --events bad.events.json",
+    "warp -i demo.csv -o x.csv --t1-target 2048 --t2-target 2048 --events broken.events.json",
     "sweep-padding -o x.csv --config bad.cfg",
+    "sweep-padding -o x.csv --config badnum.cfg",
     "sweep-fsamp -o x.csv --fsamp-factors 0.5 1.0",
     "dtw-matrix missing.csv small.csv -o x",
     "dtw-matrix bin.csv bin.csv -o x",
+    "dtw-matrix nofs.csv small.csv -o x",
     # exit 3: domain and pipeline errors
     "synth -o x.csv --f1 600 --f2 700 --f-samp 1024",
     "warp -i short.csv -o x.csv --t1-target 400 --t2-target 400",
@@ -84,21 +97,33 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _execute(commands: list[str]) -> list[str]:
+    lines = []
+    for command in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(command.split())
+        lines.append(f"exit {code}  stderr {sha256(err.getvalue().encode())}  {command}")
+    return lines
+
+
 def run(outdir: Path) -> list[str]:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "sweep.cfg").write_text(SWEEP_CONFIG, encoding="utf-8")
     (outdir / "bad.cfg").write_text(BAD_CONFIG, encoding="utf-8")
+    (outdir / "badnum.cfg").write_text(BAD_NUMBER_CONFIG, encoding="utf-8")
     (outdir / "bad.events.json").write_text(BAD_EVENTS, encoding="utf-8")
+    (outdir / "broken.events.json").write_text(BROKEN_EVENTS, encoding="utf-8")
+    (outdir / "nofs.csv").write_text(NO_FSAMP, encoding="utf-8")
     (outdir / "bin.csv").write_bytes(NOT_UTF8)
     lines = []
     cwd = os.getcwd()
     os.chdir(outdir)
     try:
-        for command in COMMANDS:
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main(command.split())
-            lines.append(f"exit {code}  stderr {sha256(err.getvalue().encode())}  {command}")
+        lines += _execute(SYNTH_COMMANDS)
+        small = Path("small.csv").read_bytes()
+        Path("small_crlf.csv").write_bytes(small.replace(b"\n", b"\r\n"))
+        lines += _execute(COMMANDS)
     finally:
         os.chdir(cwd)
     for path in sorted(outdir.iterdir()):
