@@ -15,9 +15,9 @@ from .errors import (
     ZeroVarianceError,
 )
 
-_COST_BLOCK = 64  # anti-diagonals whose local costs are computed in one call
+_COST_BLOCK = 64  # most anti-diagonals whose local costs are computed in one call
 _MAX_MATRIX_CELLS = 1 << 24  # largest cost matrix dtw() builds: 128 MiB of float64
-_STACK_ROWS = 1 << 15  # rows one stacked DP holds; its cost block is at most 16 MiB
+_BLOCK_CELLS = 1 << 21  # cells a cost block may hold: 16 MiB of float64
 
 
 def _path_bound(x: np.ndarray, y: np.ndarray) -> float:
@@ -57,8 +57,9 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     Local cost is the squared sample difference. Cell (i, j) on anti-diagonal
     k = i + j depends only on diagonals k - 1 and k - 2, so three buffers
     indexed by row replace the n x m matrix. y is reversed once so a
-    diagonal's local costs are contiguous, and they are computed for
-    _COST_BLOCK diagonals at a time.
+    diagonal's local costs are contiguous, and they are computed for a block
+    of kb diagonals at a time: _COST_BLOCK, or fewer when the block would
+    pass _BLOCK_CELLS cells, but at least one.
 
     The problems are independent and advance together, one diagonal of every
     problem per step, so the three ufunc calls of a step serve them all.
@@ -125,11 +126,15 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
             ids, n_ids, m_ids, final_ids, start, lo, hi, first, top = (
                 v[alive] for v in (ids, n_ids, m_ids, final_ids, start, lo, hi, first, top))
             next_end = int(final_ids.min())
-        kb = min(_COST_BLOCK, final_max + 1 - k)
         old_start, old_lo, old_hi = start, lo, hi
         # Row lo - 1 is dropped on both earlier diagonals or lies right of
-        # the grid; kept rows widen by at most one per diagonal.
+        # the grid; kept rows widen by at most one per diagonal. slots is
+        # the layout of a _COST_BLOCK-deep block, which no shallower block
+        # passes, so the cost block holds at most max(_BLOCK_CELLS, slots)
+        # cells.
         lo = np.maximum(np.maximum(first, k - m_ids - 1), 0)
+        slots = int((np.minimum(top + _COST_BLOCK, n_ids - 1) + 2 - lo).sum())
+        kb = max(1, min(_COST_BLOCK, final_max + 1 - k, _BLOCK_CELLS // slots))
         hi = np.minimum(top + kb, n_ids - 1)
         w = hi + 1 - lo
         start = np.cumsum(w + 1) - (w + 1)
@@ -186,6 +191,7 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
                 corners[p] = float(cur[0][f])
             p2, p1, cur = p1, cur, p2
             k += 1
+        del block, c  # free the cost block before the next one is allocated
         older, last = p2[0], p1[0]
         first, top = _kept_rows(np.minimum(older, last), start, lo,
                                 np.repeat(bound[ids], w + 1))
@@ -323,25 +329,17 @@ def dtw_score(x, y) -> DtwScore:
 def dtw_scores(pairs) -> list[DtwScore]:
     """dtw_score of each (x, y) pair, from dynamic programs run side by side.
 
-    The pairs advance together, one anti-diagonal of every pair per NumPy
-    step, in stacks of at most _STACK_ROWS rows of the shorter sequences; a
-    longer pair runs alone. Each score equals dtw_score(x, y) bit for bit,
-    and the memory is linear in the stack's rows. Raises NonFiniteError if
-    any pair holds a NaN or infinite sample.
+    The pairs advance together in one stack, one anti-diagonal of every pair
+    per NumPy step. Each score equals dtw_score(x, y) bit for bit. The memory
+    is a cost block of at most _BLOCK_CELLS cells (16 MiB), or one
+    anti-diagonal of the stack when that is larger, plus buffers linear in
+    the rows of the shorter sequences. Raises NonFiniteError if any pair
+    holds a NaN or infinite sample.
     """
     inputs = [(_dtw_input(x), _dtw_input(y)) for x, y in pairs]
-    corners: list[float] = []
-    stack: list[tuple[np.ndarray, np.ndarray]] = []
-    rows = 0
-    for xa, ya in inputs:
-        weight = min(len(xa), len(ya))
-        if stack and rows + weight > _STACK_ROWS:
-            corners += _accumulate(stack)
-            stack, rows = [], 0
-        stack.append(tuple(sorted((xa, ya), key=len)))
-        rows += weight
-    if stack:
-        corners += _accumulate(stack)
+    if not inputs:
+        return []
+    corners = _accumulate([tuple(sorted(pair, key=len)) for pair in inputs])
     scores = []
     for (xa, ya), corner in zip(inputs, corners):
         distance = math.sqrt(corner)

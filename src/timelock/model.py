@@ -23,6 +23,11 @@ TRANSITION = "transition"
 OFFSET = "offset"
 
 
+def is_integer(value) -> bool:
+    """Whether value is a sample count or index: a numbers.Integral, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def event_index_from_seconds(t_seconds: float, f_samp: float) -> int:
     """Convert an event time in seconds to a sample index.
 
@@ -42,7 +47,7 @@ class EventMarker:
     label: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.index, numbers.Integral):
+        if not is_integer(self.index):
             raise BadEventsError(f"event index must be an integer, got {self.index!r}")
         if self.index < 0:
             raise BadEventsError(f"event index must be >= 0, got {self.index}")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .metrics import DtwScore, dtw_scores, energy, pearson
-from .model import EventMarker, Partition, Trial
+from .model import EventMarker, Partition, Trial, is_integer
 from .resample import SincConfig, resample_padded
 
 
@@ -32,9 +31,9 @@ class WarpSpec:
     def __post_init__(self) -> None:
         for name, v in (("t1_target_len", self.t1_target_len),
                         ("t2_target_len", self.t2_target_len)):
-            if not isinstance(v, numbers.Integral) or v < 1:
+            if not is_integer(v) or v < 1:
                 raise BadTargetError(f"{name} must be a positive integer, got {v}")
-        if not isinstance(self.pad, numbers.Integral) or self.pad < 0:
+        if not is_integer(self.pad) or self.pad < 0:
             raise BadTargetError(f"pad must be a non-negative integer, got {self.pad}")
 
 

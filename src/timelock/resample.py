@@ -19,7 +19,6 @@ folded back.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadOutputLengthError, RangeOutOfBoundsError, SegmentTooShortError
+from .model import is_integer
 
 WINDOWS = ("kaiser", "hann", "blackman")
 PAD_MODES = ("neighbor", "zero")
@@ -67,7 +67,7 @@ class SincConfig:
     anti_alias: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.half_width, numbers.Integral):
+        if not is_integer(self.half_width):
             raise ValueError(f"half_width must be an integer, got {self.half_width!r}")
         if self.half_width < 4:
             raise ValueError(f"half_width must be >= 4, got {self.half_width}")
@@ -188,9 +188,9 @@ def built_pad(pad: int, half_width: int) -> int:
 
     No tap reaches past half_width samples from the interval, so pads of
     half_width or more read the same samples. Raises RangeOutOfBoundsError
-    for a pad that is not an integer in [0, _MAX_PAD].
+    for a pad that is not an integer in [0, _MAX_PAD]; a bool is not one.
     """
-    if not isinstance(pad, numbers.Integral):
+    if not is_integer(pad):
         raise RangeOutOfBoundsError(f"pad must be an integer, got {pad!r}")
     if not 0 <= pad <= _MAX_PAD:
         raise RangeOutOfBoundsError(f"pad must lie in [0, {_MAX_PAD}], got {pad}")
@@ -227,8 +227,8 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int, pad: int,
     so the pad moves no position's bits. Only built_pad(pad, half_width)
     samples per side are read, and pads with the same built_pad give
     bitwise identical outputs. An out_len that is not a positive integer
-    (numbers.Integral) or is over 2**24 raises BadOutputLengthError before
-    anything is allocated.
+    (numbers.Integral, not bool) or is over 2**24 raises
+    BadOutputLengthError before anything is allocated.
     """
     x = np.asarray(full, dtype=np.float64)
     if x.ndim != 1:
@@ -244,7 +244,7 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int, pad: int,
     in_len = stop - start
     if in_len < 2:
         raise SegmentTooShortError(f"interval needs at least 2 samples, got {in_len}")
-    if not isinstance(out_len, numbers.Integral) or out_len < 1:
+    if not is_integer(out_len) or out_len < 1:
         raise BadOutputLengthError(f"output length must be a positive integer, got {out_len}")
     if out_len > _MAX_OUT_LEN:
         raise BadOutputLengthError(

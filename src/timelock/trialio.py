@@ -9,7 +9,6 @@ byte-identical files. Every file is read and written one line at a time.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from array import array
@@ -133,12 +132,6 @@ def write_sweep_table(path: str | Path, row_type: type, rows, header: dict[str, 
         (f"# {k}: {v}" for k, v in header.items()),
         [",".join(columns)],
         (",".join(_cell(getattr(r, c)) for c in columns) for r in rows)))
-
-
-def read_table(path: str | Path) -> list[dict[str, str]]:
-    """Read a sweep table back as a list of row dicts (metadata lines skipped)."""
-    return list(csv.DictReader(line for line in read_lines(path)
-                               if not line.startswith("#")))
 
 
 def write_warp_report_json(path: str | Path, report: WarpReport,

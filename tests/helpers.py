@@ -1,11 +1,15 @@
 """Shared oracles. For DTW: exhaustive enumeration, an independent
 shortest-path formulation, and the plain loop recurrence. For the resampler:
 the whole-grid windowed-sinc evaluation. For the warp's index maps: the
-step-multiple formulas with explicit one-sample cases."""
+step-multiple formulas with explicit one-sample cases. For the CLI: a reader
+of sweep tables."""
 
+import csv
 import math
 
 import numpy as np
+
+from timelock.trialio import read_lines
 
 
 def local_costs(x, y):
@@ -164,3 +168,9 @@ def scale_offset_steps(offset, old_len, new_len):
         return 0
     pos = offset * ((new_len - 1) / (old_len - 1))
     return min(new_len - 1, int(round(pos)))
+
+
+def read_table(path):
+    """Read a sweep table back as a list of row dicts (metadata lines skipped)."""
+    return list(csv.DictReader(line for line in read_lines(path)
+                               if not line.startswith("#")))

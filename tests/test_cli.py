@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import read_table
+
 from timelock import (FsampSweepRow, PaddingSweepRow, SincConfig, SweepConfig, SynthSpec,
                       Trial, trialio)
 from timelock.cli import (_fields_from_args, _sinc_from_args, _sweep_config_from_args,
@@ -226,7 +228,7 @@ class TestSweepCommands:
         assert "# pad_fractions: 0.001,0.1\n" in text
         assert text.splitlines()[6] == ("direction,interval,pad_fraction,correlation,"
                                         "dtw_distance,dtw_similarity,energy_ratio,status")
-        rows = trialio.read_table(out)
+        rows = read_table(out)
         assert len(rows) == 8
         assert set(r["status"] for r in rows) == {"ok"}
         assert rows[0]["direction"] == "contract_t1_expand_t2"
@@ -238,7 +240,7 @@ class TestSweepCommands:
         code, _, err = run_cli("sweep-padding", "-o", out, "--duration", "0.5",
                                "--config", cfg, "--pad-fractions", "0.1")
         assert code == 0, err
-        rows = trialio.read_table(out)
+        rows = read_table(out)
         assert {r["pad_fraction"] for r in rows} == {"0.1"}  # flag beats file
         assert "# warp_magnitude: 0.1\n" in out.read_text()
 
@@ -283,7 +285,7 @@ class TestSweepCommands:
         assert code == 0, err
         assert out.read_text().splitlines()[6] == (
             "fsamp_factor,direction,interval,pad_fraction,correlation,dtw_similarity,status")
-        rows = trialio.read_table(out)
+        rows = read_table(out)
         assert len(rows) == 8  # 2 factors x 2 directions x 2 intervals x 1 pad
         assert {r["fsamp_factor"] for r in rows} == {"1.0", "0.5"}
 
@@ -298,7 +300,7 @@ class TestSweepCommands:
                                "--pad-fractions", "0.1", "1e12")
         assert code == 0, err
         status = {(r["direction"], r["pad_fraction"]): r["status"]
-                  for r in trialio.read_table(out)}
+                  for r in read_table(out)}
         assert len(status) == 4
         for (_, pad), s in status.items():
             assert s == ("ok" if pad == "0.1" else "RangeOutOfBoundsError")
@@ -310,7 +312,7 @@ class TestSweepCommands:
                                "--fsamp-factors", "1", "0.5", "0.03125",
                                "--pad-fractions", "0.001")
         assert code == 0, err
-        rows = trialio.read_table(out)
+        rows = read_table(out)
         assert [r["status"] for r in rows] == ["ok"] * 8 + ["BadEventFracsError"] * 4
         assert {r["fsamp_factor"] for r in rows[8:]} == {"0.03125"}
         assert all(r["correlation"] == "" for r in rows[8:])
@@ -360,7 +362,7 @@ class TestSweepTable:
         trialio.write_sweep_table(out, PaddingSweepRow, [], {})
         assert out.read_text() == ("direction,interval,pad_fraction,correlation,"
                                    "dtw_distance,dtw_similarity,energy_ratio,status\n")
-        assert trialio.read_table(out) == []
+        assert read_table(out) == []
 
 
 class TestDtwMatrixCommand:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,13 +269,14 @@ def stack_cases():
 
 class TestStackedDtw:
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
-    @pytest.mark.parametrize("budget", [1 << 15, 40])
+    @pytest.mark.parametrize("budget", [1 << 21, 40])
     def test_stack_matches_loop_oracle_and_stacks_of_one(self, monkeypatch, stack_cases,
                                                          block, budget):
-        # a budget of 40 rows splits the list into stacks of a few problems
-        # and runs the 300-row pair alone
+        # a cost block of 40 cells makes nearly every block one anti-diagonal
+        # deep; the last few, where the 300-row pair's band narrows, are 2
+        # to 4 deep, so the depth also changes between blocks
         monkeypatch.setattr(metrics, "_COST_BLOCK", block)
-        monkeypatch.setattr(metrics, "_STACK_ROWS", budget)
+        monkeypatch.setattr(metrics, "_BLOCK_CELLS", budget)
         pairs, expected = stack_cases
         scores = dtw_scores(pairs)
         assert [s.distance for s in scores] == expected
@@ -282,6 +284,21 @@ class TestStackedDtw:
             assert dtw_scores([(a, b)]) == [score]
             assert dtw_score(a, b) == score
             assert dtw(a, b).distance == score.distance
+
+    def test_memory_is_one_cost_block_plus_rows(self):
+        # 40 noise pairs keep nearly the whole band: 36 000 rows in one
+        # stack, whose cost block is capped at 16 MiB and freed before the
+        # next one is allocated; two blocks at once would peak near 33 MiB
+        rng = np.random.default_rng(112)
+        pairs = [(rng.normal(size=900), rng.normal(size=1000)) for _ in range(40)]
+        tracemalloc.start()
+        try:
+            scores = dtw_scores(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+        assert scores[:2] == dtw_scores(pairs[:2])
 
     def test_costs_past_a_problems_end_are_not_read_from_stale_memory(
             self, monkeypatch, stack_cases):

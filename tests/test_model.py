@@ -52,10 +52,11 @@ class TestTrialValidation:
         with pytest.raises(BadEventsError):
             EventMarker(-1, "a")
 
-    @pytest.mark.parametrize("index", [1024.0, 1024.5, "1024", None])
+    @pytest.mark.parametrize("index", [1024.0, 1024.5, "1024", None, True, False])
     def test_event_index_must_be_an_integer(self, index):
         # a float index built a trial that partitioned and then failed in a
-        # slice, or gave a fractional partition
+        # slice, or gave a fractional partition; a bool is a numbers.Integral
+        # that would reach the report JSON as true
         with pytest.raises(BadEventsError, match="event index must be an integer"):
             EventMarker(index, "onset")
 

@@ -94,9 +94,12 @@ class TestPlanWarp:
             WarpSpec(t1_target_len=5, t2_target_len=5, pad=-1)
 
     def test_warp_spec_takes_only_integers(self, demo_trial, demo_partition):
-        # an integral float would reach the resampler's slices and indices
+        # an integral float would reach the resampler's slices and indices,
+        # and a bool would be read as 1 or 0
         for targets, pad in (((1638.0, 2458), 204), ((1638, 2458.0), 204),
-                             ((1638, 2458), 20.5), ((1638, 2458), 204.0)):
+                             ((1638, 2458), 20.5), ((1638, 2458), 204.0),
+                             ((True, 2458), 204), ((1638, True), 204),
+                             ((1638, 2458), True), ((1638, 2458), False)):
             with pytest.raises(BadTargetError):
                 WarpSpec(*targets, pad=pad)
         spec = WarpSpec(np.int64(1638), np.int64(2458), pad=np.int64(204))

@@ -48,6 +48,8 @@ class TestSincConfig:
         # an integral float would reach the tap offsets and slices
         with pytest.raises(ValueError, match="half_width must be an integer"):
             SincConfig(half_width=32.0)
+        with pytest.raises(ValueError, match="half_width must be an integer"):
+            SincConfig(half_width=True)
         assert SincConfig(half_width=np.int64(16)).half_width == 16
 
     def test_unknown_window(self):
@@ -143,7 +145,7 @@ class TestResample:
         with pytest.raises(SegmentTooShortError):
             resample([1.0], 5)
 
-    @pytest.mark.parametrize("out_len", [0, -3, 2.5, 100.0, np.inf, np.nan])
+    @pytest.mark.parametrize("out_len", [0, -3, 2.5, 100.0, np.inf, np.nan, True])
     def test_bad_output_length(self, out_len):
         with pytest.raises(BadOutputLengthError):
             resample(np.zeros(16), out_len)
@@ -237,9 +239,11 @@ class TestResamplePadded:
 
     def test_pad_must_be_an_integer(self):
         x = np.sin(0.01 * np.arange(400))
-        for pad in (3.5, 3.0):
+        for pad in (3.5, 3.0, True, False):
             with pytest.raises(RangeOutOfBoundsError, match="pad must be an integer"):
                 resample_padded(x, (100, 300), 50, pad)
+            with pytest.raises(RangeOutOfBoundsError, match="pad must be an integer"):
+                sincmod.built_pad(pad, 32)
         assert np.array_equal(resample_padded(x, (100, 300), 50, np.int64(3)),
                               resample_padded(x, (100, 300), 50, 3))
 
