@@ -27,6 +27,10 @@ class BadEventsError(TimelockError):
     """Event markers are out of order or outside the signal bounds."""
 
 
+class TrialTooLongError(TimelockError):
+    """A trial file holds more than the budget of 2**24 samples."""
+
+
 # partitioning
 
 class MissingEventError(TimelockError):

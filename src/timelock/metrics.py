@@ -51,6 +51,22 @@ def _kept_rows(values: np.ndarray, start: np.ndarray, lo: np.ndarray,
     return lo - start - 1 + first, lo - start - 1 + last
 
 
+def _steps(costs: np.ndarray, p2: tuple, p1: tuple, cur: tuple) -> tuple:
+    """Advance the diagonal buffers by one diagonal per row of costs.
+
+    Each buffer is (array, slots 0..size - 2, slots 1..size - 1); the cell in
+    slot f reads slots f - 1 and f of diagonal k - 1 and slot f - 1 of
+    diagonal k - 2. Returns the buffers rotated past the last diagonal.
+    """
+    for c in costs:
+        span = cur[2]
+        np.minimum(p2[1], p1[1], out=span)
+        np.minimum(span, p1[2], out=span)
+        np.add(span, c, out=span)
+        p2, p1, cur = p1, cur, p2
+    return p2, p1, cur
+
+
 def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     """Accumulated DTW cost at the far corner of each (x, y).
 
@@ -171,27 +187,27 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
         p2 = (p2, p2[:size - 1], p2[1:size])
         p1 = (p1, p1[:size - 1], p1[1:size])
         cur = (cur, cur[:size - 1], cur[1:size])
+        # values are read after every diagonal of the matrix, or else only
+        # after the diagonals where a problem ends
         if flat is not None:
             row0, row1 = int(lo[0]), int(hi[0])
-        for c in block:
-            # the cell in slot f reads slots f - 1, f of diagonal k - 1 and
-            # slot f - 1 of diagonal k - 2
-            span = cur[2]
-            np.minimum(p2[1], p1[1], out=span)
-            np.minimum(span, p1[2], out=span)
-            np.add(span, c, out=span)
+            # a one-column matrix has one cell per diagonal: any step
+            step = max(cols[0] - 1, 1)
+        reads = range(k, k + kb) if flat is not None else sorted(due)
+        done = k
+        for d in reads:
+            p2, p1, cur = _steps(block[done - k:d + 1 - k], p2, p1, cur)
+            done = d + 1
             if flat is not None:
-                a = max(row0, k - cols[0] + 1)
-                b = min(row1, k)
-                # a one-column matrix has one cell per diagonal: any step
-                step = max(cols[0] - 1, 1)
-                flat[a * (cols[0] - 1) + k:b * (cols[0] - 1) + k + 1:step] = \
-                    span[a - row0:b + 1 - row0]
-            for p, f in due.get(k, ()):
-                corners[p] = float(cur[0][f])
-            p2, p1, cur = p1, cur, p2
-            k += 1
-        del block, c  # free the cost block before the next one is allocated
+                a = max(row0, d - cols[0] + 1)
+                b = min(row1, d)
+                flat[a * (cols[0] - 1) + d:b * (cols[0] - 1) + d + 1:step] = \
+                    p1[2][a - row0:b + 1 - row0]
+            for p, f in due.get(d, ()):
+                corners[p] = float(p1[0][f])
+        p2, p1, cur = _steps(block[done - k:], p2, p1, cur)
+        k += kb
+        del block  # free the cost block before the next one is allocated
         older, last = p2[0], p1[0]
         first, top = _kept_rows(np.minimum(older, last), start, lo,
                                 np.repeat(bound[ids], w + 1))

@@ -31,22 +31,12 @@ from .model import is_integer
 WINDOWS = ("kaiser", "hann", "blackman")
 PAD_MODES = ("neighbor", "zero")
 
-_KAISER_TABLE_SIZE = 1 << 16
+_TABLE_POINTS = 1 << 16  # taper table points per unit of |u| / half_width, at least
 _CELLS = 1 << 14  # kernel cells (outputs x taps) evaluated per block
 _EPS = float(np.finfo(np.float64).eps)  # np.sinc's stand-in for a zero argument
 _MAX_PAD = 1 << 24  # largest pad accepted per side: an input check, as at most half_width are read
 _MAX_HALF_WIDTH = 1 << 12  # widest kernel: one row of taps fits in _CELLS
 _MAX_OUT_LEN = 1 << 24  # longest output resample_padded builds: 128 MiB of float64
-
-
-@lru_cache(maxsize=32)
-def _kaiser_table(beta: float) -> np.ndarray:
-    """Kaiser taper sampled on [0, 1]; dense enough that linear interpolation
-    stays below 1e-9 of the exact Bessel evaluation."""
-    r = np.linspace(0.0, 1.0, _KAISER_TABLE_SIZE + 1)
-    table = np.i0(beta * np.sqrt(np.maximum(0.0, 1.0 - r * r))) / np.i0(beta)
-    table.flags.writeable = False
-    return table
 
 
 @dataclass(frozen=True)
@@ -85,37 +75,48 @@ class SincConfig:
                         f"Kaiser beta must keep i0(beta) finite, got {self.beta}")
 
 
-def _taper(x: np.ndarray, cfg: SincConfig, out: np.ndarray,
-           scratch: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Taper at x = |u| / half_width, for x in [0, 1], written into out.
+def _i0_series_minus_1(z):
+    """i0(z) - 1 for 0 <= z < 2 by the power series sum((z / 2)**(2k) /
+    (k!)**2, k >= 1), where np.i0(z) - 1 would lose digits to cancellation."""
+    t = np.square(np.divide(z, 2.0))
+    term = t.copy()
+    total = t.copy()
+    for k in range(2, 16):  # the k = 15 term is below 1e-24 at z = 2
+        term *= t
+        term /= k * k
+        total += term
+    return total
 
-    u is the offset from the kernel centre in input samples. x is
-    overwritten; scratch (float64) and index (int64) are work buffers of
-    its shape.
+
+@lru_cache(maxsize=32)
+def _taper_table(window: str, beta: float, half_width: int) -> np.ndarray:
+    """The taper at |u| = i + q / S, as table[q, i] for q = 0..S and
+    i = 0..half_width, where S = ceil(_TABLE_POINTS / half_width).
+
+    u is the offset from the kernel centre in input samples. The taper is 1
+    at u == 0 and 0 from |u| == half_width on, so it is continuous at the
+    window's edge: the Kaiser window w is taken as (w - w_edge) / (1 -
+    w_edge), which is (i0(beta * sqrt(1 - x**2)) - 1) / (i0(beta) - 1) at x
+    = |u| / half_width. Linear interpolation between rows q and q + 1 is
+    within about 1e-10 of the exact taper at the default filters.
     """
-    if cfg.window == "kaiser":
-        table = _kaiser_table(cfg.beta)
-        pos = np.multiply(x, _KAISER_TABLE_SIZE, out=x)
-        np.copyto(index, pos, casting="unsafe")
-        np.minimum(index, _KAISER_TABLE_SIZE - 1, out=index)
-        frac = np.subtract(pos, index, out=x)
-        # table[index] * (1 - frac) + table[index + 1] * frac
-        np.take(table, index, out=out, mode="clip")
-        np.multiply(out, np.subtract(1.0, frac, out=scratch), out=out)
-        index += 1
-        np.take(table, index, out=scratch, mode="clip")
-        np.add(out, np.multiply(scratch, frac, out=scratch), out=out)
+    h = half_width
+    s = -(-_TABLE_POINTS // h)
+    x = np.minimum((np.arange(h + 1) + np.arange(s + 1)[:, None] / s) / h, 1.0)
+    if window == "kaiser":
+        z = beta * np.sqrt(1.0 - x * x)
+        if beta < 2.0:
+            table = _i0_series_minus_1(z) / _i0_series_minus_1(beta)
+        else:
+            table = (np.i0(z) - 1.0) / (np.i0(beta) - 1.0)
     else:
         # hann: 0.5 + 0.5 cos(pi x); blackman: 0.42 + 0.5 cos(pi x) + 0.08 cos(2 pi x)
-        np.cos(np.multiply(x, np.pi, out=out), out=out)
-        np.multiply(out, 0.5, out=out)
-        if cfg.window == "hann":
-            np.add(out, 0.5, out=out)
-        else:
-            np.add(out, 0.42, out=out)
-            np.cos(np.multiply(x, 2.0 * np.pi, out=scratch), out=scratch)
-            np.add(out, np.multiply(scratch, 0.08, out=scratch), out=out)
-    return out
+        table = 0.5 * np.cos(np.pi * x) + (0.5 if window == "hann" else 0.42)
+        if window == "blackman":
+            table += 0.08 * np.cos(2.0 * np.pi * x)
+    table[x == 1.0] = 0.0
+    table.flags.writeable = False
+    return table
 
 
 def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
@@ -128,9 +129,20 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
     output at base. The kernel is renormalised to unit gain at every output
     position, so constants are preserved exactly.
 
+    Tap j of an output at base + f sits at u = j - f: taps j <= 0 at |u| = i
+    + f and taps j >= 1 at |u| = i + (1 - f), for i = |j| and i = j - 1. So
+    each side of an output is one half row, i = 0..half_width, at one phase
+    phi, f or 1 - f. Its kernel value is sinc(cutoff * (i + phi)) times the
+    taper there. The sine's angle a * i + a * phi, a = pi * cutoff, is taken
+    apart by angle addition, sin(a i) cos(a phi) + cos(a i) sin(a phi), so
+    each half row costs one sine and one cosine; at unit cutoff sin(a i) is
+    0 and cos(a i) is (-1)**i. The taper is two rows of the taper table,
+    interpolated with one weight. The half row i = 0, phi = 0 is the centre
+    tap of an integral position, where both parts of the sinc are eps, as in
+    np.sinc.
+
     Outputs are computed in blocks of at most _CELLS kernel cells (outputs x
-    taps), in preallocated buffers, so the temporaries stay bounded whatever
-    the output length.
+    taps), so the temporaries stay bounded whatever the output length.
     """
     h = cfg.half_width
     width = 2 * h + 1
@@ -144,35 +156,49 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
         todo = np.flatnonzero(~integral)
     else:
         todo = np.arange(len(base))
-    taps = np.arange(-h, h + 1, dtype=np.float64)
+    table = _taper_table(cfg.window, cfg.beta, h)
+    phases = len(table) - 1
+    a = np.pi * cutoff
+    i = np.arange(h + 1)
+    angles = a * i
+    if cutoff == 1.0:
+        sin_i, cos_i = np.zeros(h + 1), np.where(i % 2 == 0, 1.0, -1.0)
+    else:
+        sin_i, cos_i = np.sin(angles), np.cos(angles)
     n = max(1, _CELLS // width)
-    u, arg, kernel, scratch = (np.empty((n, width)) for _ in range(4))
-    index = np.empty((n, width), dtype=np.int64)
+    kernel = np.empty((n, width))
+    half, den = (np.empty((2 * n, h + 1)) for _ in range(2))
     for s in range(0, len(todo), n):
         which = todo[s:s + n]
         f = frac[which]
         k = len(which)
-        u_, arg_, kernel_, scratch_, index_ = (
-            v[:k] for v in (u, arg, kernel, scratch, index))
-        np.subtract(taps, f[:, None], out=u_)
-        # np.sinc(cutoff * u): sin(x) / x at x = pi * cutoff * u, with x == 0
-        # replaced by eps; u is 0 only at the centre tap of an integral position
-        x = u_ if cutoff == 1.0 else np.multiply(u_, cutoff, out=arg_)
-        x = np.multiply(x, np.pi, out=arg_)
-        centre = x[:, h]
-        centre[centre == 0.0] = _EPS
-        sinc = np.divide(np.sin(x, out=scratch_), x, out=arg_)
-        if cutoff != 1.0:
-            np.multiply(sinc, cutoff, out=sinc)
-        # only the first tap can lie outside the window, |u| > half_width
-        x = np.divide(np.abs(u_, out=u_), h, out=u_)
-        outside = x[:, 0] > 1.0
-        x[outside, 0] = 1.0
-        window = _taper(x, cfg, kernel_, scratch_, index_)
-        window[outside, 0] = 0.0
-        kernel_ = np.multiply(sinc, window, out=kernel_)
+        # half rows 0..k - 1 at phase f, half rows k..2k - 1 at phase 1 - f;
+        # the sinc's numerator goes into half_ and its denominator into den_
+        phi = np.concatenate((f, 1.0 - f))
+        aphi = a * phi
+        half_ = np.multiply(sin_i, np.cos(aphi)[:, None], out=half[:2 * k])
+        den_ = np.multiply(cos_i, np.sin(aphi)[:, None], out=den[:2 * k])
+        half_ += den_
+        np.add(angles, aphi[:, None], out=den_)
+        centre = np.flatnonzero(f == 0.0)
+        half_[centre, 0] = den_[centre, 0] = _EPS
+        half_ /= den_
+        # the taper at phase p = phi * phases, between table rows q and q + 1
+        p = phi * phases
+        q = np.minimum(p.astype(np.int64), phases - 1)
+        low = table[q]
+        taper = table[q + 1]
+        taper -= low
+        taper *= (p - q)[:, None]
+        taper += low
+        half_ *= taper
+        # taps -h..0 are the phase-f half row reversed, taps 1..h the first h
+        # entries of the phase-(1 - f) half row
+        kernel_ = kernel[:k]
+        kernel_[:, :h + 1] = half_[:k, ::-1]
+        kernel_[:, h + 1:] = half_[k:, :h]
         values = rows[base[which]]
-        np.multiply(values, kernel_, out=values)
+        values *= kernel_
         out[which] = values.sum(axis=1) / kernel_.sum(axis=1)
     return out
 

@@ -17,10 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, TrialTooLongError
 from .metrics import DtwResult
 from .model import EventMarker, Trial
 from .pipeline import WarpReport
+from .synth import _MAX_SAMPLES  # trial files have the budget of synthesized trials
 
 
 def fmt(value: float) -> str:
@@ -63,7 +64,12 @@ def write_trial_csv(path: str | Path, trial: Trial) -> None:
 
 
 def read_trial_csv(path: str | Path) -> Trial:
-    """Parse a trial file; raises ParseError with a line number on bad rows."""
+    """Parse a trial file; raises ParseError with a line number on bad rows.
+
+    A trial holds at most 2**24 samples: a larger '# samples:' value raises
+    TrialTooLongError when its line is read, and so does the row that passes
+    the budget.
+    """
     metadata = {}
     values = array("d")
     for lineno, raw in enumerate(read_lines(path), start=1):
@@ -75,6 +81,9 @@ def read_trial_csv(path: str | Path) -> Trial:
                     metadata[key] = _METADATA[key](val)
                 except ValueError:
                     raise ParseError(f"{path}: line {lineno}: bad {key} value {val!r}") from None
+                if key == "samples" and metadata[key] > _MAX_SAMPLES:
+                    raise TrialTooLongError(f"{path}: '# samples: {metadata[key]}' exceeds "
+                                            f"the limit of {_MAX_SAMPLES} samples")
         elif line:
             try:
                 values.append(float(line))
@@ -82,6 +91,9 @@ def read_trial_csv(path: str | Path) -> Trial:
                 raise ParseError(
                     f"{path}: line {lineno}: could not parse {line!r} as a sample value"
                 ) from None
+            if len(values) > _MAX_SAMPLES:
+                raise TrialTooLongError(f"{path}: line {lineno}: more sample rows than "
+                                        f"the limit of {_MAX_SAMPLES} samples")
     if "f_samp" not in metadata:
         raise ParseError(f"{path}: missing '# f_samp:' metadata line")
     if not values:

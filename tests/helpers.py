@@ -127,26 +127,44 @@ def resample_direct(segment, base, frac, cutoff, cfg):
     """Windowed-sinc interpolant of segment at positions base + frac, every
     output at once.
 
-    The (n_out x taps) form: integer tap indices wrapped with np.mod, offsets
-    taps - frac, the window's support applied to every tap, np.sinc itself,
-    and the exact delta at unit cutoff on integral positions. Shares only
-    the taper with the resampler under test, which evaluates the same sums
-    block by block and must match this bit for bit.
+    The (n_out x taps) form: integer tap indices wrapped with np.mod, and
+    the exact delta at unit cutoff on integral positions. The kernel is the
+    resampler's formula over the whole grid: the taps j <= 0 of an output
+    are the half row at |u| = i + f, i = -j, and the taps j >= 1 the half row
+    at |u| = i + (1 - f), i = j - 1; each half row's sinc has the numerator
+    sin(a i) cos(a phi) + cos(a i) sin(a phi) and the denominator a i + a
+    phi, a = pi * cutoff, and its taper interpolates two rows of the taper
+    table. Shares only that table with the resampler under test, which
+    evaluates the same sums block by block and must match this bit for bit.
     """
-    from timelock.resample import _taper
+    from timelock.resample import _EPS, _taper_table
 
     segment = np.asarray(segment, float)
     h = cfg.half_width
+    n = len(frac)
+    table = _taper_table(cfg.window, cfg.beta, h)
+    phases = len(table) - 1
+    a = np.pi * cutoff
+    i = np.arange(h + 1)
+    angles = a * i
+    if cutoff == 1.0:
+        sin_i, cos_i = np.zeros(h + 1), (-1.0) ** i
+    else:
+        sin_i, cos_i = np.sin(angles), np.cos(angles)
+    phi = np.concatenate((frac, 1.0 - frac))
+    aphi = a * phi
+    num = sin_i * np.cos(aphi)[:, None] + cos_i * np.sin(aphi)[:, None]
+    den = angles + aphi[:, None]
+    centre = np.flatnonzero(frac == 0.0)
+    num[centre, 0] = den[centre, 0] = _EPS
+    p = phi * phases
+    q = np.minimum(np.floor(p).astype(np.int64), phases - 1)
+    low = table[q]
+    taper = (table[q + 1] - low) * (p - q)[:, None] + low
+    half = num / den * taper
+    kernel = np.concatenate((half[:n, ::-1], half[n:, :h]), axis=1)
     taps = np.arange(-h, h + 1, dtype=np.int64)
-    idx = base[:, None] + taps[None, :]
-    u = taps.astype(np.float64)[None, :] - frac[:, None]
-    x = np.abs(u) / h
-    inside = x <= 1.0
-    x = np.where(inside, x, 1.0)
-    taper = _taper(x, cfg, np.empty_like(x), np.empty_like(x),
-                   np.empty(x.shape, dtype=np.int64))
-    kernel = cutoff * np.sinc(cutoff * u) * np.where(inside, taper, 0.0)
-    values = segment[np.mod(idx, len(segment))]
+    values = segment[np.mod(base[:, None] + taps[None, :], len(segment))]
     out = (kernel * values).sum(axis=1) / kernel.sum(axis=1)
     if cutoff == 1.0:
         integral = frac == 0.0

@@ -473,6 +473,32 @@ class TestReaders:
         assert code == 2
         assert err.splitlines() == [f"error: {path}: line 2: bad samples value '2.0'"]
 
+    def test_samples_line_over_budget_exits_3(self, run_cli, tmp_path):
+        # refused when the '# samples:' line is read, before any row: the
+        # one row here would otherwise make it a file cut short (exit 2)
+        path, code, err = self._dtw_matrix(
+            run_cli, tmp_path, "# samples: 16777217\n# f_samp: 100.0\n0.5\n")
+        assert code == 3
+        assert err.splitlines() == [
+            f"error: {path}: '# samples: 16777217' exceeds the limit of 16777216 samples"]
+        assert not (tmp_path / "out.matrix.csv").exists()
+
+    def test_rows_over_budget_exit_3(self, run_cli, tmp_path, monkeypatch):
+        # the row that passes the budget stops the reader, with or without
+        # a '# samples:' line; the real budget of 2**24 rows is too big to
+        # write here, so it is patched small
+        monkeypatch.setattr(trialio, "_MAX_SAMPLES", 8)
+        rows = "".join(f"{v}\n" for v in range(12))
+        at_budget = tmp_path / "eight.csv"
+        at_budget.write_text("# f_samp: 100.0\n# samples: 8\n" + rows[:16])
+        assert len(trialio.read_trial_csv(at_budget)) == 8
+        for header in ("# f_samp: 100.0\n", "# f_samp: 100.0\n# samples: 4\n"):
+            path, code, err = self._dtw_matrix(run_cli, tmp_path, header + rows)
+            lineno = header.count("\n") + 9
+            assert code == 3
+            assert err.splitlines() == [
+                f"error: {path}: line {lineno}: more sample rows than the limit of 8 samples"]
+
     def test_only_newlines_end_lines(self, run_cli, tmp_path):
         # a separator such as \x1c between two values keeps them on one line;
         # at the end of a line it is stripped like other whitespace

@@ -403,3 +403,68 @@ class TestAnalyticAccuracy:
         exact = np.sin(2 * np.pi * freq * pos / FS)
         edge = int(np.ceil(QUALITY.half_width * (out_len - 1) / (n - 1))) + 2
         assert np.abs(y - exact)[edge:-edge].max() <= 1e-6
+
+
+def _exact_taper(abs_u, cfg):
+    """The taper by its closed form: np.i0 or np.cos at x = |u| / half_width,
+    0 from x == 1 on; the Kaiser window rescaled to 0 at its edge."""
+    x = np.minimum(abs_u / cfg.half_width, 1.0)
+    if cfg.window == "kaiser":
+        edge = 1.0 / np.i0(cfg.beta)
+        w = (np.i0(cfg.beta * np.sqrt(1.0 - x * x)) / np.i0(cfg.beta) - edge) / (1.0 - edge)
+    elif cfg.window == "hann":
+        w = 0.5 + 0.5 * np.cos(np.pi * x)
+    else:
+        w = 0.42 + 0.5 * np.cos(np.pi * x) + 0.08 * np.cos(2.0 * np.pi * x)
+    return np.where(x < 1.0, w, 0.0)
+
+
+class TestKernel:
+    # the taps' weights read off impulse responses: the output at base + f
+    # of a signal that is 1 at one sample and 0 elsewhere is the weight of
+    # the tap on that sample, its kernel value over the row's kernel sum
+    @staticmethod
+    def _weights(frac, cutoff, cfg):
+        h = cfg.half_width
+        reach = np.zeros(4 * h + 1)
+        reach[2 * h] = 1.0
+        taps = np.arange(-h, h + 1)
+        base = np.tile(h - taps, len(frac))
+        f = np.repeat(frac, len(taps))
+        return sincmod._resample_at(reach, base, f, cutoff, cfg).reshape(len(frac), -1)
+
+    @pytest.mark.parametrize("cutoff", [1.0, 0.8, 0.3])
+    @pytest.mark.parametrize("cfg", [SincConfig(), QUALITY, SincConfig(window="hann"),
+                                     SincConfig(half_width=5, window="blackman")],
+                             ids=["default", "quality", "hann", "blackman5"])
+    def test_weights_match_closed_form_kernel(self, cfg, cutoff):
+        # within 1e-10 of cutoff * np.sinc(cutoff * u) times the exact taper,
+        # both normalised to unit sum; the table's linear interpolation
+        # leaves at most about 3e-11 here
+        rng = np.random.default_rng(53)
+        frac = np.concatenate([[0.0, 0.5, 2.0**-40, np.nextafter(1.0, 0.0)],
+                               rng.uniform(size=40)])
+        h = cfg.half_width
+        u = np.arange(-h, h + 1)[None, :] - frac[:, None]
+        exact = cutoff * np.sinc(cutoff * u) * _exact_taper(np.abs(u), cfg)
+        exact /= exact.sum(axis=1, keepdims=True)
+        if cutoff == 1.0:
+            exact[0] = np.arange(-h, h + 1) == 0  # the exact delta
+        assert np.abs(self._weights(frac, cutoff, cfg) - exact).max() <= 1e-10
+
+    @pytest.mark.parametrize("cutoff", [1.0, 0.8])
+    @pytest.mark.parametrize("window", ["kaiser", "hann", "blackman"])
+    def test_output_is_continuous_where_a_position_reaches_an_integer(self, window, cutoff):
+        # moving a position from one ulp below an integer onto it brings a
+        # tap in at |u| == half_width; its weight must be 0 there, as just
+        # beyond. A Kaiser taper kept at its edge value 1/i0(beta) there
+        # moves the output by about 3e-5 times the sample entering.
+        cfg = SincConfig(window=window)
+        h = cfg.half_width
+        rng = np.random.default_rng(59)
+        reach = rng.normal(size=4 * h + 2)
+        b = 2 * h
+        below = sincmod._resample_at(reach, np.array([b - 1]), np.array([np.nextafter(1.0, 0.0)]),
+                                     cutoff, cfg)
+        onto = sincmod._resample_at(reach, np.array([b]), np.array([0.0]), cutoff, cfg)
+        assert abs(below[0] - onto[0]) <= 1e-12 * np.abs(np.diff(reach)).max()

@@ -1,6 +1,6 @@
 """Golden outputs of the timelock CLI, as hashes that two checkouts can diff.
 
-Usage: python tools/golden.py OUTDIR
+Usage: python tools/golden.py OUTDIR [--compare OTHER_OUTDIR]
 
 Runs a fixed list of CLI commands in process, with OUTDIR as the working
 directory: synth, warp, sweep-padding, sweep-fsamp and dtw-matrix on their
@@ -10,7 +10,11 @@ exit-2 and exit-3 cases. It prints one line per command
 file (`sha256  name`). The package is imported from the checkout that holds
 this script, so a refactor that must keep every byte is checked by copying
 the script into a checkout of the parent commit, running it in both, and
-diffing the two listings.
+diffing the two listings. With --compare, it then prints one line per
+output file whose bytes differ from the file of the same name in
+OTHER_OUTDIR, an earlier run's OUTDIR: `differs  D  name`, with D the
+largest absolute difference between the two files' numeric fields, or a
+note where the fields do not pair up.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -34,6 +39,7 @@ BAD_NUMBER_CONFIG = "pad_fractions = 0.1, fast\n"
 BAD_EVENTS = '{"events": [{"index": 2048}]}\n'
 BROKEN_EVENTS = '{"events": [\n'
 NO_FSAMP = "0.5\n1.0\n"
+OVER_BUDGET = "# f_samp: 100.0\n# samples: 16777217\n0.5\n"
 NOT_UTF8 = b"\xff\xfe"
 
 SYNTH_COMMANDS = [
@@ -90,6 +96,7 @@ COMMANDS = [
     "dtw-matrix demo.csv demo.csv -o x",
     "synth -o x.csv --duration 1e12",
     "warp -i short.csv -o x.csv --t1-target 100 --t2-target 100000000 --no-preserve",
+    "dtw-matrix huge.csv small.csv -o x",
 ]
 
 
@@ -115,6 +122,7 @@ def run(outdir: Path) -> list[str]:
     (outdir / "bad.events.json").write_text(BAD_EVENTS, encoding="utf-8")
     (outdir / "broken.events.json").write_text(BROKEN_EVENTS, encoding="utf-8")
     (outdir / "nofs.csv").write_text(NO_FSAMP, encoding="utf-8")
+    (outdir / "huge.csv").write_text(OVER_BUDGET, encoding="utf-8")
     (outdir / "bin.csv").write_bytes(NOT_UTF8)
     lines = []
     cwd = os.getcwd()
@@ -131,7 +139,41 @@ def run(outdir: Path) -> list[str]:
     return lines
 
 
+def largest_difference(path: Path, other: Path) -> str:
+    """The largest absolute difference between the numeric fields of two
+    files, split at whitespace and at the CSV and JSON punctuation."""
+    split = re.compile(r'[\s,:\[\]{}"]+')
+    fields = split.split(path.read_text(encoding="utf-8", errors="replace"))
+    others = split.split(other.read_text(encoding="utf-8", errors="replace"))
+    if len(fields) != len(others):
+        return f"{len(fields)} fields against {len(others)}"
+    worst = 0.0
+    for a, b in zip(fields, others):
+        if a == b:
+            continue
+        try:
+            worst = max(worst, abs(float(a) - float(b)))
+        except ValueError:
+            return f"field {a!r} against {b!r}"
+    return repr(worst)
+
+
+def compare(outdir: Path, other: Path) -> list[str]:
+    lines = []
+    for path in sorted(outdir.iterdir()):
+        twin = other / path.name
+        if not twin.exists():
+            lines.append(f"differs  not in {other}  {path.name}")
+        elif twin.read_bytes() != path.read_bytes():
+            lines.append(f"differs  {largest_difference(path, twin)}  {path.name}")
+    return lines
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    args = sys.argv[1:]
+    if len(args) not in (1, 3) or args[1:2] not in ([], ["--compare"]):
         sys.exit(__doc__.strip().splitlines()[2])
-    print("\n".join(run(Path(sys.argv[1]))))
+    lines = run(Path(args[0]))
+    if args[1:]:
+        lines += compare(Path(args[0]), Path(args[2]))
+    print("\n".join(lines))
