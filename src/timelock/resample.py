@@ -19,6 +19,7 @@ folded back.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +34,7 @@ PAD_MODES = ("neighbor", "zero")
 
 _TABLE_POINTS = 1 << 16  # taper table points per unit of |u| / half_width, at least
 _CELLS = 1 << 14  # kernel cells (outputs x taps) evaluated per block
+_OUTPUTS = 1 << 13  # output positions made per chunk
 _EPS = float(np.finfo(np.float64).eps)  # np.sinc's stand-in for a zero argument
 _MAX_PAD = 1 << 24  # largest pad accepted per side: an input check, as at most half_width are read
 _MAX_HALF_WIDTH = 1 << 12  # widest kernel: one row of taps fits in _CELLS
@@ -108,7 +110,10 @@ def _taper_table(window: str, beta: float, half_width: int) -> np.ndarray:
         if beta < 2.0:
             table = _i0_series_minus_1(z) / _i0_series_minus_1(beta)
         else:
-            table = (np.i0(z) - 1.0) / (np.i0(beta) - 1.0)
+            # np.i0 holds about ten temporaries the size of its argument;
+            # it works elementwise, so a few rows at a time give the same bits
+            i0 = np.concatenate([np.i0(part) for part in np.array_split(z, 16)])
+            table = (i0 - 1.0) / (np.i0(beta) - 1.0)
     else:
         # hann: 0.5 + 0.5 cos(pi x); blackman: 0.42 + 0.5 cos(pi x) + 0.08 cos(2 pi x)
         table = 0.5 * np.cos(np.pi * x) + (0.5 if window == "hann" else 0.42)
@@ -256,6 +261,53 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int, pad: int,
     (numbers.Integral, not bool) or is over 2**24 raises
     BadOutputLengthError before anything is allocated.
     """
+    x, start, stop, b, out_len = _checked(full, index_range, out_len, pad, cfg, pad_mode)
+    out = np.empty(out_len)
+    _fill(out, [(0, out_len)], _reach(x, start, stop, b, cfg.half_width, pad_mode),
+          stop - start, cfg)
+    return out
+
+
+def resample_edges(full, index_range: tuple[int, int], out: np.ndarray, pad: int,
+                   cfg: SincConfig = SincConfig(),
+                   pad_mode: str = "neighbor") -> None:
+    """Turn out into resample_padded(full, index_range, len(out), pad, cfg,
+    pad_mode), in place, given that it holds the same call's output at a
+    built pad of at least built_pad(pad, half_width).
+
+    For built pads b < b', the samples the taps reach agree on every sample
+    up to b past the interval: both are the interval's neighbours, clamped
+    or zeroed the same way. So an output at t reads the same taps at either
+    pad unless floor(t) < h - b or floor(t) >= n_in - h + b (h the half
+    width, n_in the interval's length): only those outputs, a prefix and a
+    suffix of the grid, are evaluated again, by the same kernel. The
+    arguments are checked as resample_padded checks them.
+    """
+    x, start, stop, b, n_out = _checked(full, index_range, len(out), pad, cfg, pad_mode)
+    h, n_in = cfg.half_width, stop - start
+    lo, hi = (bisect_left(range(n_out), edge, key=lambda k: grid_position(k, n_in, n_out))
+              for edge in (h - b, n_in - h + b))
+    _fill(out, [(0, lo), (max(lo, hi), n_out)], _reach(x, start, stop, b, h, pad_mode),
+          n_in, cfg)
+
+
+def grid_position(k, n_in: int, n_out: int):
+    """np.linspace(0.0, n_in - 1.0, n_out)[k], bit for bit, for an index or
+    an array of indices k, without building the n_out-long array: k * step +
+    0.0 with step = (n_in - 1.0) / (n_out - 1), n_in - 1.0 at k == n_out - 1,
+    and 0.0 when n_out == 1."""
+    if n_out == 1:
+        return k * 0.0
+    t = k * ((n_in - 1.0) / (n_out - 1)) + 0.0
+    if np.ndim(t):
+        t[k == n_out - 1] = n_in - 1.0
+        return t
+    return n_in - 1.0 if k == n_out - 1 else t
+
+
+def _checked(full, index_range, out_len, pad, cfg: SincConfig, pad_mode: str):
+    """The signal as float64, start, stop, the built pad and out_len, after
+    the checks resample_padded documents."""
     x = np.asarray(full, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"signal must be one-dimensional, got shape {x.shape}")
@@ -275,16 +327,44 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int, pad: int,
     if out_len > _MAX_OUT_LEN:
         raise BadOutputLengthError(
             f"output length {out_len} exceeds the limit of {_MAX_OUT_LEN} samples")
-    out_len = int(out_len)
+    return x, start, stop, b, int(out_len)
 
-    # the samples the taps reach: half_width per side of the segment padded
-    # by b; a tap past a pad shorter than half_width wraps into the other pad
-    h = cfg.half_width
+
+def _reach(x: np.ndarray, start: int, stop: int, b: int, h: int, pad_mode: str) -> np.ndarray:
+    """The samples the taps reach: half_width h per side of x[start:stop]
+    padded by b; a tap past a pad shorter than h wraps into the other pad."""
+    in_len = stop - start
     source = start - b + np.arange(b - h, b - h + in_len + 2 * h) % (in_len + 2 * b)
     reach = x[np.clip(source, 0, len(x) - 1)]
     if pad_mode == "zero":
         reach[(source < start) | (source >= stop)] = 0.0
-    t = np.linspace(0.0, in_len - 1.0, out_len)
-    whole = np.floor(t)
-    return _resample_at(reach, whole.astype(np.int64), t - whole,
-                        _cutoff(in_len, out_len, cfg), cfg)
+    return reach
+
+
+def _fill(out: np.ndarray, ranges, reach: np.ndarray, n_in: int, cfg: SincConfig) -> None:
+    """Evaluate outputs lo..hi - 1 of out for each (lo, hi) in ranges, the
+    grid of len(out) positions over n_in samples, _OUTPUTS positions at a
+    time: no array as long as out is made."""
+    n_out = len(out)
+    cutoff = _cutoff(n_in, n_out, cfg)
+    for k in _chunks(ranges, _OUTPUTS):
+        t = grid_position(k, n_in, n_out)
+        whole = np.floor(t)
+        out[k] = _resample_at(reach, whole.astype(np.int64), t - whole, cutoff, cfg)
+
+
+def _chunks(ranges, size: int):
+    """The indices lo..hi - 1 of every (lo, hi) in ranges, in order, as
+    int64 arrays of at most size indices."""
+    parts, count = [], 0
+    for lo, hi in ranges:
+        while lo < hi:
+            take = min(hi - lo, size - count)
+            parts.append(np.arange(lo, lo + take))
+            count += take
+            lo += take
+            if count == size:
+                yield np.concatenate(parts)
+                parts, count = [], 0
+    if parts:
+        yield np.concatenate(parts)

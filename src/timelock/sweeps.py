@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 from .errors import TimelockError
 from .model import Partition, partition_from_events
-from .pipeline import build_reports, plan_warp, warp_intervals
+from .pipeline import WarpSpec, build_reports, plan_warp, warp_from_wider, warp_intervals
 from .resample import SincConfig, built_pad
 from .synth import SynthSpec, generate
 
@@ -96,31 +96,45 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
 
     Rows come out ordered by direction, interval, then pad fraction; a cell
     that raises records the error class name in its rows' status instead of
-    aborting the sweep. Cells with the same effective spec, the same target
-    lengths and the same built_pad, have bitwise identical warps, so each
-    such spec is warped and scored once and its rows are copied to every
-    cell that shares it. Scoring runs after all the warps, as one stacked
-    DTW over every interval of every successful warp.
+    aborting the sweep. Cells with the same target lengths form a group.
+    Cells with the same effective spec, the same targets and the same
+    built_pad, have bitwise identical warps, so each such spec is warped and
+    scored once and its rows are copied to every cell that shares it. Each
+    group is resampled once, at its largest built_pad; the warp at each
+    smaller built_pad is warp_from_wider of that one, which evaluates again
+    only the outputs within half_width - built_pad samples of an interval's
+    ends. Every check a warp makes is the same at any built_pad, so a group
+    whose widest warp raises records the error class on each of its cells.
+    Scoring runs after all the warps, as one stacked DTW over every interval
+    of every successful warp.
     """
     trial = generate(synth_spec)
     part = partition_from_events(trial)
-    cells = {}  # (direction, pad) -> effective spec, or the error class name
-    warps = {}  # effective spec -> its warp, or the error class name
+    cells = {}  # (direction, pad) -> (targets, built_pad), or the error class name
     for direction in sweep.directions:
-        t1_target, t2_target = direction_targets(part, direction, sweep.warp_magnitude)
+        targets = direction_targets(part, direction, sweep.warp_magnitude)
         for pad in sweep.pad_fractions:
             try:
-                spec = plan_warp(part, t1_target, t2_target, pad, trial.f_samp)
-                key = (t1_target, t2_target, built_pad(spec.pad, sinc.half_width))
+                spec = plan_warp(part, *targets, pad, trial.f_samp)
+                cells[(direction, pad)] = (targets, built_pad(spec.pad, sinc.half_width))
             except TimelockError as err:
                 cells[(direction, pad)] = type(err).__name__
-                continue
-            cells[(direction, pad)] = key
-            if key not in warps:
-                try:
-                    warps[key] = warp_intervals(trial, part, spec, sinc)
-                except TimelockError as err:
-                    warps[key] = type(err).__name__
+    groups = {}  # targets -> the built pads of its cells
+    for key in cells.values():
+        if not isinstance(key, str):
+            groups.setdefault(key[0], set()).add(key[1])
+    warps = {}  # (targets, built_pad) -> its warp, or the error class name
+    for targets, pads in groups.items():
+        widest, *narrower = sorted(pads, reverse=True)
+        try:
+            wide = warp_intervals(trial, part, WarpSpec(*targets, widest), sinc)
+        except TimelockError as err:
+            warps.update(((targets, b), type(err).__name__) for b in pads)
+            continue
+        warps[(targets, widest)] = wide
+        for b in narrower:
+            warps[(targets, b)] = warp_from_wider(trial, part, WarpSpec(*targets, b),
+                                                  wide, sinc)
     warped = [key for key, warp in warps.items() if not isinstance(warp, str)]
     warps.update(zip(warped, build_reports(warps[key] for key in warped)))
     cells = {at: key if isinstance(key, str) else warps[key] for at, key in cells.items()}

@@ -123,6 +123,13 @@ def resample_grid(in_len, out_len, pad=0):
     return whole.astype(np.int64) + pad, t - whole
 
 
+def edge_outputs(n_in, n_out, b, h):
+    """How many outputs of the resampler's grid read a sample that built
+    pad b decides: those with floor(t) < h - b or floor(t) >= n_in - h + b."""
+    whole = np.floor(np.linspace(0.0, n_in - 1.0, n_out))
+    return int(np.count_nonzero((whole < h - b) | (whole >= n_in - h + b)))
+
+
 def resample_direct(segment, base, frac, cutoff, cfg):
     """Windowed-sinc interpolant of segment at positions base + frac, every
     output at once.

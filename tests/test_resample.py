@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import resample_direct, resample_grid
+from helpers import edge_outputs, resample_direct, resample_grid
 
 import timelock.resample as sincmod
 from timelock import SincConfig, pearson, resample_padded
@@ -10,7 +10,7 @@ from timelock.errors import (
     RangeOutOfBoundsError,
     SegmentTooShortError,
 )
-from timelock.resample import resample
+from timelock.resample import grid_position, resample, resample_edges
 
 # high-accuracy configuration used for analytic-oracle checks; the package
 # default (half_width=32, beta=8) trades accuracy for speed and sits around
@@ -388,6 +388,87 @@ class TestBlockedEvaluation:
         out = resample_padded(x, (100, 1511), 2614, 5)
         assert out[0] == x[100]
         assert out[-1] == x[1510]
+
+
+class TestGridPosition:
+    @pytest.mark.parametrize("n_in", [1, 2, 3, 7, 100, 1025, 4097])
+    def test_positions_equal_linspace_bit_for_bit(self, n_in):
+        for n_out in (1, 2, 3, 5, 64, 999, 4096, 10007):
+            want = np.linspace(0.0, n_in - 1.0, n_out)
+            got = grid_position(np.arange(n_out), n_in, n_out)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n_in, n_out)
+            for k in (0, n_out // 3, n_out - 1):
+                assert float(grid_position(k, n_in, n_out)) == want[k]
+
+    def test_long_output_makes_its_positions_per_chunk(self):
+        # an 8 MiB output; every position array of the grid at once would
+        # hold about seven times that. The cache is cleared so the taper
+        # table is built inside the call.
+        import tracemalloc
+
+        sincmod._taper_table.cache_clear()
+        x = np.sin(0.01 * np.arange(4096))
+        tracemalloc.start()
+        try:
+            out = resample_padded(x, (1024, 2048), 2**20, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+        base, frac = resample_grid(1024, 2**20, 1024)
+        for k in (0, 1, 5000, 2**19 + 7, 2**20 - 1):
+            assert out[k] == resample_direct(x, base[k:k + 1], frac[k:k + 1], 1.0,
+                                             SincConfig())[0]
+
+
+
+class TestEdges:
+    @pytest.mark.parametrize("pad_mode", ["neighbor", "zero"])
+    @pytest.mark.parametrize("window", ["kaiser", "hann", "blackman"])
+    def test_narrower_pad_from_wider_output_is_bitwise(self, monkeypatch, window, pad_mode):
+        # intervals shorter and longer than 2 half_width, some at the
+        # signal's first or last sample; outputs of 1 and 2 samples and grids
+        # of integral positions; pads on both sides of half_width. Only the
+        # outputs the edge formula names reach the kernel.
+        evaluated = []
+        resample_at = sincmod._resample_at
+
+        def counted(reach, base, frac, cutoff, cfg):
+            evaluated.append(len(base))
+            return resample_at(reach, base, frac, cutoff, cfg)
+
+        rng = np.random.default_rng(61)
+        for case in range(80):
+            cfg = SincConfig(half_width=int(rng.integers(4, 24)), window=window,
+                             anti_alias=bool(case % 2))
+            h = cfg.half_width
+            full = rng.normal(size=int(rng.integers(2, 120)))
+            start = 0 if case % 4 == 0 else int(rng.integers(0, len(full) - 1))
+            stop = len(full) if case % 4 == 1 else int(rng.integers(start + 2, len(full) + 1))
+            n_in = stop - start
+            out_len = (1, 2, n_in, 3 * (n_in - 1) + 1,
+                       int(rng.integers(1, 3 * n_in + 2)))[case % 5]
+            wide = int(rng.integers(0, 2 * h + 4))
+            narrow = int(rng.integers(0, wide + 1))
+            out = resample_padded(full, (start, stop), out_len, wide, cfg, pad_mode)
+            monkeypatch.setattr(sincmod, "_resample_at", counted)
+            resample_edges(full, (start, stop), out, narrow, cfg, pad_mode)
+            monkeypatch.setattr(sincmod, "_resample_at", resample_at)
+            want = resample_padded(full, (start, stop), out_len, narrow, cfg, pad_mode)
+            assert np.array_equal(out.view(np.int64), want.view(np.int64)), case
+            assert sum(evaluated) == edge_outputs(n_in, out_len, min(narrow, h), h), case
+            evaluated.clear()
+
+    def test_arguments_are_checked_as_resample_padded_checks_them(self):
+        x = np.arange(30.0)
+        with pytest.raises(RangeOutOfBoundsError):
+            resample_edges(x, (10, 40), np.zeros(5), 3)
+        with pytest.raises(RangeOutOfBoundsError):
+            resample_edges(x, (10, 20), np.zeros(5), -1)
+        with pytest.raises(SegmentTooShortError):
+            resample_edges(x, (10, 11), np.zeros(5), 3)
+        with pytest.raises(BadOutputLengthError):
+            resample_edges(x, (10, 20), np.zeros(0), 3)
 
 
 class TestAnalyticAccuracy:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import edge_outputs
+
 import timelock.pipeline as pipeline
 import timelock.resample as sincmod
 from timelock import (SincConfig, SweepConfig, SynthSpec, dtw_score, fsamp_sweep,
@@ -185,20 +187,66 @@ class TestFsampSweep:
         assert [r.fsamp_factor for r in rows[:8]] == [1.0] * 8
         assert [r.fsamp_factor for r in rows[8:]] == [0.5] * 8
 
-    def test_each_effective_spec_is_resampled_once(self, monkeypatch):
-        # 6 rates x 2 directions x 8 pads are 96 cells, 192 intervals; pads of
-        # at least half_width, and equal small pads, share their warps
-        calls = []
+    def test_each_target_group_is_resampled_once(self, monkeypatch):
+        # 6 rates x 2 directions x 8 pads are 96 cells, 192 intervals, and
+        # 70 distinct warps. Each rate and direction is one group of target
+        # lengths, resampled in full once at its widest built pad: 24
+        # intervals. The 58 narrower warps evaluate again only the outputs
+        # whose floor(t) is below h - b or at least n_in - h + b.
+        full, edges, evaluated = [], [], []
         resample_padded = pipeline.resample_padded
+        resample_edges = pipeline.resample_edges
+        resample_at = sincmod._resample_at
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return resample_padded(*args, **kwargs)
+        def counted_full(*args):
+            full.append(args[2])
+            return resample_padded(*args)
 
-        monkeypatch.setattr(pipeline, "resample_padded", counted)
+        def counted_edges(x, index_range, out, pad, cfg, pad_mode):
+            h = cfg.half_width
+            edges.append((index_range[1] - index_range[0], len(out), min(pad, h), h))
+            return resample_edges(x, index_range, out, pad, cfg, pad_mode)
+
+        def counted_at(reach, base, frac, cutoff, cfg):
+            evaluated.append(len(base))
+            return resample_at(reach, base, frac, cutoff, cfg)
+
+        monkeypatch.setattr(pipeline, "resample_padded", counted_full)
+        monkeypatch.setattr(pipeline, "resample_edges", counted_edges)
+        monkeypatch.setattr(sincmod, "_resample_at", counted_at)
         rows = fsamp_sweep(SweepConfig())
         assert len(rows) == 192
-        assert len(calls) == 140
+        assert {r.status for r in rows} == {"ok"}
+        assert len(full) == 24
+        assert len(edges) == 2 * 58
+        at_edges = sum(edge_outputs(*edge) for edge in edges)
+        assert sum(evaluated) == sum(full) + at_edges
+        assert at_edges < sum(full)
+
+    def test_failing_group_records_its_error_on_each_cell(self, monkeypatch):
+        # on this 1 s trial t1 has 410 samples and t2 614: contracting t1
+        # stretches t2 to 696 samples, over the patched output limit, and
+        # expanding t1 keeps both targets within it. The pads are 0, 20 and
+        # 205 against a half width of 32, so each group has three built pads.
+        spec = SynthSpec(duration_s=1.0, event_fracs=(0.25, 0.45, 0.75))
+        sweep = SweepConfig(pad_fractions=(0.0, 0.01, 0.1))
+        monkeypatch.setattr(sincmod, "_MAX_OUT_LEN", 600)
+        rows = padding_sweep(sweep, spec)
+        trial = generate(spec)
+        part = partition_from_events(trial)
+        assert (part.len_t1, part.len_t2) == (410, 614)
+        assert len(rows) == 12
+        for row in rows:
+            if row.direction == CONTRACT_T1:
+                assert row.status == "BadOutputLengthError"
+                assert row.correlation is None and row.dtw_distance is None
+                continue
+            t1, t2 = direction_targets(part, row.direction, sweep.warp_magnitude)
+            r = warp_trial(trial, part, plan_warp(part, t1, t2, row.pad_fraction,
+                                                  trial.f_samp)).intervals[row.interval]
+            assert (row.status, row.correlation, row.dtw_distance, row.dtw_similarity,
+                    row.energy_ratio) == ("ok", r.correlation, r.dtw.distance,
+                                          r.dtw.similarity, r.energy_ratio)
 
     def test_nyquist_breaking_factor_yields_error_rows(self):
         rows = fsamp_sweep(SweepConfig(pad_fractions=(0.1,),

@@ -68,10 +68,16 @@ COMMANDS = [
     "sweep-padding -o pad3.csv --config sweep.cfg --warp-magnitude 0.3 --window hann",
     # pads 10, 16, 16, 20 and 512 against a half width of 16
     "sweep-padding -o pad4.csv --half-width 16 --pad-fractions 0.005 0.0078 0.008 0.01 0.25",
+    # 51-sample intervals against a half width of 64: every output reads the pad
+    "sweep-padding -o pad5.csv --duration 0.1 --half-width 64 "
+    "--pad-fractions 0 0.005 0.01 0.03 0.1",
     "sweep-fsamp -o fs1.csv",
     "sweep-fsamp -o fs2.csv --duration 0.5 --fsamp-factors 1.0 0.5 --pad-fractions 0.1",
     "sweep-fsamp -o fs3.csv --config sweep.cfg --duration 1",
     "sweep-fsamp -o fs4.csv --duration 0.02 --fsamp-factors 1 0.5 0.03125 --pad-fractions 0.001",
+    # pads on both sides of the half width of 32
+    "sweep-fsamp -o fs5.csv --duration 0.5 --fsamp-factors 1 0.25 "
+    "--pad-fractions 0 0.004 0.0155 0.016 0.5",
     "dtw-matrix small.csv small.csv -o d1",
     "dtw-matrix small.csv custom.csv -o d2",
     "dtw-matrix custom.csv small.csv -o d3",
