@@ -124,6 +124,7 @@ def _add_sinc_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+    d, synth = SweepConfig(), SynthSpec()
     p.add_argument("-o", "--output", required=True, help="table CSV to write")
     p.add_argument("--config", help="key = value file mirroring the sweep config")
     p.add_argument("--pad-fractions", type=float, nargs="+",
@@ -131,10 +132,11 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--directions", nargs="+", choices=DIRECTIONS,
                    help="warp directions to sweep")
     p.add_argument("--warp-magnitude", type=float,
-                   help="fractional change applied to t1 (default 0.2)")
-    p.add_argument("--f-samp", type=float, help="base sampling rate (default 2048)")
+                   help=f"fractional change applied to t1 (default {d.warp_magnitude:g})")
+    p.add_argument("--f-samp", type=float,
+                   help=f"base sampling rate (default {synth.f_samp:g})")
     p.add_argument("--duration", type=float, dest="duration_s", metavar="DURATION",
-                   help="trial length in seconds (default 4)")
+                   help=f"trial length in seconds (default {synth.duration_s:g})")
     _add_sinc_flags(p)
 
 

@@ -51,22 +51,6 @@ def _kept_rows(values: np.ndarray, start: np.ndarray, lo: np.ndarray,
     return lo - start - 1 + first, lo - start - 1 + last
 
 
-def _steps(costs: np.ndarray, p2: tuple, p1: tuple, cur: tuple) -> tuple:
-    """Advance the diagonal buffers by one diagonal per row of costs.
-
-    Each buffer is (array, slots 0..size - 2, slots 1..size - 1); the cell in
-    slot f reads slots f - 1 and f of diagonal k - 1 and slot f - 1 of
-    diagonal k - 2. Returns the buffers rotated past the last diagonal.
-    """
-    for c in costs:
-        span = cur[2]
-        np.minimum(p2[1], p1[1], out=span)
-        np.minimum(span, p1[2], out=span)
-        np.add(span, c, out=span)
-        p2, p1, cur = p1, cur, p2
-    return p2, p1, cur
-
-
 def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     """Accumulated DTW cost at the far corner of each (x, y).
 
@@ -187,17 +171,18 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
         p2 = (p2, p2[:size - 1], p2[1:size])
         p1 = (p1, p1[:size - 1], p1[1:size])
         cur = (cur, cur[:size - 1], cur[1:size])
-        # values are read after every diagonal of the matrix, or else only
-        # after the diagonals where a problem ends
         if flat is not None:
             row0, row1 = int(lo[0]), int(hi[0])
             # a one-column matrix has one cell per diagonal: any step
             step = max(cols[0] - 1, 1)
-        reads = range(k, k + kb) if flat is not None else sorted(due)
-        done = k
-        for d in reads:
-            p2, p1, cur = _steps(block[done - k:d + 1 - k], p2, p1, cur)
-            done = d + 1
+        # the cell in slot f reads slots f - 1 and f of diagonal d - 1 and
+        # slot f - 1 of diagonal d - 2; the buffers rotate after each diagonal
+        for d in range(k, k + kb):
+            span = cur[2]
+            np.minimum(p2[1], p1[1], out=span)
+            np.minimum(span, p1[2], out=span)
+            np.add(span, block[d - k], out=span)
+            p2, p1, cur = p1, cur, p2
             if flat is not None:
                 a = max(row0, d - cols[0] + 1)
                 b = min(row1, d)
@@ -205,7 +190,6 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
                     p1[2][a - row0:b + 1 - row0]
             for p, f in due.get(d, ()):
                 corners[p] = float(p1[0][f])
-        p2, p1, cur = _steps(block[done - k:], p2, p1, cur)
         k += kb
         del block  # free the cost block before the next one is allocated
         older, last = p2[0], p1[0]
@@ -381,17 +365,31 @@ def _dtw_input(x) -> np.ndarray:
 
 
 def pearson(x, y) -> float:
-    """Pearson product-moment correlation of two equal-length sequences."""
+    """Pearson product-moment correlation of two equal-length sequences.
+
+    Raises NonFiniteError for a NaN or infinite sample. r does not depend on
+    the scale of either input, so when a sum of squares overflows, or their
+    product overflows or underflows to zero, the sums are taken again on
+    each input scaled by a power of two to a largest magnitude in [0.5, 1).
+    """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.ndim != 1 or ya.ndim != 1 or xa.shape != ya.shape or len(xa) < 2:
         raise LengthMismatchError(
             f"need two equal-length sequences of >= 2 samples, got {xa.shape} and {ya.shape}"
         )
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    sx = float(np.dot(dx, dx))
-    sy = float(np.dot(dy, dy))
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise NonFiniteError("Pearson input contains NaN or infinite samples")
+    for scaled in (False, True):
+        if scaled:
+            xa, ya = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (xa, ya))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx = xa - xa.mean()
+            dy = ya - ya.mean()
+            sx = float(np.dot(dx, dx))
+            sy = float(np.dot(dy, dy))
+        if 0.0 < sx * sy < math.inf:
+            break
     if sx == 0.0 or sy == 0.0:
         raise ZeroVarianceError("correlation is undefined for a constant sequence")
     r = float(np.dot(dx, dy)) / math.sqrt(sx * sy)

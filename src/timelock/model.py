@@ -22,6 +22,8 @@ ONSET = "onset"
 TRANSITION = "transition"
 OFFSET = "offset"
 
+MAX_SAMPLES = 1 << 24  # longest trial or resampled output built or read: 128 MiB of float64
+
 
 def is_integer(value) -> bool:
     """Whether value is a sample count or index: a numbers.Integral, not a bool."""

@@ -200,8 +200,8 @@ def _interval_report(original: np.ndarray, warped: np.ndarray,
 
 def _nearest_remap(seg: np.ndarray, out_len: int) -> np.ndarray:
     """Index-remap seg to out_len samples: the nearest sample to each position
-    of the resampler's output grid, linspace(0, len(seg) - 1, out_len)."""
-    return seg[np.rint(np.linspace(0.0, len(seg) - 1.0, out_len)).astype(np.int64)]
+    of the resampler's output grid, grid_position over len(seg) samples."""
+    return seg[np.rint(grid_position(np.arange(out_len), len(seg), out_len)).astype(np.int64)]
 
 
 def _scale_offset(offset: int, old_len: int, new_len: int) -> int:

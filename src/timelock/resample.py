@@ -27,6 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadOutputLengthError, RangeOutOfBoundsError, SegmentTooShortError
+from .model import MAX_SAMPLES as _MAX_OUT_LEN  # longest output resample_padded builds
 from .model import is_integer
 
 WINDOWS = ("kaiser", "hann", "blackman")
@@ -38,7 +39,6 @@ _OUTPUTS = 1 << 13  # output positions made per chunk
 _EPS = float(np.finfo(np.float64).eps)  # np.sinc's stand-in for a zero argument
 _MAX_PAD = 1 << 24  # largest pad accepted per side: an input check, as at most half_width are read
 _MAX_HALF_WIDTH = 1 << 12  # widest kernel: one row of taps fits in _CELLS
-_MAX_OUT_LEN = 1 << 24  # longest output resample_padded builds: 128 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,7 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int, pad: int,
     """
     x, start, stop, b, out_len = _checked(full, index_range, out_len, pad, cfg, pad_mode)
     out = np.empty(out_len)
-    _fill(out, [(0, out_len)], _reach(x, start, stop, b, cfg.half_width, pad_mode),
+    _fill(out, 0, out_len, _reach(x, start, stop, b, cfg.half_width, pad_mode),
           stop - start, cfg)
     return out
 
@@ -287,8 +287,9 @@ def resample_edges(full, index_range: tuple[int, int], out: np.ndarray, pad: int
     h, n_in = cfg.half_width, stop - start
     lo, hi = (bisect_left(range(n_out), edge, key=lambda k: grid_position(k, n_in, n_out))
               for edge in (h - b, n_in - h + b))
-    _fill(out, [(0, lo), (max(lo, hi), n_out)], _reach(x, start, stop, b, h, pad_mode),
-          n_in, cfg)
+    # the suffix max(lo, hi)..n_out - 1, then the prefix 0..lo - 1, read
+    # cyclically: each output once, all of them when the two overlap
+    _fill(out, max(lo, hi) - n_out, lo, _reach(x, start, stop, b, h, pad_mode), n_in, cfg)
 
 
 def grid_position(k, n_in: int, n_out: int):
@@ -341,30 +342,15 @@ def _reach(x: np.ndarray, start: int, stop: int, b: int, h: int, pad_mode: str) 
     return reach
 
 
-def _fill(out: np.ndarray, ranges, reach: np.ndarray, n_in: int, cfg: SincConfig) -> None:
-    """Evaluate outputs lo..hi - 1 of out for each (lo, hi) in ranges, the
-    grid of len(out) positions over n_in samples, _OUTPUTS positions at a
-    time: no array as long as out is made."""
+def _fill(out: np.ndarray, lo: int, hi: int, reach: np.ndarray, n_in: int,
+          cfg: SincConfig) -> None:
+    """Evaluate the outputs k % len(out) of out for k in lo..hi - 1, the grid
+    of len(out) positions over n_in samples, _OUTPUTS positions at a time: no
+    array as long as out is made."""
     n_out = len(out)
     cutoff = _cutoff(n_in, n_out, cfg)
-    for k in _chunks(ranges, _OUTPUTS):
+    for s in range(lo, hi, _OUTPUTS):
+        k = np.arange(s, min(s + _OUTPUTS, hi)) % n_out
         t = grid_position(k, n_in, n_out)
         whole = np.floor(t)
         out[k] = _resample_at(reach, whole.astype(np.int64), t - whole, cutoff, cfg)
-
-
-def _chunks(ranges, size: int):
-    """The indices lo..hi - 1 of every (lo, hi) in ranges, in order, as
-    int64 arrays of at most size indices."""
-    parts, count = [], 0
-    for lo, hi in ranges:
-        while lo < hi:
-            take = min(hi - lo, size - count)
-            parts.append(np.arange(lo, lo + take))
-            count += take
-            lo += take
-            if count == size:
-                yield np.concatenate(parts)
-                parts, count = [], 0
-    if parts:
-        yield np.concatenate(parts)

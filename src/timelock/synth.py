@@ -8,9 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadEventFracsError, BadRateError, NyquistViolationError
+from .model import MAX_SAMPLES as _MAX_SAMPLES  # longest trial generate builds
 from .model import OFFSET, ONSET, TRANSITION, EventMarker, Trial
-
-_MAX_SAMPLES = 1 << 24  # longest trial generate builds: 128 MiB of float64
 
 
 @dataclass(frozen=True)

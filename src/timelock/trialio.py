@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import ParseError, TrialTooLongError
 from .metrics import DtwResult
+from .model import MAX_SAMPLES as _MAX_SAMPLES  # trial files have the budget of synthesized trials
 from .model import EventMarker, Trial
 from .pipeline import WarpReport
-from .synth import _MAX_SAMPLES  # trial files have the budget of synthesized trials
 
 
 def fmt(value: float) -> str:

@@ -123,11 +123,17 @@ def resample_grid(in_len, out_len, pad=0):
     return whole.astype(np.int64) + pad, t - whole
 
 
+def edge_indices(n_in, n_out, b, h):
+    """The outputs of the resampler's grid that read a sample built pad b
+    decides, in order: those with floor(t) < h - b or floor(t) >= n_in - h + b."""
+    whole = np.floor(np.linspace(0.0, n_in - 1.0, n_out))
+    return np.flatnonzero((whole < h - b) | (whole >= n_in - h + b))
+
+
 def edge_outputs(n_in, n_out, b, h):
     """How many outputs of the resampler's grid read a sample that built
-    pad b decides: those with floor(t) < h - b or floor(t) >= n_in - h + b."""
-    whole = np.floor(np.linspace(0.0, n_in - 1.0, n_out))
-    return int(np.count_nonzero((whole < h - b) | (whole >= n_in - h + b)))
+    pad b decides."""
+    return len(edge_indices(n_in, n_out, b, h))
 
 
 def resample_direct(segment, base, frac, cutoff, cfg):

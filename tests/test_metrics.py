@@ -56,6 +56,36 @@ class TestPearson:
         with pytest.raises(ZeroVarianceError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_are_refused(self, bad):
+        with pytest.raises(NonFiniteError):
+            pearson([bad, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(NonFiniteError):
+            pearson([1.0, 2.0, 3.0], [1.0, bad, 2.0])
+
+    @pytest.mark.parametrize("scale", [1e308, 1e200, 1e155, 1e-155, 1e-200, 5e-324])
+    def test_sums_out_of_range_give_the_value_at_unit_scale(self, scale):
+        # r does not depend on scale; at these scales the sums of squares,
+        # or their product, overflow or underflow
+        x = np.array([1.0, -1.0, -1.0])
+        y = np.array([-1.0, 0.0, 1.0])
+        want = pearson(x, y)
+        assert want == pytest.approx(-math.sqrt(0.75), rel=1e-15)
+        assert pearson(scale * x, y) == pytest.approx(want, rel=1e-15)
+        assert pearson(scale * x, scale * y) == pytest.approx(want, rel=1e-15)
+        assert pearson(y, scale * x) == pytest.approx(want, rel=1e-15)
+
+    def test_finite_sums_keep_the_direct_formula_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for scale in (1e-140, 1e-20, 1.0, 1e20, 1e140):
+            for n in (2, 3, 17, 1000):
+                x = scale * rng.normal(size=n)
+                y = rng.normal(size=n)
+                dx = x - x.mean()
+                dy = y - y.mean()
+                r = float(np.dot(dx, dy)) / math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
+                assert pearson(x, y) == max(-1.0, min(1.0, r)), (scale, n)
+
 
 class TestDtw:
     def test_identity_alignment(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import edge_outputs, resample_direct, resample_grid
+from helpers import edge_indices, resample_direct, resample_grid
 
 import timelock.resample as sincmod
 from timelock import SincConfig, pearson, resample_padded
@@ -429,13 +429,21 @@ class TestEdges:
         # intervals shorter and longer than 2 half_width, some at the
         # signal's first or last sample; outputs of 1 and 2 samples and grids
         # of integral positions; pads on both sides of half_width. Only the
-        # outputs the edge formula names reach the kernel.
-        evaluated = []
-        resample_at = sincmod._resample_at
+        # outputs the edge formula names reach the kernel, each exactly once,
+        # one _resample_at call per chunk of positions. Chunks of a few
+        # positions put the wrap from the suffix to the prefix both at and
+        # inside a chunk boundary.
+        evaluated, chunks = [], []
+        resample_at, position = sincmod._resample_at, sincmod.grid_position
 
         def counted(reach, base, frac, cutoff, cfg):
             evaluated.append(len(base))
             return resample_at(reach, base, frac, cutoff, cfg)
+
+        def recorded(k, n_in, n_out):
+            if np.ndim(k):  # a chunk of positions, not a probe for an edge
+                chunks.append(np.array(k))
+            return position(k, n_in, n_out)
 
         rng = np.random.default_rng(61)
         for case in range(80):
@@ -450,14 +458,23 @@ class TestEdges:
                        int(rng.integers(1, 3 * n_in + 2)))[case % 5]
             wide = int(rng.integers(0, 2 * h + 4))
             narrow = int(rng.integers(0, wide + 1))
-            out = resample_padded(full, (start, stop), out_len, wide, cfg, pad_mode)
-            monkeypatch.setattr(sincmod, "_resample_at", counted)
-            resample_edges(full, (start, stop), out, narrow, cfg, pad_mode)
-            monkeypatch.setattr(sincmod, "_resample_at", resample_at)
+            wider = resample_padded(full, (start, stop), out_len, wide, cfg, pad_mode)
             want = resample_padded(full, (start, stop), out_len, narrow, cfg, pad_mode)
-            assert np.array_equal(out.view(np.int64), want.view(np.int64)), case
-            assert sum(evaluated) == edge_outputs(n_in, out_len, min(narrow, h), h), case
-            evaluated.clear()
+            edges = edge_indices(n_in, out_len, min(narrow, h), h)
+            for outputs in (sincmod._OUTPUTS, 1, 2, 3, 7):
+                out = wider.copy()
+                with monkeypatch.context() as patch:
+                    patch.setattr(sincmod, "_OUTPUTS", outputs)
+                    patch.setattr(sincmod, "_resample_at", counted)
+                    patch.setattr(sincmod, "grid_position", recorded)
+                    resample_edges(full, (start, stop), out, narrow, cfg, pad_mode)
+                assert np.array_equal(out.view(np.int64), want.view(np.int64)), (case, outputs)
+                assert evaluated == [len(k) for k in chunks], (case, outputs)
+                assert len(evaluated) == -(-len(edges) // outputs), (case, outputs)
+                seen = np.sort(np.concatenate(chunks)) if chunks else edges[:0]
+                assert np.array_equal(seen, edges), (case, outputs)
+                evaluated.clear()
+                chunks.clear()
 
     def test_arguments_are_checked_as_resample_padded_checks_them(self):
         x = np.arange(30.0)
