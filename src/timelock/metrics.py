@@ -367,7 +367,8 @@ def _dtw_input(x) -> np.ndarray:
 def pearson(x, y) -> float:
     """Pearson product-moment correlation of two equal-length sequences.
 
-    Raises NonFiniteError for a NaN or infinite sample. r does not depend on
+    Raises NonFiniteError for a NaN or infinite sample and ZeroVarianceError
+    for a constant sequence, before any sum is taken. r does not depend on
     the scale of either input, so when a sum of squares overflows, or their
     product overflows or underflows to zero, the sums are taken again on
     each input scaled by a power of two to a largest magnitude in [0.5, 1).
@@ -380,6 +381,8 @@ def pearson(x, y) -> float:
         )
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise NonFiniteError("Pearson input contains NaN or infinite samples")
+    if xa.min() == xa.max() or ya.min() == ya.max():
+        raise ZeroVarianceError("correlation is undefined for a constant sequence")
     for scaled in (False, True):
         if scaled:
             xa, ya = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (xa, ya))
@@ -390,8 +393,6 @@ def pearson(x, y) -> float:
             sy = float(np.dot(dy, dy))
         if 0.0 < sx * sy < math.inf:
             break
-    if sx == 0.0 or sy == 0.0:
-        raise ZeroVarianceError("correlation is undefined for a constant sequence")
     r = float(np.dot(dx, dy)) / math.sqrt(sx * sy)
     return max(-1.0, min(1.0, r))
 

@@ -16,7 +16,7 @@ from .errors import (
 )
 from .metrics import DtwScore, dtw_scores, energy, pearson
 from .model import EventMarker, Partition, Trial, is_integer
-from .resample import SincConfig, grid_position, resample_edges, resample_padded
+from .resample import SincConfig, grid_position, resample_padded
 
 
 @dataclass(frozen=True)
@@ -128,37 +128,7 @@ def warp_intervals(trial: Trial, p: Partition, spec: WarpSpec,
     warped_t1 = resample_padded(x, p.t1, spec.t1_target_len, spec.pad, cfg, pad_mode)
     warped_t2 = resample_padded(x, p.t2, spec.t2_target_len, spec.pad, cfg, pad_mode)
     out = np.concatenate([x[:p.onset], warped_t1, warped_t2, x[p.offset:]])
-    events = tuple(_remap_event(e, p, spec) for e in trial.events)
-    return _warp(trial, p, spec, out, events)
-
-
-def warp_from_wider(trial: Trial, p: Partition, spec: WarpSpec, wider: tuple,
-                    cfg: SincConfig = SincConfig(),
-                    pad_mode: str = "neighbor") -> tuple[Trial, tuple]:
-    """warp_intervals(trial, p, spec, cfg, pad_mode), derived from wider, the
-    warp_intervals of the same trial, partition, targets, filter and pad
-    mode at a pad whose built_pad is at least spec.pad's.
-
-    The warped trial is a copy of wider's in which resample_edges evaluates
-    again the outputs of t1 and t2 that read a sample the pad decides; every
-    other output reads the same taps at either pad and keeps its bits. The
-    events depend only on the targets and are wider's.
-    """
-    warped, _ = wider
-    out = warped.samples.copy()
-    t1_end = p.onset + spec.t1_target_len
-    t2_end = t1_end + spec.t2_target_len
-    resample_edges(trial.samples, p.t1, out[p.onset:t1_end], spec.pad, cfg, pad_mode)
-    resample_edges(trial.samples, p.t2, out[t1_end:t2_end], spec.pad, cfg, pad_mode)
-    return _warp(trial, p, spec, out, warped.events)
-
-
-def _warp(trial: Trial, p: Partition, spec: WarpSpec, out: np.ndarray,
-          events) -> tuple[Trial, tuple]:
-    """The warped trial of out and events, with the (original, warped)
-    samples of t1 and of t2."""
-    x = trial.samples
-    warped = Trial(out, trial.f_samp, events)
+    warped = Trial(out, trial.f_samp, tuple(_remap_event(e, p, spec) for e in trial.events))
     # the intervals are read back from the trial's own copy, so the
     # resampler's outputs need not live until the warps are scored
     t1_end = p.onset + spec.t1_target_len
@@ -168,17 +138,22 @@ def _warp(trial: Trial, p: Partition, spec: WarpSpec, out: np.ndarray,
 
 
 def build_reports(warps) -> list[WarpReport]:
-    """The report step of warp_trial for many warps from warp_intervals.
-
-    Every interval of every warp is scored in one dtw_scores call, so the
-    DTW dynamic programs of all of them advance side by side.
-    """
+    """The report step of warp_trial for many warps from warp_intervals:
+    interval_reports of every interval of every warp."""
     warps = list(warps)
-    scores = iter(dtw_scores([pair for _, intervals in warps for pair in intervals]))
-    return [WarpReport(warped=warped,
-                       t1=_interval_report(*intervals[0], next(scores)),
-                       t2=_interval_report(*intervals[1], next(scores)))
-            for warped, intervals in warps]
+    reports = iter(interval_reports(pair for _, intervals in warps for pair in intervals))
+    return [WarpReport(warped=warped, t1=next(reports), t2=next(reports))
+            for warped, _ in warps]
+
+
+def interval_reports(pairs) -> list[IntervalReport]:
+    """The IntervalReport of each (original, warped) interval pair.
+
+    Every pair is scored in one dtw_scores call, so the DTW dynamic
+    programs of all of them advance side by side.
+    """
+    pairs = list(pairs)
+    return [_interval_report(*pair, score) for pair, score in zip(pairs, dtw_scores(pairs))]
 
 
 def _interval_report(original: np.ndarray, warped: np.ndarray,

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 
-from .errors import TimelockError
+import numpy as np
+
+from .errors import NonFiniteError, TimelockError
 from .model import Partition, partition_from_events
-from .pipeline import WarpSpec, build_reports, plan_warp, warp_from_wider, warp_intervals
-from .resample import SincConfig, built_pad
+from .pipeline import interval_reports, plan_warp
+from .resample import SincConfig, built_pad, resample_edges, resample_padded
 from .synth import SynthSpec, generate
 
 CONTRACT_T1 = "contract_t1_expand_t2"
@@ -100,16 +103,19 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
     Cells with the same effective spec, the same targets and the same
     built_pad, have bitwise identical warps, so each such spec is warped and
     scored once and its rows are copied to every cell that shares it. Each
-    group is resampled once, at its largest built_pad; the warp at each
-    smaller built_pad is warp_from_wider of that one, which evaluates again
-    only the outputs within half_width - built_pad samples of an interval's
-    ends. Every check a warp makes is the same at any built_pad, so a group
-    whose widest warp raises records the error class on each of its cells.
-    Scoring runs after all the warps, as one stacked DTW over every interval
-    of every successful warp.
+    group resamples t1 and t2 once, at its largest built_pad; the intervals
+    at each smaller built_pad are copies of those in which resample_edges
+    evaluates again only the outputs within half_width - built_pad samples
+    of an interval's ends. The resampler's checks do not depend on the pad,
+    so a group whose widest resampling raises records the error class on
+    each of its cells. Whether the warped samples are finite does depend on
+    the pad: a warp with a NaN or infinite sample records NonFiniteError on
+    its own cells, as warp_trial's Trial raises it there. Scoring runs after
+    all the warps, as one stacked DTW over every interval of every warp.
     """
     trial = generate(synth_spec)
     part = partition_from_events(trial)
+    x = trial.samples
     cells = {}  # (direction, pad) -> (targets, built_pad), or the error class name
     for direction in sweep.directions:
         targets = direction_targets(part, direction, sweep.warp_magnitude)
@@ -123,22 +129,38 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
     for key in cells.values():
         if not isinstance(key, str):
             groups.setdefault(key[0], set()).add(key[1])
-    warps = {}  # (targets, built_pad) -> its warp, or the error class name
+    warps = {}  # (targets, built_pad) -> warped t1 and t2, or the error class name
     for targets, pads in groups.items():
         widest, *narrower = sorted(pads, reverse=True)
         try:
-            wide = warp_intervals(trial, part, WarpSpec(*targets, widest), sinc)
+            wide = [resample_padded(x, part.t1, targets[0], widest, sinc),
+                    resample_padded(x, part.t2, targets[1], widest, sinc)]
         except TimelockError as err:
             warps.update(((targets, b), type(err).__name__) for b in pads)
             continue
         warps[(targets, widest)] = wide
         for b in narrower:
-            warps[(targets, b)] = warp_from_wider(trial, part, WarpSpec(*targets, b),
-                                                  wide, sinc)
-    warped = [key for key, warp in warps.items() if not isinstance(warp, str)]
-    warps.update(zip(warped, build_reports(warps[key] for key in warped)))
-    cells = {at: key if isinstance(key, str) else warps[key] for at, key in cells.items()}
+            warps[(targets, b)] = narrow = [w.copy() for w in wide]
+            resample_edges(x, part.t1, narrow[0], b, sinc)
+            resample_edges(x, part.t2, narrow[1], b, sinc)
+    # the warped markers are the onset, onset + t1 and the offset, always
+    # increasing, so a finite warp is one that warp_trial's Trial accepts
+    for key, warp in warps.items():
+        if not isinstance(warp, str) and not all(np.isfinite(w).all() for w in warp):
+            warps[key] = NonFiniteError.__name__
+    scored = [key for key, warp in warps.items() if not isinstance(warp, str)]
+    reports = iter(interval_reports((x[slice(*span)], w) for key in scored
+                                    for span, w in zip((part.t1, part.t2), warps[key])))
+    for key in scored:
+        warps[key] = {interval: next(reports) for interval in INTERVALS}
+    return _rows(sweep, {at: key if isinstance(key, str) else warps[key]
+                         for at, key in cells.items()})
 
+
+def _rows(sweep: SweepConfig, cells) -> list[PaddingSweepRow]:
+    """The rows of a padding sweep ordered by direction, interval, then pad
+    fraction, from cells: (direction, pad) -> the cell's IntervalReport by
+    interval, or its error class name."""
     rows = []
     for direction in sweep.directions:
         for interval in INTERVALS:
@@ -148,7 +170,7 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
                     rows.append(PaddingSweepRow(direction, interval, pad,
                                                 None, None, None, None, cell))
                 else:
-                    r = cell.intervals[interval]
+                    r = cell[interval]
                     rows.append(PaddingSweepRow(
                         direction, interval, pad,
                         correlation=r.correlation,
@@ -169,11 +191,8 @@ def fsamp_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
             spec_f = replace(synth_spec, f_samp=synth_spec.f_samp * factor)
             inner = padding_sweep(sweep, spec_f, sinc)
         except TimelockError as err:
-            name = type(err).__name__
-            inner = [PaddingSweepRow(d, interval, pad, None, None, None, None, name)
-                     for d in sweep.directions
-                     for interval in INTERVALS
-                     for pad in sweep.pad_fractions]
+            inner = _rows(sweep, dict.fromkeys(product(sweep.directions, sweep.pad_fractions),
+                                               type(err).__name__))
         for row in inner:
             rows.append(FsampSweepRow(factor, row.direction, row.interval,
                                       row.pad_fraction, row.correlation,

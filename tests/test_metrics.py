@@ -56,6 +56,16 @@ class TestPearson:
         with pytest.raises(ZeroVarianceError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("value, n", [(0.1, 3), (0.7, 7), (1 / 3, 10)])
+    def test_constant_whose_mean_rounds_away_is_refused(self, value, n):
+        # the mean of these constants is not the constant, so their deviations
+        # from it are not all zero
+        assert np.mean([value] * n) != value
+        with pytest.raises(ZeroVarianceError):
+            pearson([value] * n, range(n))
+        with pytest.raises(ZeroVarianceError):
+            pearson(range(n), [value] * n)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_are_refused(self, bad):
         with pytest.raises(NonFiniteError):

@@ -24,9 +24,7 @@ from timelock.errors import (
     EmptyBatchError,
     InconsistentTrialsError,
 )
-from timelock import SincConfig
-from timelock.pipeline import (_nearest_remap, _scale_offset, warp_from_wider,
-                               warp_intervals)
+from timelock.pipeline import _nearest_remap, _scale_offset
 
 
 def _smooth_trial(n, onset, transition, offset, seed=0, f_samp=256.0):
@@ -379,37 +377,3 @@ class TestIndexMaps:
             tracemalloc.stop()
         assert got == 6172
         assert peak < 2**16
-
-
-class TestWarpFromWider:
-    @pytest.mark.parametrize("window", ["kaiser", "hann", "blackman"])
-    def test_equals_warp_intervals_at_its_pad(self, window):
-        # intervals at the trial's first and last samples, shorter and longer
-        # than 2 half_width; targets of 1 and 2 samples, the identity, and an
-        # expansion onto every input sample; pads on both sides of half_width
-        rng = np.random.default_rng(67)
-        for case in range(40):
-            cfg = SincConfig(half_width=int(rng.integers(4, 24)), window=window,
-                             anti_alias=bool(case % 2))
-            h = cfg.half_width
-            n = int(rng.integers(8, 160))
-            onset = 0 if case % 3 == 0 else int(rng.integers(0, n - 4))
-            offset = n if case % 3 != 2 else int(rng.integers(onset + 4, n + 1))
-            transition = int(rng.integers(onset + 2, offset - 1))
-            trial = Trial(rng.normal(size=n), 100.0,
-                          (EventMarker(onset, "onset"), EventMarker(transition, "transition")))
-            p = Partition(onset, transition, offset, n)
-            t1, t2 = ((1, 2, length, 2 * (length - 1) + 1, int(rng.integers(1, 3 * length)))
-                      [(case + shift) % 5] for shift, length in enumerate((p.len_t1, p.len_t2)))
-            wide = int(rng.integers(0, 2 * h + 4))
-            narrow = int(rng.integers(0, wide + 1))
-            for pad_mode in ("neighbor", "zero"):
-                wider = warp_intervals(trial, p, WarpSpec(t1, t2, wide, preserve_length=False),
-                                       cfg, pad_mode)
-                spec = WarpSpec(t1, t2, narrow, preserve_length=False)
-                got = warp_from_wider(trial, p, spec, wider, cfg, pad_mode)
-                want = warp_intervals(trial, p, spec, cfg, pad_mode)
-                assert got[0].events == want[0].events
-                for a, b in zip((got[0].samples, *got[1][0], *got[1][1]),
-                                (want[0].samples, *want[1][0], *want[1][1])):
-                    assert np.array_equal(a.view(np.int64), b.view(np.int64)), case

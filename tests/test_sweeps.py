@@ -3,12 +3,14 @@ import pytest
 
 from helpers import edge_outputs
 
-import timelock.pipeline as pipeline
+import timelock.model as model
 import timelock.resample as sincmod
+import timelock.sweeps as sweeps
 from timelock import (SincConfig, SweepConfig, SynthSpec, dtw_score, fsamp_sweep,
                       generate, padding_sweep, partition_from_events, plan_warp,
                       warp_trial)
 from timelock.sweeps import CONTRACT_T1, DIRECTIONS, EXPAND_T1, direction_targets
+from timelock.errors import NonFiniteError
 from timelock.model import Partition
 
 QUICK_SYNTH = SynthSpec(duration_s=0.5)
@@ -146,6 +148,19 @@ class TestPaddingSweep:
                     row.energy_ratio) == ("ok", r.correlation, r.dtw.distance,
                                           r.dtw.similarity, r.energy_ratio)
 
+    def test_default_sweep_builds_only_the_generated_trial(self, monkeypatch):
+        built = []
+        post_init = model.Trial.__post_init__
+
+        def counted(trial):
+            built.append(trial)
+            post_init(trial)
+
+        monkeypatch.setattr(model.Trial, "__post_init__", counted)
+        rows = padding_sweep(SweepConfig())
+        assert {r.status for r in rows} == {"ok"}
+        assert len(built) == 1
+
     def test_failing_cells_become_error_rows(self):
         # a 4-sample trial leaves single-sample intervals the resampler rejects
         tiny = SynthSpec(duration_s=4.0 / 2048.0)
@@ -165,6 +180,47 @@ class TestPaddingSweep:
         rows = padding_sweep(sweep, spec)
         assert len(rows) == 8
         assert {r.status for r in rows} == {"BadOutputLengthError"}
+
+    @pytest.mark.parametrize("synth, statuses", [
+        (SynthSpec(duration_s=0.125,
+                   amplitudes=(1.0362554818557967e308, 1.784617700406345e307),
+                   phases=(5.338015012459763, 4.215566710732697),
+                   f1=81.65626058266258, f2=53.76588284343791),
+         ["NonFiniteError", "ok", "ok", "ok"]),
+        (SynthSpec(duration_s=0.125,
+                   amplitudes=(1.0369466455625725e308, 1.6752611384770952e307),
+                   phases=(1.5502955224158026, 4.100791995614033),
+                   f1=10.519827638595004, f2=49.64638400793341),
+         ["NonFiniteError", "ok", "NonFiniteError", "NonFiniteError"]),
+    ])
+    def test_each_warp_is_checked_for_finite_samples(self, synth, statuses):
+        # near the float limit, the overshoot of the resampled intervals
+        # overflows at some pads of the one target group and not at others;
+        # each cell must have warp_trial's status and scores at that cell
+        sweep = SweepConfig(pad_fractions=(0.0, 0.002, 0.005, 0.1),
+                            fsamp_factors=(1.0,), directions=(EXPAND_T1,))
+        trial = generate(synth)
+        part = partition_from_events(trial)
+        targets = direction_targets(part, EXPAND_T1, sweep.warp_magnitude)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = padding_sweep(sweep, synth)
+            frows = fsamp_sweep(sweep, synth)
+            want = []
+            for pad in sweep.pad_fractions:
+                try:
+                    want.append(warp_trial(trial, part, plan_warp(part, *targets, pad,
+                                                                  trial.f_samp)))
+                except NonFiniteError:
+                    want.append(None)
+        assert ["NonFiniteError" if w is None else "ok" for w in want] == statuses
+        assert [r.status for r in rows] == [r.status for r in frows] == statuses * 2
+        for row, report in zip(rows, want * 2):
+            if report is not None:
+                r = report.intervals[row.interval]
+                assert np.array_equal(
+                    [row.correlation, row.dtw_distance, row.dtw_similarity, row.energy_ratio],
+                    [r.correlation, r.dtw.distance, r.dtw.similarity, r.energy_ratio],
+                    equal_nan=True)
 
 
 class TestFsampSweep:
@@ -194,15 +250,15 @@ class TestFsampSweep:
         # intervals. The 58 narrower warps evaluate again only the outputs
         # whose floor(t) is below h - b or at least n_in - h + b.
         full, edges, evaluated = [], [], []
-        resample_padded = pipeline.resample_padded
-        resample_edges = pipeline.resample_edges
+        resample_padded = sweeps.resample_padded
+        resample_edges = sweeps.resample_edges
         resample_at = sincmod._resample_at
 
         def counted_full(*args):
             full.append(args[2])
             return resample_padded(*args)
 
-        def counted_edges(x, index_range, out, pad, cfg, pad_mode):
+        def counted_edges(x, index_range, out, pad, cfg, pad_mode="neighbor"):
             h = cfg.half_width
             edges.append((index_range[1] - index_range[0], len(out), min(pad, h), h))
             return resample_edges(x, index_range, out, pad, cfg, pad_mode)
@@ -211,8 +267,8 @@ class TestFsampSweep:
             evaluated.append(len(base))
             return resample_at(reach, base, frac, cutoff, cfg)
 
-        monkeypatch.setattr(pipeline, "resample_padded", counted_full)
-        monkeypatch.setattr(pipeline, "resample_edges", counted_edges)
+        monkeypatch.setattr(sweeps, "resample_padded", counted_full)
+        monkeypatch.setattr(sweeps, "resample_edges", counted_edges)
         monkeypatch.setattr(sincmod, "_resample_at", counted_at)
         rows = fsamp_sweep(SweepConfig())
         assert len(rows) == 192

@@ -14,7 +14,9 @@ diffing the two listings. With --compare, it then prints one line per
 output file whose bytes differ from the file of the same name in
 OTHER_OUTDIR, an earlier run's OUTDIR: `differs  D  name`, with D the
 largest absolute difference between the two files' numeric fields, or a
-note where the fields do not pair up.
+note where the fields do not pair up, and `differs  not in DIR  name` for
+a file that only one of the two directories holds. It exits 1 when it
+prints a `differs` line, so a byte-identity check is one exit status.
 """
 
 from __future__ import annotations
@@ -166,12 +168,14 @@ def largest_difference(path: Path, other: Path) -> str:
 
 def compare(outdir: Path, other: Path) -> list[str]:
     lines = []
-    for path in sorted(outdir.iterdir()):
-        twin = other / path.name
+    for name in sorted({path.name for path in (*outdir.iterdir(), *other.iterdir())}):
+        path, twin = outdir / name, other / name
         if not twin.exists():
-            lines.append(f"differs  not in {other}  {path.name}")
+            lines.append(f"differs  not in {other}  {name}")
+        elif not path.exists():
+            lines.append(f"differs  not in {outdir}  {name}")
         elif twin.read_bytes() != path.read_bytes():
-            lines.append(f"differs  {largest_difference(path, twin)}  {path.name}")
+            lines.append(f"differs  {largest_difference(path, twin)}  {name}")
     return lines
 
 
@@ -180,6 +184,6 @@ if __name__ == "__main__":
     if len(args) not in (1, 3) or args[1:2] not in ([], ["--compare"]):
         sys.exit(__doc__.strip().splitlines()[2])
     lines = run(Path(args[0]))
-    if args[1:]:
-        lines += compare(Path(args[0]), Path(args[2]))
-    print("\n".join(lines))
+    differs = compare(Path(args[0]), Path(args[2])) if args[1:] else []
+    print("\n".join(lines + differs))
+    sys.exit(1 if differs else 0)
