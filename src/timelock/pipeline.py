@@ -39,20 +39,19 @@ class WarpSpec:
 
 @dataclass(frozen=True)
 class IntervalReport:
-    """Per-interval warp quality: ratio, correlation, DTW, and energies."""
+    """Per-interval warp quality: ratio, correlation, DTW, and energies.
+
+    energy_ratio is ratio * E_out / E_in; 1.0 means energy scaled exactly as
+    predicted, and NaN means the original interval is all zeros. It is
+    finite wherever the true ratio is, also when E_in or E_out is 0 or inf.
+    """
 
     ratio: float
     correlation: float
     dtw: DtwScore
     energy_in: float
     energy_out: float
-
-    @property
-    def energy_ratio(self) -> float:
-        """ratio * E_out / E_in; 1.0 means energy scaled exactly as predicted."""
-        if self.energy_in == 0.0:
-            return math.nan
-        return self.ratio * self.energy_out / self.energy_in
+    energy_ratio: float
 
 
 @dataclass(frozen=True)
@@ -164,13 +163,29 @@ def _interval_report(original: np.ndarray, warped: np.ndarray,
         corr = pearson(warped, reference) if len(warped) > 1 else math.nan
     except ZeroVarianceError:
         corr = math.nan
+    e_in, e_out = energy(original), energy(warped)
     return IntervalReport(
         ratio=ratio,
         correlation=corr,
         dtw=score,
-        energy_in=energy(original),
-        energy_out=energy(warped),
+        energy_in=e_in,
+        energy_out=e_out,
+        energy_ratio=_energy_ratio(ratio, original, warped, e_in, e_out),
     )
+
+
+def _energy_ratio(ratio: float, original: np.ndarray, warped: np.ndarray,
+                  e_in: float, e_out: float) -> float:
+    """ratio * e_out / e_in. The quotient does not depend on the scale of the
+    samples, so when a sum is 0 or overflows, both are taken again on the two
+    intervals scaled by one power of two to a largest magnitude in [0.5, 1),
+    as pearson does; sums in (0, inf) keep their bits."""
+    if not (0.0 < e_in < math.inf and 0.0 < e_out < math.inf):
+        scale = -np.frexp(max(np.abs(original).max(), np.abs(warped).max()))[1]
+        e_in, e_out = (energy(np.ldexp(v, scale)) for v in (original, warped))
+    if e_in == 0.0:
+        return math.nan
+    return ratio * e_out / e_in
 
 
 def _nearest_remap(seg: np.ndarray, out_len: int) -> np.ndarray:

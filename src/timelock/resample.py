@@ -11,15 +11,17 @@ interval of interest; no tap reaches more than half_width samples past the
 interval, so only min(pad, half_width) samples per side are ever read. Taps
 past a shorter pad see the padded segment repeated periodically (the
 classical discrete-signal model) and wrap into the opposite pad, so an
-unpadded segment whose ends do not match up rings near its endpoints. When
-contracting with anti-aliasing enabled, the kernel cutoff is lowered to the
-output rate so content above the new Nyquist is attenuated rather than
-folded back.
+unpadded segment whose ends do not match up rings near its endpoints.
+resample_pads gives the outputs at several pads from one pass of the
+kernel, which evaluates a narrower pad's outputs only where its pad is
+read. When contracting with anti-aliasing enabled, the kernel cutoff is
+lowered to the output rate so content above the new Nyquist is attenuated
+rather than folded back.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,12 +79,15 @@ class SincConfig:
                         f"Kaiser beta must keep i0(beta) finite, got {self.beta}")
 
 
-def _i0_series_minus_1(z):
-    """i0(z) - 1 for 0 <= z < 2 by the power series sum((z / 2)**(2k) /
-    (k!)**2, k >= 1), where np.i0(z) - 1 would lose digits to cancellation."""
-    t = np.square(np.divide(z, 2.0))
-    term = t.copy()
-    total = t.copy()
+def _i0_series_minus_1(beta: float, u):
+    """(i0(z) - 1) / (beta / 2)**2 at z = beta * sqrt(u), for 0 <= z < 2, by
+    the power series sum(u * t**(k - 1) / (k!)**2, k >= 1) with t = (z /
+    2)**2, where np.i0(z) - 1 would lose digits to cancellation. The factor
+    (beta / 2)**2 is taken out of every term, so the sum does not underflow
+    when beta is tiny; it tends to u as beta goes to 0."""
+    t = (beta / 2.0) ** 2 * u
+    term = np.array(u, dtype=np.float64)
+    total = term.copy()
     for k in range(2, 16):  # the k = 15 term is below 1e-24 at z = 2
         term *= t
         term /= k * k
@@ -106,10 +111,10 @@ def _taper_table(window: str, beta: float, half_width: int) -> np.ndarray:
     s = -(-_TABLE_POINTS // h)
     x = np.minimum((np.arange(h + 1) + np.arange(s + 1)[:, None] / s) / h, 1.0)
     if window == "kaiser":
-        z = beta * np.sqrt(1.0 - x * x)
         if beta < 2.0:
-            table = _i0_series_minus_1(z) / _i0_series_minus_1(beta)
+            table = _i0_series_minus_1(beta, 1.0 - x * x) / _i0_series_minus_1(beta, 1.0)
         else:
+            z = beta * np.sqrt(1.0 - x * x)
             # np.i0 holds about ten temporaries the size of its argument;
             # it works elementwise, so a few rows at a time give the same bits
             i0 = np.concatenate([np.i0(part) for part in np.array_split(z, 16)])
@@ -261,35 +266,41 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int, pad: int,
     (numbers.Integral, not bool) or is over 2**24 raises
     BadOutputLengthError before anything is allocated.
     """
-    x, start, stop, b, out_len = _checked(full, index_range, out_len, pad, cfg, pad_mode)
-    out = np.empty(out_len)
-    _fill(out, 0, out_len, _reach(x, start, stop, b, cfg.half_width, pad_mode),
-          stop - start, cfg)
+    (out,) = resample_pads(full, index_range, out_len, (pad,), cfg, pad_mode).values()
     return out
 
 
-def resample_edges(full, index_range: tuple[int, int], out: np.ndarray, pad: int,
-                   cfg: SincConfig = SincConfig(),
-                   pad_mode: str = "neighbor") -> None:
-    """Turn out into resample_padded(full, index_range, len(out), pad, cfg,
-    pad_mode), in place, given that it holds the same call's output at a
-    built pad of at least built_pad(pad, half_width).
+def resample_pads(full, index_range: tuple[int, int], out_len: int, pads,
+                  cfg: SincConfig = SincConfig(),
+                  pad_mode: str = "neighbor") -> dict[int, np.ndarray]:
+    """resample_padded(full, index_range, out_len, pad, cfg, pad_mode) at
+    each pad of pads, as {built_pad(pad, half_width): output}, bit for bit.
 
     For built pads b < b', the samples the taps reach agree on every sample
     up to b past the interval: both are the interval's neighbours, clamped
     or zeroed the same way. So an output at t reads the same taps at either
     pad unless floor(t) < h - b or floor(t) >= n_in - h + b (h the half
-    width, n_in the interval's length): only those outputs, a prefix and a
-    suffix of the grid, are evaluated again, by the same kernel. The
-    arguments are checked as resample_padded checks them.
+    width, n_in the interval's length). The widest built pad's whole grid,
+    and for each narrower one only that prefix and suffix of the grid, are
+    evaluated in one pass of the kernel over the reaches of every pad; the
+    rest of a narrower output is copied from the widest. The arguments are
+    checked as resample_padded checks them, each pad as its pad; pads must
+    not be empty.
     """
-    x, start, stop, b, n_out = _checked(full, index_range, len(out), pad, cfg, pad_mode)
+    x, start, stop, bs, n_out = _checked(full, index_range, out_len, pads, cfg, pad_mode)
     h, n_in = cfg.half_width, stop - start
-    lo, hi = (bisect_left(range(n_out), edge, key=lambda k: grid_position(k, n_in, n_out))
-              for edge in (h - b, n_in - h + b))
-    # the suffix max(lo, hi)..n_out - 1, then the prefix 0..lo - 1, read
-    # cyclically: each output once, all of them when the two overlap
-    _fill(out, max(lo, hi) - n_out, lo, _reach(x, start, stop, b, h, pad_mode), n_in, cfg)
+    out = np.empty((len(bs), n_out))
+    # row 0, the widest pad, whole; each narrower row its suffix
+    # max(lo, hi)..n_out - 1, then its prefix 0..lo - 1, read cyclically:
+    # each output once, all of them when the two overlap
+    ranges = [(0, n_out)]
+    for b in bs[1:]:
+        lo, hi = (_first_at_least(edge, n_in, n_out) for edge in (h - b, n_in - h + b))
+        ranges.append((max(lo, hi) - n_out, lo))
+    _fill(out, ranges, _reach(x, start, stop, bs, h, pad_mode), n_in, cfg)
+    for row, (first, lo) in enumerate(ranges[1:], 1):
+        out[row, lo:first + n_out] = out[0, lo:first + n_out]
+    return dict(zip(bs, out))
 
 
 def grid_position(k, n_in: int, n_out: int):
@@ -306,9 +317,24 @@ def grid_position(k, n_in: int, n_out: int):
     return n_in - 1.0 if k == n_out - 1 else t
 
 
-def _checked(full, index_range, out_len, pad, cfg: SincConfig, pad_mode: str):
-    """The signal as float64, start, stop, the built pad and out_len, after
-    the checks resample_padded documents."""
+def _first_at_least(edge: int, n_in: int, n_out: int) -> int:
+    """The first k with grid_position(k, n_in, n_out) >= edge, or n_out if
+    there is none. ceil(edge / step) is off by at most one, from the
+    rounding of the quotient and of the positions, and a probe on either
+    side of it puts it right."""
+    if n_out == 1:
+        return int(edge > 0)
+    k = min(max(math.ceil(edge / ((n_in - 1.0) / (n_out - 1))), 0), n_out)
+    if k > 0 and grid_position(k - 1, n_in, n_out) >= edge:
+        return k - 1
+    if k < n_out and grid_position(k, n_in, n_out) < edge:
+        return k + 1
+    return k
+
+
+def _checked(full, index_range, out_len, pads, cfg: SincConfig, pad_mode: str):
+    """The signal as float64, start, stop, the distinct built pads of pads,
+    widest first, and out_len, after the checks resample_padded documents."""
     x = np.asarray(full, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"signal must be one-dimensional, got shape {x.shape}")
@@ -317,7 +343,9 @@ def _checked(full, index_range, out_len, pad, cfg: SincConfig, pad_mode: str):
         raise RangeOutOfBoundsError(
             f"range [{start}, {stop}) does not fit signal of length {len(x)}"
         )
-    b = built_pad(pad, cfg.half_width)
+    bs = sorted({built_pad(pad, cfg.half_width) for pad in pads}, reverse=True)
+    if not bs:
+        raise ValueError("pads must not be empty")
     if pad_mode not in PAD_MODES:
         raise ValueError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
     in_len = stop - start
@@ -328,29 +356,39 @@ def _checked(full, index_range, out_len, pad, cfg: SincConfig, pad_mode: str):
     if out_len > _MAX_OUT_LEN:
         raise BadOutputLengthError(
             f"output length {out_len} exceeds the limit of {_MAX_OUT_LEN} samples")
-    return x, start, stop, b, int(out_len)
+    return x, start, stop, bs, int(out_len)
 
 
-def _reach(x: np.ndarray, start: int, stop: int, b: int, h: int, pad_mode: str) -> np.ndarray:
-    """The samples the taps reach: half_width h per side of x[start:stop]
-    padded by b; a tap past a pad shorter than h wraps into the other pad."""
+def _reach(x: np.ndarray, start: int, stop: int, bs, h: int, pad_mode: str) -> np.ndarray:
+    """The samples the taps reach at each built pad b of bs, one row per pad
+    from one gather: half_width h per side of x[start:stop] padded by b; a
+    tap past a pad shorter than h wraps into the other pad."""
     in_len = stop - start
-    source = start - b + np.arange(b - h, b - h + in_len + 2 * h) % (in_len + 2 * b)
+    b = np.array(bs)[:, None]
+    source = start - b + (np.arange(in_len + 2 * h) + (b - h)) % (in_len + 2 * b)
     reach = x[np.clip(source, 0, len(x) - 1)]
     if pad_mode == "zero":
         reach[(source < start) | (source >= stop)] = 0.0
     return reach
 
 
-def _fill(out: np.ndarray, lo: int, hi: int, reach: np.ndarray, n_in: int,
-          cfg: SincConfig) -> None:
-    """Evaluate the outputs k % len(out) of out for k in lo..hi - 1, the grid
-    of len(out) positions over n_in samples, _OUTPUTS positions at a time: no
-    array as long as out is made."""
-    n_out = len(out)
+def _fill(out: np.ndarray, ranges, reach: np.ndarray, n_in: int, cfg: SincConfig) -> None:
+    """Evaluate the outputs k % n_out of out[row] for k in lo..hi - 1, with
+    (lo, hi) = ranges[row], from the taps in reach[row]; every row of out
+    is the grid of n_out positions over n_in samples. The ranges are read
+    in order as one run of positions, _OUTPUTS at a time, each chunk in one
+    kernel call: no array as long as a row is made."""
+    n_out, width = out.shape[1], reach.shape[1]
     cutoff = _cutoff(n_in, n_out, cfg)
-    for s in range(lo, hi, _OUTPUTS):
-        k = np.arange(s, min(s + _OUTPUTS, hi)) % n_out
+    flat_out, flat_reach = out.reshape(-1), reach.reshape(-1)
+    lo, hi = np.array(ranges).T
+    ends = np.cumsum(hi - lo)
+    shift = hi - ends  # position v of the run is k = v + shift[row] of its row
+    for s in range(0, ends[-1], _OUTPUTS):
+        v = np.arange(s, min(s + _OUTPUTS, ends[-1]))
+        row = np.searchsorted(ends, v, side="right")
+        k = (v + shift[row]) % n_out
         t = grid_position(k, n_in, n_out)
         whole = np.floor(t)
-        out[k] = _resample_at(reach, whole.astype(np.int64), t - whole, cutoff, cfg)
+        flat_out[row * n_out + k] = _resample_at(
+            flat_reach, whole.astype(np.int64) + row * width, t - whole, cutoff, cfg)

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import NonFiniteError, TimelockError
 from .model import Partition, partition_from_events
 from .pipeline import interval_reports, plan_warp
-from .resample import SincConfig, built_pad, resample_edges, resample_padded
+from .resample import SincConfig, built_pad, resample_pads
 from .synth import SynthSpec, generate
 
 CONTRACT_T1 = "contract_t1_expand_t2"
@@ -103,15 +103,15 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
     Cells with the same effective spec, the same targets and the same
     built_pad, have bitwise identical warps, so each such spec is warped and
     scored once and its rows are copied to every cell that shares it. Each
-    group resamples t1 and t2 once, at its largest built_pad; the intervals
-    at each smaller built_pad are copies of those in which resample_edges
-    evaluates again only the outputs within half_width - built_pad samples
-    of an interval's ends. The resampler's checks do not depend on the pad,
-    so a group whose widest resampling raises records the error class on
-    each of its cells. Whether the warped samples are finite does depend on
-    the pad: a warp with a NaN or infinite sample records NonFiniteError on
-    its own cells, as warp_trial's Trial raises it there. Scoring runs after
-    all the warps, as one stacked DTW over every interval of every warp.
+    group resamples t1 and t2 once each, for all of its built pads, in one
+    resample_pads call: a smaller built_pad differs from the largest only in
+    the outputs within half_width - built_pad samples of an interval's ends.
+    The resampler's checks do not depend on the pad, so a group whose
+    resampling raises records the error class on each of its cells. Whether
+    the warped samples are finite does depend on the pad: a warp with a NaN
+    or infinite sample records NonFiniteError on its own cells, as
+    warp_trial's Trial raises it there. Scoring runs after all the warps, as
+    one stacked DTW over every interval of every warp.
     """
     trial = generate(synth_spec)
     part = partition_from_events(trial)
@@ -131,18 +131,13 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
             groups.setdefault(key[0], set()).add(key[1])
     warps = {}  # (targets, built_pad) -> warped t1 and t2, or the error class name
     for targets, pads in groups.items():
-        widest, *narrower = sorted(pads, reverse=True)
         try:
-            wide = [resample_padded(x, part.t1, targets[0], widest, sinc),
-                    resample_padded(x, part.t2, targets[1], widest, sinc)]
+            t1 = resample_pads(x, part.t1, targets[0], pads, sinc)
+            t2 = resample_pads(x, part.t2, targets[1], pads, sinc)
         except TimelockError as err:
             warps.update(((targets, b), type(err).__name__) for b in pads)
             continue
-        warps[(targets, widest)] = wide
-        for b in narrower:
-            warps[(targets, b)] = narrow = [w.copy() for w in wide]
-            resample_edges(x, part.t1, narrow[0], b, sinc)
-            resample_edges(x, part.t2, narrow[1], b, sinc)
+        warps.update(((targets, b), [t1[b], t2[b]]) for b in pads)
     # the warped markers are the onset, onset + t1 and the offset, always
     # increasing, so a finite warp is one that warp_trial's Trial accepts
     for key, warp in warps.items():

@@ -209,6 +209,21 @@ class TestWarpTrial:
                 assert interval.energy_out > 0
                 assert interval.energy_ratio == pytest.approx(1.0, abs=0.01)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_energy_ratio_does_not_depend_on_the_scale(self):
+        # samples scaled by 2**511 square past the float range and by
+        # 2**-560 below it, so the energies read inf and 0; the warp scales
+        # exactly, and the ratio is the unit-scale one bit for bit
+        trial, p = _smooth_trial(1400, 100, 700, 1300)
+        spec = plan_warp(p, 480, 720, 0.0, trial.f_samp)
+        want = warp_trial(trial, p, spec)
+        for exponent, energy in ((511, math.inf), (-560, 0.0)):
+            scaled = Trial(np.ldexp(trial.samples, exponent), trial.f_samp, trial.events)
+            rep = warp_trial(scaled, p, spec)
+            for got, ref in ((rep.t1, want.t1), (rep.t2, want.t2)):
+                assert got.energy_in == got.energy_out == energy
+                assert got.energy_ratio == ref.energy_ratio
+
     def test_warped_unwarped_dtw_cost_is_near_zero(self, demo_trial, demo_partition):
         # accumulated corner cost per path step stays below 1% of the mean
         # squared amplitude at reference padding; reports carry only the

@@ -1,3 +1,5 @@
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from timelock.errors import (
     RangeOutOfBoundsError,
     SegmentTooShortError,
 )
-from timelock.resample import grid_position, resample, resample_edges
+from timelock.resample import grid_position, resample, resample_pads
 
 # high-accuracy configuration used for analytic-oracle checks; the package
 # default (half_width=32, beta=8) trades accuracy for speed and sits around
@@ -428,16 +430,20 @@ class TestEdges:
     def test_narrower_pad_from_wider_output_is_bitwise(self, monkeypatch, window, pad_mode):
         # intervals shorter and longer than 2 half_width, some at the
         # signal's first or last sample; outputs of 1 and 2 samples and grids
-        # of integral positions; pads on both sides of half_width. Only the
-        # outputs the edge formula names reach the kernel, each exactly once,
-        # one _resample_at call per chunk of positions. Chunks of a few
-        # positions put the wrap from the suffix to the prefix both at and
-        # inside a chunk boundary.
-        evaluated, chunks = [], []
+        # of integral positions; one to four pads on both sides of
+        # half_width, some with the same built pad. Each output equals
+        # resample_padded's at its pad. The kernel evaluates the whole grid
+        # of the widest built pad and, of each narrower one, only the
+        # outputs the edge formula names, each exactly once, reading the
+        # pad's own row of taps; one _resample_at call per chunk of
+        # positions. Chunks of a few positions put the wrap from the suffix
+        # to the prefix, and from one pad to the next, both at and inside a
+        # chunk boundary.
+        bases, chunks = [], []
         resample_at, position = sincmod._resample_at, sincmod.grid_position
 
         def counted(reach, base, frac, cutoff, cfg):
-            evaluated.append(len(base))
+            bases.append(np.array(base))
             return resample_at(reach, base, frac, cutoff, cfg)
 
         def recorded(k, n_in, n_out):
@@ -456,36 +462,66 @@ class TestEdges:
             n_in = stop - start
             out_len = (1, 2, n_in, 3 * (n_in - 1) + 1,
                        int(rng.integers(1, 3 * n_in + 2)))[case % 5]
-            wide = int(rng.integers(0, 2 * h + 4))
-            narrow = int(rng.integers(0, wide + 1))
-            wider = resample_padded(full, (start, stop), out_len, wide, cfg, pad_mode)
-            want = resample_padded(full, (start, stop), out_len, narrow, cfg, pad_mode)
-            edges = edge_indices(n_in, out_len, min(narrow, h), h)
+            pads = [int(pad) for pad in rng.integers(0, 2 * h + 4, int(rng.integers(1, 5)))]
+            built = sorted({min(pad, h) for pad in pads}, reverse=True)
+            want = {b: resample_padded(full, (start, stop), out_len, b, cfg, pad_mode)
+                    for b in built}
+            # the outputs each built pad's row evaluates, widest first
+            rows = [np.arange(out_len)] + [edge_indices(n_in, out_len, b, h) for b in built[1:]]
             for outputs in (sincmod._OUTPUTS, 1, 2, 3, 7):
-                out = wider.copy()
                 with monkeypatch.context() as patch:
                     patch.setattr(sincmod, "_OUTPUTS", outputs)
                     patch.setattr(sincmod, "_resample_at", counted)
                     patch.setattr(sincmod, "grid_position", recorded)
-                    resample_edges(full, (start, stop), out, narrow, cfg, pad_mode)
-                assert np.array_equal(out.view(np.int64), want.view(np.int64)), (case, outputs)
-                assert evaluated == [len(k) for k in chunks], (case, outputs)
-                assert len(evaluated) == -(-len(edges) // outputs), (case, outputs)
-                seen = np.sort(np.concatenate(chunks)) if chunks else edges[:0]
-                assert np.array_equal(seen, edges), (case, outputs)
-                evaluated.clear()
+                    got = resample_pads(full, (start, stop), out_len, pads, cfg, pad_mode)
+                assert list(got) == built, (case, outputs)
+                for b in built:
+                    assert np.array_equal(got[b].view(np.int64), want[b].view(np.int64)), \
+                        (case, outputs, b)
+                assert [len(base) for base in bases] == [len(k) for k in chunks], (case, outputs)
+                evaluated = sum(len(k) for k in rows)
+                assert len(bases) == -(-evaluated // outputs), (case, outputs)
+                k, row = np.concatenate(chunks), np.concatenate(bases) // (n_in + 2 * h)
+                assert len(k) == evaluated, (case, outputs)
+                for j, want_k in enumerate(rows):
+                    assert np.array_equal(np.sort(k[row == j]), want_k), (case, outputs, j)
+                bases.clear()
                 chunks.clear()
 
     def test_arguments_are_checked_as_resample_padded_checks_them(self):
         x = np.arange(30.0)
         with pytest.raises(RangeOutOfBoundsError):
-            resample_edges(x, (10, 40), np.zeros(5), 3)
+            resample_pads(x, (10, 40), 5, (3,))
         with pytest.raises(RangeOutOfBoundsError):
-            resample_edges(x, (10, 20), np.zeros(5), -1)
+            resample_pads(x, (10, 20), 5, (3, -1))
         with pytest.raises(SegmentTooShortError):
-            resample_edges(x, (10, 11), np.zeros(5), 3)
+            resample_pads(x, (10, 11), 5, (3,))
         with pytest.raises(BadOutputLengthError):
-            resample_edges(x, (10, 20), np.zeros(0), 3)
+            resample_pads(x, (10, 20), 0, (3,))
+        with pytest.raises(ValueError, match="pad_mode"):
+            resample_pads(x, (10, 20), 5, (3,), pad_mode="mirror")
+        with pytest.raises(ValueError, match="pads must not be empty"):
+            resample_pads(x, (10, 20), 5, ())
+
+    def test_edge_bounds_match_a_search_of_the_grid(self):
+        # the closed form against bisect_left over grid_position: outputs of
+        # 1 and 2 samples, integral grids (steps 1, 2 and 1/3), random and
+        # long grids, and edges from before the interval's first sample to
+        # past its last. Both probes of the closed form are needed on these.
+        rng = np.random.default_rng(67)
+        shapes = [(n_in, n_out) for n_in in (2, 3, 5, 9, 64, 1025)
+                  for n_out in (1, 2, n_in, (n_in - 1) // 2 + 1, 3 * (n_in - 1) + 1)]
+        shapes += [(int(n_in), int(n_out)) for n_in, n_out in
+                   zip(rng.integers(2, 2**24, 300), rng.integers(1, 2**24, 300))]
+        shapes += [(int(n_in), int(n_out)) for n_in, n_out in
+                   zip(rng.integers(2, 200, 300), rng.integers(1, 600, 300))]
+        for n_in, n_out in shapes:
+            edges = {*range(-3, 4), *range(n_in - 4, n_in + 4),
+                     *(int(e) for e in rng.integers(0, n_in, 20))}
+            for edge in edges:
+                want = bisect_left(range(n_out), edge,
+                                   key=lambda k: grid_position(k, n_in, n_out))
+                assert sincmod._first_at_least(edge, n_in, n_out) == want, (n_in, n_out, edge)
 
 
 class TestAnalyticAccuracy:
@@ -549,6 +585,21 @@ class TestKernel:
         if cutoff == 1.0:
             exact[0] = np.arange(-h, h + 1) == 0  # the exact delta
         assert np.abs(self._weights(frac, cutoff, cfg) - exact).max() <= 1e-10
+
+    @pytest.mark.parametrize("beta", [1e-160, 1e-200, 1e-300])
+    def test_tiny_kaiser_beta_gives_the_limit_taper(self, beta):
+        # (i0(beta * sqrt(1 - x**2)) - 1) / (i0(beta) - 1) tends to 1 - x**2
+        # as beta goes to 0, and no series term may underflow on the way:
+        # from beta = 1e-200 down, 0 / 0 made the table, and every output, NaN
+        h = 32
+        table = sincmod._taper_table("kaiser", beta, h)
+        s = len(table) - 1
+        x = np.minimum((np.arange(h + 1) + np.arange(s + 1)[:, None] / s) / h, 1.0)
+        assert np.isfinite(table).all()
+        assert np.abs(table - (1.0 - x * x)).max() <= 1e-12
+        signal = np.sin(0.1 * np.arange(200))
+        out = resample_padded(signal, (50, 150), 80, 10, SincConfig(beta=beta))
+        assert np.isfinite(out).all()
 
     @pytest.mark.parametrize("cutoff", [1.0, 0.8])
     @pytest.mark.parametrize("window", ["kaiser", "hann", "blackman"])

@@ -246,38 +246,37 @@ class TestFsampSweep:
     def test_each_target_group_is_resampled_once(self, monkeypatch):
         # 6 rates x 2 directions x 8 pads are 96 cells, 192 intervals, and
         # 70 distinct warps. Each rate and direction is one group of target
-        # lengths, resampled in full once at its widest built pad: 24
-        # intervals. The 58 narrower warps evaluate again only the outputs
-        # whose floor(t) is below h - b or at least n_in - h + b.
-        full, edges, evaluated = [], [], []
-        resample_padded = sweeps.resample_padded
-        resample_edges = sweeps.resample_edges
+        # lengths whose t1 and t2 are each resampled for all of the group's
+        # built pads in one resample_pads call and one kernel call: 24 of
+        # each, where one kernel call per interval and pad made 140. The
+        # whole grid is evaluated at the group's widest built pad; the 58
+        # narrower warps evaluate only the outputs whose floor(t) is below
+        # h - b or at least n_in - h + b.
+        calls, evaluated = [], []
+        resample_pads = sweeps.resample_pads
         resample_at = sincmod._resample_at
 
-        def counted_full(*args):
-            full.append(args[2])
-            return resample_padded(*args)
-
-        def counted_edges(x, index_range, out, pad, cfg, pad_mode="neighbor"):
-            h = cfg.half_width
-            edges.append((index_range[1] - index_range[0], len(out), min(pad, h), h))
-            return resample_edges(x, index_range, out, pad, cfg, pad_mode)
+        def counted_pads(x, index_range, out_len, pads, cfg, pad_mode="neighbor"):
+            calls.append((index_range[1] - index_range[0], out_len, sorted(pads), cfg.half_width))
+            return resample_pads(x, index_range, out_len, pads, cfg, pad_mode)
 
         def counted_at(reach, base, frac, cutoff, cfg):
             evaluated.append(len(base))
             return resample_at(reach, base, frac, cutoff, cfg)
 
-        monkeypatch.setattr(sweeps, "resample_padded", counted_full)
-        monkeypatch.setattr(sweeps, "resample_edges", counted_edges)
+        monkeypatch.setattr(sweeps, "resample_pads", counted_pads)
         monkeypatch.setattr(sincmod, "_resample_at", counted_at)
         rows = fsamp_sweep(SweepConfig())
         assert len(rows) == 192
         assert {r.status for r in rows} == {"ok"}
-        assert len(full) == 24
+        assert len(calls) == 24
+        assert len(evaluated) == 24
+        full = sum(n_out for _, n_out, _, _ in calls)
+        edges = [(n_in, n_out, b, h) for n_in, n_out, pads, h in calls for b in pads[:-1]]
         assert len(edges) == 2 * 58
         at_edges = sum(edge_outputs(*edge) for edge in edges)
-        assert sum(evaluated) == sum(full) + at_edges
-        assert at_edges < sum(full)
+        assert sum(evaluated) == full + at_edges
+        assert at_edges < full
 
     def test_failing_group_records_its_error_on_each_cell(self, monkeypatch):
         # on this 1 s trial t1 has 410 samples and t2 614: contracting t1
