@@ -1,7 +1,10 @@
 """Command-line front end: synth, warp, sweep-padding, sweep-fsamp, dtw-matrix.
 
 Exit codes: 0 on success, 2 on input or parse errors, 3 on domain or pipeline
-errors. All outputs are byte-deterministic for identical flags.
+errors (every other TimelockError, ConfigError included); any other exception
+is a defect and propagates. All outputs are byte-identical for identical flags
+on one machine and NumPy build; they do not depend on the number of BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import trialio
-from .errors import ParseError, TimelockError
+from .errors import ConfigError, ParseError, TimelockError
 from .metrics import dtw
 from .model import EventMarker, OFFSET, ONSET, TRANSITION, Trial, partition_from_events
 from .pipeline import plan_warp, warp_trial
@@ -34,7 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (TimelockError, ValueError) as err:
+    except TimelockError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
 
@@ -153,7 +156,7 @@ def _fields_from_args(cls, args, **values):
 def _sinc_from_args(args) -> SincConfig:
     try:
         return _fields_from_args(SincConfig, args)
-    except ValueError as err:
+    except ConfigError as err:
         raise ParseError(str(err)) from None
 
 
@@ -200,7 +203,7 @@ def _sweep_config_from_args(args) -> SweepConfig:
     values = _read_config_file(args.config) if args.config else {}
     try:
         return _fields_from_args(SweepConfig, args, **values)
-    except ValueError as err:
+    except ConfigError as err:
         raise ParseError(str(err)) from None
 
 

@@ -5,6 +5,12 @@ class TimelockError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ConfigError(TimelockError, ValueError):
+    """A configuration or argument value lies outside its domain: a bad
+    SincConfig, SweepConfig or SynthSpec field, pad list, pad mode or set of
+    Partition bounds, or an input of the wrong shape."""
+
+
 class ParseError(TimelockError):
     """A trial file, events sidecar, or config file could not be parsed."""
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyInputError,
     LengthMismatchError,
     MatrixTooLargeError,
@@ -34,32 +36,33 @@ def _path_bound(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.cumsum(d * d)[-1])
 
 
-def _kept_rows(values: np.ndarray, start: np.ndarray, lo: np.ndarray,
-               bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last row of each segment whose value is not above its bound.
+def _kept_slots(values: np.ndarray, start: np.ndarray,
+                bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last slot of each segment whose value is not above its bound.
 
     bounds holds each slot's bound, the bound of the segment it belongs to.
-    Segment p begins at slot start[p], a separator that is never kept,
-    followed by rows lo[p] onwards. A segment with no such row gives a first
-    row past its last slot and a last row below lo[p].
+    Segment p runs from slot start[p], a separator that is never kept, to the
+    slot before start[p + 1]. A segment with no such slot gives a first slot
+    past every slot and a last slot before its separator.
     """
     drop = values > bounds
     drop[start] = True
+    # a dropped slot moves past every slot for the minimum, below 0 for the maximum
+    shift = drop * len(values)
     slot = np.arange(len(values))
-    first = np.minimum.reduceat(np.where(drop, len(values), slot), start)
-    last = np.maximum.reduceat(np.where(drop, -1, slot), start)
-    return lo - start - 1 + first, lo - start - 1 + last
+    return (np.minimum.reduceat(slot + shift, start),
+            np.maximum.reduceat(slot - shift, start))
 
 
 def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     """Accumulated DTW cost at the far corner of each (x, y).
 
     Local cost is the squared sample difference. Cell (i, j) on anti-diagonal
-    k = i + j depends only on diagonals k - 1 and k - 2, so three buffers
-    indexed by row replace the n x m matrix. y is reversed once so a
-    diagonal's local costs are contiguous, and they are computed for a block
-    of kb diagonals at a time: _COST_BLOCK, or fewer when the block would
-    pass _BLOCK_CELLS cells, but at least one.
+    d = i + j depends only on diagonals d - 1 and d - 2, so three buffers
+    indexed by row replace the n x m matrix. The local costs are computed for
+    a block of kb diagonals at a time: _COST_BLOCK, or fewer when the block
+    would pass _BLOCK_CELLS cells, but at least one. y is reversed once so a
+    diagonal's local costs are contiguous.
 
     The problems are independent and advance together, one diagonal of every
     problem per step, so the three ufunc calls of a step serve them all.
@@ -72,6 +75,19 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     column 0 they stay inf, and right of column m - 1 no grid cell reads them.
     Rows that the previous block did not compute start at inf.
 
+    A block's diagonals run in stretches that end only where the stack reads
+    a diagonal: at a problem's last one, for its corner, and, when acc is
+    given, at every one, to write it into the matrix. Within a stretch a
+    diagonal costs its three ufunc calls and the rotation of the buffers.
+    A block's set-up lays out the segments with Python integers, from lists
+    by problem in the layout (n - 1 and m + 1 among them) that change only
+    when problems leave it. It allocates the three buffers as one array,
+    copies each problem's kept rows of the two diagonals carried from the
+    previous block, themselves one array, with one assignment, and writes
+    every separator's costs with one. After the block, _kept_slots finds the
+    kept rows of every segment in eight NumPy calls. No view of the cost
+    block outlives the block.
+
     When acc is given, the one problem keeps every row and each diagonal is
     written into acc, giving the full accumulated-cost matrix, in either
     orientation. Otherwise every problem has len(x) <= len(y) and, between
@@ -83,118 +99,128 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     For similar sequences only a narrow band around the optimal path is
     computed.
     """
-    n = np.array([len(x) for x, _ in problems])
-    m = np.array([len(y) for _, y in problems])
-    final = n + m - 2  # each problem's last diagonal
+    rows = [len(x) for x, _ in problems]
+    cols = [len(y) for _, y in problems]
     bound = np.array([math.inf if acc is not None else _path_bound(x, y)
                       for x, y in problems])
     flat = None if acc is None else acc.reshape(-1)
-    xs = [x for x, _ in problems]
-    # ypads[p][margin + m - 1 - k + i] == y[k - i]. A block's rows grow by at
-    # most one per diagonal, so no computed cell lies more than margin
-    # columns past either end of y.
+    # (problem, x, ypad, base) of each problem in the layout, in layout
+    # order, with ypad[margin + m - 1 - d + i] == y[d - i] and base the byte
+    # offset of ypad[margin + m - 1]. A block's rows grow by at most one per
+    # diagonal, so no computed cell lies more than margin columns past
+    # either end of y.
     margin = _COST_BLOCK + 1
-    ypads = []
-    for _, y in problems:
-        ypad = np.zeros(len(y) + 2 * margin)
-        ypad[margin:margin + len(y)] = y[::-1]
-        ypads.append(ypad)
+    item = np.dtype(np.float64).itemsize
+    strides = (-item, item)
+    stack = []
+    for p, ((x, y), m) in enumerate(zip(problems, cols)):
+        ypad = np.zeros(m + 2 * margin)
+        ypad[margin:margin + m] = y[::-1]
+        stack.append((p, x, ypad, (margin + m - 1) * item))
     d = np.array([x[0] - y[0] for x, y in problems])
     corners = (d * d).tolist()
     if flat is not None:
         flat[0] = corners[0]
-    rows, cols, finals = n.tolist(), m.tolist(), final.tolist()
+    minimum, add = np.minimum, np.add
 
+    # By problem in the layout: its last diagonal, n - 1 and m + 1; these
+    # change only when problems leave the layout.
+    final = [n + m - 2 for n, m in zip(rows, cols)]
+    n1 = [n - 1 for n in rows]
+    m1 = [m + 1 for m in cols]
     # Diagonal 0 in a layout of two slots per problem; diagonal -1 is all inf.
-    ids = np.arange(len(n))  # problems in the layout, in layout order
-    last = np.full(2 * len(n), np.inf)
-    last[1::2] = corners
-    older = np.full(2 * len(n), np.inf)
-    start = 2 * ids  # each segment's separator slot
-    lo = np.zeros_like(n)  # rows of each segment
-    hi = np.zeros_like(n)
-    first = np.zeros_like(n)  # first and last row kept on diagonal k - 1 or k - 2
-    top = np.zeros_like(n)
-    n_ids, m_ids, final_ids = n, m, final
-    final_max = max(finals)
-    next_end = min(finals)
+    carried = np.full((2, 2 * len(stack)), np.inf)  # diagonals k - 2 and k - 1
+    carried[1, 1::2] = corners
+    start = list(range(0, 2 * len(stack), 2))  # each segment's separator slot
+    # the rows of each segment, and its first and last rows kept on diagonal
+    # k - 1 or k - 2
+    lo = hi = first = top = [0] * len(stack)
+    final_max = max(final)
+    next_end = min(final)
 
     k = 1
     while k <= final_max:
         if k > next_end:
-            alive = final_ids >= k
-            ids, n_ids, m_ids, final_ids, start, lo, hi, first, top = (
-                v[alive] for v in (ids, n_ids, m_ids, final_ids, start, lo, hi, first, top))
-            next_end = int(final_ids.min())
-        old_start, old_lo, old_hi = start, lo, hi
+            alive = [f >= k for f in final]
+            final, n1, m1, stack, start, lo, hi, first, top = (
+                list(compress(v, alive)) for v in (final, n1, m1, stack, start, lo, hi,
+                                                   first, top))
+            bound = bound[alive]
+            next_end = min(final)
+        old = zip(start, lo, hi)
         # Row lo - 1 is dropped on both earlier diagonals or lies right of
-        # the grid; kept rows widen by at most one per diagonal. slots is
-        # the layout of a _COST_BLOCK-deep block, which no shallower block
-        # passes, so the cost block holds at most max(_BLOCK_CELLS, slots)
-        # cells.
-        lo = np.maximum(np.maximum(first, k - m_ids - 1), 0)
-        slots = int((np.minimum(top + _COST_BLOCK, n_ids - 1) + 2 - lo).sum())
+        # the grid (first is never negative); kept rows widen by at most one
+        # per diagonal. deep is the last row of a _COST_BLOCK-deep block,
+        # which no shallower block passes, so the cost block holds at most
+        # max(_BLOCK_CELLS, slots) cells.
+        lo = [max(f, k - c) for f, c in zip(first, m1)]
+        deep = [min(t + _COST_BLOCK, r) for t, r in zip(top, n1)]
+        slots = sum(deep) - sum(lo) + 2 * len(lo)
         kb = max(1, min(_COST_BLOCK, final_max + 1 - k, _BLOCK_CELLS // slots))
-        hi = np.minimum(top + kb, n_ids - 1)
-        w = hi + 1 - lo
-        start = np.cumsum(w + 1) - (w + 1)
-        size = int(start[-1] + w[-1] + 1)
-        p2 = np.full(size, np.inf)
-        p1 = np.full(size, np.inf)
-        cur = np.empty(size)
-        cur[0] = np.inf
+        hi = deep if kb == _COST_BLOCK else [min(t + kb, r) for t, r in zip(top, n1)]
+        width = [b + 2 - a for a, b in zip(lo, hi)]  # a separator and the rows
+        size = sum(width)
+        buffers = np.full((3, size), np.inf)
         block = np.empty((kb, size - 1))  # local costs of slots 1..size - 1
+        start = []
+        s = 0
         due: dict[int, list[tuple[int, int]]] = {}
-        for p, s, a, b, w_p, s0, a0, b0 in zip(
-                ids.tolist(), start.tolist(), lo.tolist(), hi.tolist(), w.tolist(),
-                old_start.tolist(), old_lo.tolist(), old_hi.tolist()):
+        for (p, x, ypad, base), last, last_row, a, b, (s0, a0, b0) in zip(
+                stack, final, n1, lo, hi, old):
+            start.append(s)
             keep = min(b, b0) + 1 - a
             if keep > 0:
                 src = s0 + 1 + a - a0
-                p2[s + 1:s + 1 + keep] = older[src:src + keep]
-                p1[s + 1:s + 1 + keep] = last[src:src + keep]
-            if s:
-                block[:, s - 1] = np.inf  # the separator
-            steps = min(kb, finals[p] + 1 - k)
-            # row r of the view holds y[k + r - i] for rows i = a..b
-            ypad = ypads[p]
-            item = ypad.itemsize
-            ys = np.ndarray((steps, w_p), buffer=ypad, strides=(-item, item),
-                            offset=(margin + cols[p] - 1 - k + a) * item)
-            np.subtract(xs[p][a:b + 1], ys, out=block[:steps, s:s + w_p])
+                buffers[:2, s + 1:s + 1 + keep] = carried[:, src:src + keep]
+            steps = min(kb, last + 1 - k)
+            # row r holds y[k + r - i] for rows i = a..b; the arguments are
+            # positional, which makes the call about twice as fast
+            ys = np.ndarray((steps, b + 1 - a), None, ypad, base + (a - k) * item, strides)
+            np.subtract(x[a:b + 1], ys, out=block[:steps, s:s + b + 1 - a])
             if steps < kb:
-                block[steps:, s:s + w_p] = np.inf
-            if finals[p] < k + kb:
-                due.setdefault(finals[p], []).append((p, s + rows[p] - a))
+                block[steps:, s:s + b + 1 - a] = np.inf
+            if last < k + kb:
+                due.setdefault(last, []).append((p, s + last_row - a))
+            s += b + 2 - a
+        block[:, [t - 1 for t in start[1:]]] = np.inf  # the separators
         np.multiply(block, block, out=block)
-        # (buffer, slots 0..size - 2, slots 1..size - 1)
-        p2 = (p2, p2[:size - 1], p2[1:size])
-        p1 = (p1, p1[:size - 1], p1[1:size])
-        cur = (cur, cur[:size - 1], cur[1:size])
-        if flat is not None:
-            row0, row1 = int(lo[0]), int(hi[0])
+        # (slots 0..size - 2, slots 1..size - 1) of each buffer
+        lower, upper = buffers[:, :-1], buffers[:, 1:]
+        p2, p1, cur = (lower[0], upper[0]), (lower[1], upper[1]), (lower[2], upper[2])
+        if flat is None:
+            stops = sorted({*due, k + kb - 1})
+        else:
+            stops = range(k, k + kb)
+            row0, row1 = lo[0], hi[0]
             # a one-column matrix has one cell per diagonal: any step
             step = max(cols[0] - 1, 1)
         # the cell in slot f reads slots f - 1 and f of diagonal d - 1 and
         # slot f - 1 of diagonal d - 2; the buffers rotate after each diagonal
-        for d in range(k, k + kb):
-            span = cur[2]
-            np.minimum(p2[1], p1[1], out=span)
-            np.minimum(span, p1[2], out=span)
-            np.add(span, block[d - k], out=span)
-            p2, p1, cur = p1, cur, p2
+        d = k
+        for stop in stops:
+            for cost in block[d - k:stop + 1 - k]:
+                span = cur[1]
+                minimum(p2[0], p1[0], out=span)
+                minimum(span, p1[1], out=span)
+                add(span, cost, out=span)
+                p2, p1, cur = p1, cur, p2
+            d = stop + 1
             if flat is not None:
-                a = max(row0, d - cols[0] + 1)
-                b = min(row1, d)
-                flat[a * (cols[0] - 1) + d:b * (cols[0] - 1) + d + 1:step] = \
-                    p1[2][a - row0:b + 1 - row0]
-            for p, f in due.get(d, ()):
-                corners[p] = float(p1[0][f])
+                a = max(row0, stop - cols[0] + 1)
+                b = min(row1, stop)
+                flat[a * (cols[0] - 1) + stop:b * (cols[0] - 1) + stop + 1:step] = \
+                    p1[1][a - row0:b + 1 - row0]
+            for p, f in due.get(stop, ()):
+                corners[p] = float(p1[1][f])
         k += kb
-        del block  # free the cost block before the next one is allocated
-        older, last = p2[0], p1[0]
-        first, top = _kept_rows(np.minimum(older, last), start, lo,
-                                np.repeat(bound[ids], w + 1))
+        del block, cost  # free the cost block before the next one is allocated
+        # after kb rotations diagonal k - 2 is in buffer kb % 3, k - 1 in the next
+        carried = buffers.take((kb % 3, (kb + 1) % 3), axis=0)
+        first, top = _kept_slots(np.minimum(*carried), np.array(start),
+                                 np.repeat(bound, width))
+        # slot t of the segment from slot s holds row t - s - 1 + lo
+        first = [t - s - 1 + a for t, s, a in zip(first.tolist(), start, lo)]
+        top = [t - s - 1 + a for t, s, a in zip(top.tolist(), start, lo)]
     return corners
 
 
@@ -351,7 +377,7 @@ def dtw_scores(pairs) -> list[DtwScore]:
 def _metric_input(x) -> np.ndarray:
     xa = np.asarray(x, dtype=np.float64)
     if xa.ndim != 1:
-        raise ValueError(f"input must be one-dimensional, got shape {xa.shape}")
+        raise ConfigError(f"input must be one-dimensional, got shape {xa.shape}")
     if len(xa) == 0:
         raise EmptyInputError("input sequence is empty")
     return xa
@@ -372,6 +398,8 @@ def pearson(x, y) -> float:
     the scale of either input, so when a sum of squares overflows, or their
     product overflows or underflows to zero, the sums are taken again on
     each input scaled by a power of two to a largest magnitude in [0.5, 1).
+    Each sum is NumPy's pairwise np.add.reduce, whose order, unlike that of
+    a BLAS dot product, does not depend on the number of BLAS threads.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
@@ -389,15 +417,16 @@ def pearson(x, y) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             dx = xa - xa.mean()
             dy = ya - ya.mean()
-            sx = float(np.dot(dx, dx))
-            sy = float(np.dot(dy, dy))
+            sx = float(np.add.reduce(dx * dx))
+            sy = float(np.add.reduce(dy * dy))
         if 0.0 < sx * sy < math.inf:
             break
-    r = float(np.dot(dx, dy)) / math.sqrt(sx * sy)
+    r = float(np.add.reduce(dx * dy)) / math.sqrt(sx * sy)
     return max(-1.0, min(1.0, r))
 
 
 def energy(x) -> float:
-    """Sum of squared samples: the discrete signal energy."""
+    """Sum of squared samples: the discrete signal energy, summed by
+    np.add.reduce as in pearson, whatever the number of BLAS threads."""
     xa = _metric_input(x)
-    return float(np.dot(xa, xa))
+    return float(np.add.reduce(xa * xa))

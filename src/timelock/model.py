@@ -11,6 +11,7 @@ import numpy as np
 from .errors import (
     BadEventsError,
     BadRateError,
+    ConfigError,
     DegenerateIntervalError,
     DuplicateEventError,
     EmptySignalError,
@@ -72,7 +73,7 @@ class Trial:
     def __post_init__(self) -> None:
         arr = np.array(self.samples, dtype=np.float64, copy=True)
         if arr.ndim != 1:
-            raise ValueError(f"samples must be one-dimensional, got shape {arr.shape}")
+            raise ConfigError(f"samples must be one-dimensional, got shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
         try:
@@ -132,7 +133,7 @@ class Partition:
 
     def __post_init__(self) -> None:
         if not 0 <= self.onset <= self.transition <= self.offset <= self.n_samples:
-            raise ValueError(
+            raise ConfigError(
                 "partition bounds must satisfy 0 <= onset <= transition <= offset <= n_samples, "
                 f"got ({self.onset}, {self.transition}, {self.offset}, {self.n_samples})"
             )

@@ -28,7 +28,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadOutputLengthError, RangeOutOfBoundsError, SegmentTooShortError
+from .errors import (BadOutputLengthError, ConfigError, RangeOutOfBoundsError,
+                     SegmentTooShortError)
 from .model import MAX_SAMPLES as _MAX_OUT_LEN  # longest output resample_padded builds
 from .model import is_integer
 
@@ -62,20 +63,20 @@ class SincConfig:
 
     def __post_init__(self) -> None:
         if not is_integer(self.half_width):
-            raise ValueError(f"half_width must be an integer, got {self.half_width!r}")
+            raise ConfigError(f"half_width must be an integer, got {self.half_width!r}")
         if self.half_width < 4:
-            raise ValueError(f"half_width must be >= 4, got {self.half_width}")
+            raise ConfigError(f"half_width must be >= 4, got {self.half_width}")
         if self.half_width > _MAX_HALF_WIDTH:
-            raise ValueError(f"half_width must be <= {_MAX_HALF_WIDTH}, got {self.half_width}")
+            raise ConfigError(f"half_width must be <= {_MAX_HALF_WIDTH}, got {self.half_width}")
         if self.window not in WINDOWS:
-            raise ValueError(f"window must be one of {WINDOWS}, got {self.window!r}")
+            raise ConfigError(f"window must be one of {WINDOWS}, got {self.window!r}")
         if self.window == "kaiser":
             if not (np.isfinite(self.beta) and self.beta > 0):
-                raise ValueError(f"Kaiser beta must be positive and finite, got {self.beta}")
+                raise ConfigError(f"Kaiser beta must be positive and finite, got {self.beta}")
             # the taper is divided by i0(beta), which overflows from about 709.8
             with np.errstate(over="ignore"):
                 if not np.isfinite(np.i0(self.beta)):
-                    raise ValueError(
+                    raise ConfigError(
                         f"Kaiser beta must keep i0(beta) finite, got {self.beta}")
 
 
@@ -337,7 +338,7 @@ def _checked(full, index_range, out_len, pads, cfg: SincConfig, pad_mode: str):
     widest first, and out_len, after the checks resample_padded documents."""
     x = np.asarray(full, dtype=np.float64)
     if x.ndim != 1:
-        raise ValueError(f"signal must be one-dimensional, got shape {x.shape}")
+        raise ConfigError(f"signal must be one-dimensional, got shape {x.shape}")
     start, stop = int(index_range[0]), int(index_range[1])
     if not 0 <= start < stop <= len(x):
         raise RangeOutOfBoundsError(
@@ -345,9 +346,9 @@ def _checked(full, index_range, out_len, pads, cfg: SincConfig, pad_mode: str):
         )
     bs = sorted({built_pad(pad, cfg.half_width) for pad in pads}, reverse=True)
     if not bs:
-        raise ValueError("pads must not be empty")
+        raise ConfigError("pads must not be empty")
     if pad_mode not in PAD_MODES:
-        raise ValueError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
+        raise ConfigError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
     in_len = stop - start
     if in_len < 2:
         raise SegmentTooShortError(f"interval needs at least 2 samples, got {in_len}")

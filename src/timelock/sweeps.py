@@ -8,7 +8,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NonFiniteError, TimelockError
+from .errors import ConfigError, NonFiniteError, TimelockError
 from .model import Partition, partition_from_events
 from .pipeline import interval_reports, plan_warp
 from .resample import SincConfig, built_pad, resample_pads
@@ -37,28 +37,28 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         if not self.pad_fractions:
-            raise ValueError("pad_fractions must be nonempty")
+            raise ConfigError("pad_fractions must be nonempty")
         for pad in self.pad_fractions:
             if not (math.isfinite(pad) and pad >= 0):
-                raise ValueError(f"pad fractions must be >= 0 and finite, got {pad}")
+                raise ConfigError(f"pad fractions must be >= 0 and finite, got {pad}")
         if not self.fsamp_factors:
-            raise ValueError("fsamp_factors must be nonempty")
+            raise ConfigError("fsamp_factors must be nonempty")
         prev = math.inf
         for f in self.fsamp_factors:
             if not 0.0 < f <= 1.0:
-                raise ValueError(f"fsamp factors must lie in (0, 1], got {f}")
+                raise ConfigError(f"fsamp factors must lie in (0, 1], got {f}")
             if f >= prev:
-                raise ValueError(f"fsamp factors must be sorted descending, got {self.fsamp_factors}")
+                raise ConfigError(f"fsamp factors must be sorted descending, got {self.fsamp_factors}")
             prev = f
         if not self.directions:
-            raise ValueError("directions must be nonempty")
+            raise ConfigError("directions must be nonempty")
         if len(set(self.directions)) != len(self.directions):
-            raise ValueError(f"duplicate directions in {self.directions}")
+            raise ConfigError(f"duplicate directions in {self.directions}")
         for d in self.directions:
             if d not in DIRECTIONS:
-                raise ValueError(f"unknown direction {d!r}; choose from {DIRECTIONS}")
+                raise ConfigError(f"unknown direction {d!r}; choose from {DIRECTIONS}")
         if not (math.isfinite(self.warp_magnitude) and self.warp_magnitude > 0):
-            raise ValueError(f"warp_magnitude must be positive, got {self.warp_magnitude}")
+            raise ConfigError(f"warp_magnitude must be positive, got {self.warp_magnitude}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadEventFracsError, BadRateError, NyquistViolationError
+from .errors import BadEventFracsError, BadRateError, ConfigError, NyquistViolationError
 from .model import MAX_SAMPLES as _MAX_SAMPLES  # longest trial generate builds
 from .model import OFFSET, ONSET, TRANSITION, EventMarker, Trial
 
@@ -34,15 +34,15 @@ class SynthSpec:
         if not (math.isfinite(self.f_samp) and self.f_samp > 0):
             raise BadRateError(f"f_samp must be positive and finite, got {self.f_samp}")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+            raise ConfigError(f"duration_s must be positive, got {self.duration_s}")
         n = self.duration_s * self.f_samp
         if not (math.isfinite(n) and round(n) <= _MAX_SAMPLES):
-            raise ValueError(
+            raise ConfigError(
                 f"duration_s * f_samp = {n} samples exceeds the limit of {_MAX_SAMPLES}")
         nyq = self.f_samp / 2.0
         for name, f in (("f1", self.f1), ("f2", self.f2)):
             if not (math.isfinite(f) and f > 0):
-                raise ValueError(f"{name} must be positive and finite, got {f}")
+                raise ConfigError(f"{name} must be positive and finite, got {f}")
             if f >= nyq:
                 raise NyquistViolationError(f"{name} = {f} is not below f_nyq = {nyq}")
         if len(self.event_fracs) != 3:
@@ -55,7 +55,7 @@ class SynthSpec:
                 )
             prev = frac
         if len(self.amplitudes) != 2 or len(self.phases) != 2:
-            raise ValueError("amplitudes and phases must each hold two values")
+            raise ConfigError("amplitudes and phases must each hold two values")
 
 
 def generate(spec: SynthSpec) -> Trial:

@@ -7,9 +7,10 @@ import pytest
 from helpers import read_table
 
 from timelock import (FsampSweepRow, PaddingSweepRow, SincConfig, SweepConfig, SynthSpec,
-                      Trial, trialio)
+                      Trial, cli, trialio)
 from timelock.cli import (_fields_from_args, _sinc_from_args, _sweep_config_from_args,
                           build_parser)
+from timelock.errors import ConfigError, TimelockError
 
 
 def _read_values(path):
@@ -52,6 +53,25 @@ class TestSynthCommand:
         assert "exceeds the limit of 16777216" in err
         assert "Traceback" not in err
         assert not (tmp_path / "t.csv").exists()
+
+    def test_config_checks_exit_3_and_other_value_errors_propagate(
+            self, run_cli, monkeypatch, tmp_path):
+        # a config check raises ConfigError, a TimelockError and a
+        # ValueError; any other ValueError, say from inside NumPy, is a
+        # defect and must end as a traceback, not as exit 3
+        with pytest.raises(ConfigError) as info:
+            SynthSpec(duration_s=-1.0)
+        assert isinstance(info.value, TimelockError)
+        assert isinstance(info.value, ValueError)
+        code, _, err = run_cli("synth", "-o", tmp_path / "t.csv", "--duration", "-1")
+        assert (code, err) == (3, "error: duration_s must be positive, got -1.0\n")
+
+        def broken(args):
+            raise ValueError("not a config check")
+
+        monkeypatch.setattr(cli, "cmd_synth", broken)
+        with pytest.raises(ValueError, match="not a config check"):
+            cli.main(["synth", "-o", str(tmp_path / "t.csv")])
 
     def test_roundtrip_read(self, run_cli, tmp_path):
         out = _synth(run_cli, tmp_path / "t.csv", "--duration", "0.25")

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,8 +97,43 @@ class TestPearson:
                 y = rng.normal(size=n)
                 dx = x - x.mean()
                 dy = y - y.mean()
-                r = float(np.dot(dx, dy)) / math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
+                r = float(np.add.reduce(dx * dy)) / math.sqrt(
+                    float(np.add.reduce(dx * dx)) * float(np.add.reduce(dy * dy)))
                 assert pearson(x, y) == max(-1.0, min(1.0, r)), (scale, n)
+
+
+# energy, pearson and the reports of a 60 s warp, whose intervals have
+# 24 576 and 30 720 to 36 864 samples, as the hex of every float
+_THREAD_PROBE = """
+import numpy as np
+from timelock import (SynthSpec, energy, generate, partition_from_events, pearson,
+                      plan_warp, warp_trial)
+rng = np.random.default_rng(5)
+x = rng.normal(size=30000)
+y = x + 0.01 * rng.normal(size=30000)
+trial = generate(SynthSpec(duration_s=60.0))
+part = partition_from_events(trial)
+report = warp_trial(trial, part, plan_warp(part, 24576, 36864, 0.1, trial.f_samp))
+values = [energy(x), pearson(x, y)]
+for r in (report.t1, report.t2):
+    values += [r.correlation, r.energy_in, r.energy_out, r.energy_ratio, r.dtw.distance]
+print(" ".join(float(v).hex() for v in values))
+"""
+
+
+def test_metric_sums_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product over its threads above 10 000 elements,
+    # and where the split falls changes the bits of the sum
+    env = dict(os.environ, PYTHONPATH=str(Path(metrics.__file__).resolve().parents[1]))
+    bits = []
+    for threads in ("1", "2"):
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        bits.append(run.stdout.split())
+    assert len(bits[0]) == 12
+    assert bits[0] == bits[1]
 
 
 class TestDtw:
@@ -215,21 +254,20 @@ class TestDtw:
                 assert np.array_equal(dtw(a, b).cost_matrix, expected)
 
     def test_kept_rows_of_a_diagonal_above_the_bound_is_empty(self):
-        # two segments, each a separator slot and then rows 10..13 and 0..3;
-        # a segment with no row within its bound gets a first row past its
-        # rows and a last row below them; only a NaN or infinite bound keeps
-        # every row, and a separator is never kept
-        from timelock.metrics import _kept_rows
+        # two segments, each a separator slot and then four rows; a segment
+        # with no row within its bound gets a first slot past every slot and
+        # a last slot before its separator; only a NaN or infinite bound
+        # keeps every row, and a separator is never kept
+        from timelock.metrics import _kept_slots
 
         values = np.array([np.inf, 3.0, 1.0, 2.0, 5.0] * 2)
         start = np.array([0, 5])
-        lo = np.array([10, 0])
-        first, last = _kept_rows(values, start, lo, np.repeat([2.0, 0.5], 5))
-        assert (first[0], last[0]) == (11, 12)
-        assert first[1] >= 4 and last[1] < 0
+        first, last = _kept_slots(values, start, np.repeat([2.0, 0.5], 5))
+        assert (first[0], last[0]) == (2, 3)
+        assert first[1] >= 10 and last[1] < 5
         for bound in (math.nan, math.inf):
-            first, last = _kept_rows(values, start, lo, np.full(10, bound))
-            assert first.tolist() == [10, 0] and last.tolist() == [13, 3]
+            first, last = _kept_slots(values, start, np.full(10, bound))
+            assert first.tolist() == [1, 6] and last.tolist() == [4, 9]
 
     def test_worst_case_closed_form_matches_dp(self):
         # the closed form used for normalization must agree with the DP it

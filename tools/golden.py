@@ -5,7 +5,10 @@ Usage: python tools/golden.py OUTDIR [--compare OTHER_OUTDIR]
 Runs a fixed list of CLI commands in process, with OUTDIR as the working
 directory: synth, warp, sweep-padding, sweep-fsamp and dtw-matrix on their
 success paths (one of them on a CRLF copy of a synthesized trial), then
-exit-2 and exit-3 cases. It prints one line per command
+exit-2 and exit-3 cases. A 24 s trial and its warp have intervals of more
+than 10 000 samples, past the size at which a BLAS dot product splits its
+sum over threads, so listings made with OPENBLAS_NUM_THREADS=1 and =2 can
+be diffed too. It prints one line per command
 (exit code, SHA-256 of its stderr, arguments) and then one line per output
 file (`sha256  name`). The package is imported from the checkout that holds
 this script, so a refactor that must keep every byte is checked by copying
@@ -48,6 +51,8 @@ SYNTH_COMMANDS = [
     "synth -o demo.csv",
     "synth -o short.csv --duration 1",
     "synth -o small.csv --duration 0.05",
+    # 49 152 samples: intervals of 12 288
+    "synth -o long.csv --duration 24",
     "synth -o custom.csv --f-samp 1000 --duration 0.09 --f1 3 --f2 11 "
     "--amplitudes 1 0.5 --phases 0.3 1.1 --event-fracs 0.2 0.45 0.8",
 ]
@@ -65,6 +70,7 @@ COMMANDS = [
     "--t1-target 1800 --t2-target 2200 --report w8.json",
     # pad 20 against a half width of 32: taps wrap into the opposite pad
     "warp -i short.csv -o w9.csv --t1-target 410 --t2-target 614 --pad-fraction 0.01",
+    "warp -i long.csv -o w10.csv --t1-target 10240 --t2-target 14336",
     "sweep-padding -o pad1.csv",
     "sweep-padding -o pad2.csv --duration 0.5 --pad-fractions 0.001 0.1",
     "sweep-padding -o pad3.csv --config sweep.cfg --warp-magnitude 0.3 --window hann",
