@@ -304,11 +304,20 @@ def _worst_case_corner(x: np.ndarray, m: int) -> float:
     return worst
 
 
-def _normalized(xa: np.ndarray, m: int, distance: float) -> float:
-    worst = math.sqrt(_worst_case_corner(xa, m))
+def _score(xa: np.ndarray, ya: np.ndarray, corner: float, e: int) -> DtwScore:
+    """The DtwScore of the pair (xa * 2**e, ya * 2**e) from its corner at the
+    scale of (xa, ya); the distance scales back by 2**e, and the normalized
+    distance, a quotient of two distances, does not depend on the scale."""
+    distance = math.sqrt(corner)
+    worst = math.sqrt(_worst_case_corner(xa, len(ya)))
     if worst == 0.0:
-        return 0.0 if distance == 0.0 else 1.0
-    return min(1.0, distance / worst)
+        normalized = 0.0 if distance == 0.0 else 1.0
+    else:
+        normalized = min(1.0, distance / worst)
+    if e:
+        with np.errstate(over="ignore"):
+            distance = float(np.ldexp(distance, e))
+    return DtwScore(distance=distance, normalized_distance=normalized)
 
 
 def dtw(x, y) -> DtwResult:
@@ -321,25 +330,30 @@ def dtw(x, y) -> DtwResult:
     range is farther (the costlier of the two), clamped to [0, 1];
     1 - normalized_distance is the similarity used in reports and sweeps.
 
+    A pair whose largest magnitude lies outside [2**-400, 2**496) runs
+    scaled by a power of two, 2**-e (see _dtw_pair): its path comes from
+    that matrix, which is then multiplied by 4**e, and its distance is
+    dtw_score's, as for every pair.
+
     Raises NonFiniteError for a NaN or infinite sample, and
     MatrixTooLargeError, before allocating, when the matrix would have more
     than 2**24 cells; dtw_score needs no matrix.
     """
-    xa = _dtw_input(x)
-    ya = _dtw_input(y)
+    xa, ya, e = _dtw_pair(x, y)
     if len(xa) * len(ya) > _MAX_MATRIX_CELLS:
         raise MatrixTooLargeError(
             f"a {len(xa)} x {len(ya)} DTW cost matrix exceeds the limit of "
             f"{_MAX_MATRIX_CELLS} cells"
         )
     acc = np.empty((len(xa), len(ya)))
-    distance = math.sqrt(_accumulate([(xa, ya)], acc)[0])
+    score = _score(xa, ya, _accumulate([(xa, ya)], acc)[0], e)
     path = _backtrack(acc)
+    if e:
+        with np.errstate(over="ignore"):
+            np.ldexp(acc, 2 * e, out=acc)
     acc.flags.writeable = False
     path.flags.writeable = False
-    return DtwResult(distance=distance,
-                     normalized_distance=_normalized(xa, len(ya), distance),
-                     cost_matrix=acc, path=path)
+    return DtwResult(score.distance, score.normalized_distance, cost_matrix=acc, path=path)
 
 
 def dtw_score(x, y) -> DtwScore:
@@ -359,19 +373,16 @@ def dtw_scores(pairs) -> list[DtwScore]:
     per NumPy step. Each score equals dtw_score(x, y) bit for bit. The memory
     is a cost block of at most _BLOCK_CELLS cells (16 MiB), or one
     anti-diagonal of the stack when that is larger, plus buffers linear in
-    the rows of the shorter sequences. Raises NonFiniteError if any pair
-    holds a NaN or infinite sample.
+    the rows of the shorter sequences. A distance scales exactly with the
+    samples, and a normalized distance does not depend on their scale (see
+    _dtw_pair). Raises NonFiniteError if any pair holds a NaN or infinite
+    sample.
     """
-    inputs = [(_dtw_input(x), _dtw_input(y)) for x, y in pairs]
+    inputs = [_dtw_pair(x, y) for x, y in pairs]
     if not inputs:
         return []
-    corners = _accumulate([tuple(sorted(pair, key=len)) for pair in inputs])
-    scores = []
-    for (xa, ya), corner in zip(inputs, corners):
-        distance = math.sqrt(corner)
-        scores.append(DtwScore(distance=distance,
-                               normalized_distance=_normalized(xa, len(ya), distance)))
-    return scores
+    corners = _accumulate([tuple(sorted((xa, ya), key=len)) for xa, ya, _ in inputs])
+    return [_score(xa, ya, corner, e) for (xa, ya, e), corner in zip(inputs, corners)]
 
 
 def _metric_input(x) -> np.ndarray:
@@ -383,11 +394,40 @@ def _metric_input(x) -> np.ndarray:
     return xa
 
 
-def _dtw_input(x) -> np.ndarray:
+def _dtw_input(x) -> tuple[np.ndarray, float]:
+    """x as a float64 array and its largest magnitude, which is NaN or inf
+    exactly when a sample is."""
     xa = _metric_input(x)
-    if not np.isfinite(xa).all():
+    peak = float(np.abs(xa).max())
+    if not math.isfinite(peak):
         raise NonFiniteError("DTW input contains NaN or infinite samples")
-    return xa
+    return xa, peak
+
+
+def _dtw_pair(x, y) -> tuple[np.ndarray, np.ndarray, int]:
+    """x and y as float64 arrays, scaled by one power of two, 2**-e, and e.
+
+    A pair whose largest magnitude M lies in [2**-400, 2**496) keeps its
+    samples, and e is 0. Its local costs are below (2 M)**2 < 2**994. A
+    corner, the straight-path bound and the worst-case corner each add at
+    most n + m - 1 of them, and for n, m <= 2**28 samples (a trial holds
+    at most 2**24) that is under 2**29 costs, whose sum stays below 2**1023
+    and, with its roundings, below the float range. A cost loses bits to
+    underflow only below 2**-1022, which is at most 2**-222 M**2. Any other
+    pair is scaled by _unit_scale, so that M lies in [0.5, 1).
+    """
+    (xa, x_peak), (ya, y_peak) = _dtw_input(x), _dtw_input(y)
+    if 2.0 ** -400 <= max(x_peak, y_peak) < 2.0 ** 496:
+        return xa, ya, 0
+    return _unit_scale(xa, ya)
+
+
+def _unit_scale(*arrays: np.ndarray) -> tuple:
+    """The arrays scaled by one power of two, 2**-e, so that their largest
+    magnitude lies in [0.5, 1), followed by e. The scaling is exact except
+    for samples that it takes below the normal range."""
+    e = int(np.frexp(max(np.abs(a).max() for a in arrays))[1])
+    return (*(np.ldexp(a, -e) for a in arrays), e)
 
 
 def pearson(x, y) -> float:
@@ -397,7 +437,7 @@ def pearson(x, y) -> float:
     for a constant sequence, before any sum is taken. r does not depend on
     the scale of either input, so when a sum of squares overflows, or their
     product overflows or underflows to zero, the sums are taken again on
-    each input scaled by a power of two to a largest magnitude in [0.5, 1).
+    each input brought to unit scale by _unit_scale.
     Each sum is NumPy's pairwise np.add.reduce, whose order, unlike that of
     a BLAS dot product, does not depend on the number of BLAS threads.
     """
@@ -413,7 +453,7 @@ def pearson(x, y) -> float:
         raise ZeroVarianceError("correlation is undefined for a constant sequence")
     for scaled in (False, True):
         if scaled:
-            xa, ya = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (xa, ya))
+            xa, ya = (_unit_scale(v)[0] for v in (xa, ya))
         with np.errstate(over="ignore", invalid="ignore"):
             dx = xa - xa.mean()
             dy = ya - ya.mean()
@@ -427,6 +467,8 @@ def pearson(x, y) -> float:
 
 def energy(x) -> float:
     """Sum of squared samples: the discrete signal energy, summed by
-    np.add.reduce as in pearson, whatever the number of BLAS threads."""
+    np.add.reduce as in pearson, whatever the number of BLAS threads. A sum
+    past the float range is inf, without an overflow warning."""
     xa = _metric_input(x)
-    return float(np.add.reduce(xa * xa))
+    with np.errstate(over="ignore"):
+        return float(np.add.reduce(xa * xa))

@@ -14,7 +14,7 @@ from .errors import (
     InconsistentTrialsError,
     ZeroVarianceError,
 )
-from .metrics import DtwScore, dtw_scores, energy, pearson
+from .metrics import DtwScore, _unit_scale, dtw_scores, energy, pearson
 from .model import EventMarker, Partition, Trial, is_integer
 from .resample import SincConfig, grid_position, resample_padded
 
@@ -104,16 +104,17 @@ def warp_trial(trial: Trial, p: Partition, spec: WarpSpec,
     constant or one sample long), the DTW distance of original versus
     warped, and the signal energies before and after.
 
-    This is warp_intervals followed by build_reports on the one warp.
+    This is warp_intervals followed by interval_reports of its two pairs.
     """
-    return build_reports([warp_intervals(trial, p, spec, cfg, pad_mode)])[0]
+    warped, pairs = warp_intervals(trial, p, spec, cfg, pad_mode)
+    return WarpReport(warped, *interval_reports(pairs))
 
 
 def warp_intervals(trial: Trial, p: Partition, spec: WarpSpec,
                    cfg: SincConfig = SincConfig(),
                    pad_mode: str = "neighbor") -> tuple[Trial, tuple]:
     """The warp step of warp_trial: the warped trial, and the (original,
-    warped) samples of t1 and of t2, which build_reports scores."""
+    warped) samples of t1 and of t2, which interval_reports scores."""
     if p.n_samples != len(trial):
         raise InconsistentTrialsError(
             f"partition covers {p.n_samples} samples but trial has {len(trial)}"
@@ -136,20 +137,13 @@ def warp_intervals(trial: Trial, p: Partition, spec: WarpSpec,
                     (x[p.transition:p.offset], warped.samples[t1_end:t2_end]))
 
 
-def build_reports(warps) -> list[WarpReport]:
-    """The report step of warp_trial for many warps from warp_intervals:
-    interval_reports of every interval of every warp."""
-    warps = list(warps)
-    reports = iter(interval_reports(pair for _, intervals in warps for pair in intervals))
-    return [WarpReport(warped=warped, t1=next(reports), t2=next(reports))
-            for warped, _ in warps]
-
-
 def interval_reports(pairs) -> list[IntervalReport]:
-    """The IntervalReport of each (original, warped) interval pair.
+    """The IntervalReport of each (original, warped) interval pair, in order.
 
-    Every pair is scored in one dtw_scores call, so the DTW dynamic
-    programs of all of them advance side by side.
+    This is the one scoring step of warp_trial, align_batch and
+    padding_sweep: each hands it every pair it has warped. All of them are
+    scored in one dtw_scores call, so their DTW dynamic programs advance side
+    by side, and each report equals that of its pair scored alone.
     """
     pairs = list(pairs)
     return [_interval_report(*pair, score) for pair, score in zip(pairs, dtw_scores(pairs))]
@@ -178,11 +172,11 @@ def _energy_ratio(ratio: float, original: np.ndarray, warped: np.ndarray,
                   e_in: float, e_out: float) -> float:
     """ratio * e_out / e_in. The quotient does not depend on the scale of the
     samples, so when a sum is 0 or overflows, both are taken again on the two
-    intervals scaled by one power of two to a largest magnitude in [0.5, 1),
-    as pearson does; sums in (0, inf) keep their bits."""
+    intervals brought to unit scale together by metrics._unit_scale; sums in
+    (0, inf) keep their bits."""
     if not (0.0 < e_in < math.inf and 0.0 < e_out < math.inf):
-        scale = -np.frexp(max(np.abs(original).max(), np.abs(warped).max()))[1]
-        e_in, e_out = (energy(np.ldexp(v, scale)) for v in (original, warped))
+        *scaled, _ = _unit_scale(original, warped)
+        e_in, e_out = map(energy, scaled)
     if e_in == 0.0:
         return math.nan
     return ratio * e_out / e_in
@@ -277,4 +271,5 @@ def align_batch(items, policy: TargetPolicy, pad_fraction: float,
         spec = plan_warp(p, t1_target, t2_target, pad_fraction, trial.f_samp,
                          preserve_length=preserve_length)
         warps.append(warp_intervals(trial, p, spec, cfg, pad_mode))
-    return build_reports(warps)
+    reports = iter(interval_reports(pair for _, pairs in warps for pair in pairs))
+    return [WarpReport(warped, next(reports), next(reports)) for warped, _ in warps]

@@ -99,73 +99,72 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
 
     Rows come out ordered by direction, interval, then pad fraction; a cell
     that raises records the error class name in its rows' status instead of
-    aborting the sweep. Cells with the same target lengths form a group.
-    Cells with the same effective spec, the same targets and the same
-    built_pad, have bitwise identical warps, so each such spec is warped and
-    scored once and its rows are copied to every cell that shares it. Each
-    group resamples t1 and t2 once each, for all of its built pads, in one
-    resample_pads call: a smaller built_pad differs from the largest only in
-    the outputs within half_width - built_pad samples of an interval's ends.
-    The resampler's checks do not depend on the pad, so a group whose
-    resampling raises records the error class on each of its cells. Whether
-    the warped samples are finite does depend on the pad: a warp with a NaN
-    or infinite sample records NonFiniteError on its own cells, as
-    warp_trial's Trial raises it there. Scoring runs after all the warps, as
-    one stacked DTW over every interval of every warp.
+    aborting the sweep. A direction's cells share their target lengths, and
+    cells with the same targets and built_pad have bitwise identical warps,
+    so each such warp is made and scored once for all of its cells. One loop
+    makes a direction's warps: one resample_pads call each for t1 and t2 at
+    every built pad not yet warped (a smaller built_pad differs from the
+    largest only within half_width - built_pad samples of an interval's
+    ends), a check of each warp where it is made, and its (original, warped)
+    pairs. A resampling error does not depend on the pad and is recorded on
+    every cell of the call; a warp with a NaN or infinite sample records
+    NonFiniteError on its own cells, as warp_trial's Trial raises it there
+    (the warped markers always increase, so Trial refuses nothing else). One
+    interval_reports call then scores every pair as one stacked DTW.
     """
     trial = generate(synth_spec)
     part = partition_from_events(trial)
     x = trial.samples
+    originals = x[slice(*part.t1)], x[slice(*part.t2)]
     cells = {}  # (direction, pad) -> (targets, built_pad), or the error class name
+    warps = {}  # (targets, built_pad) -> index of its t1 pair in pairs, or the error class name
+    pairs = []
     for direction in sweep.directions:
         targets = direction_targets(part, direction, sweep.warp_magnitude)
+        pads = set()
         for pad in sweep.pad_fractions:
             try:
                 spec = plan_warp(part, *targets, pad, trial.f_samp)
-                cells[(direction, pad)] = (targets, built_pad(spec.pad, sinc.half_width))
+                cells[(direction, pad)] = key = (targets, built_pad(spec.pad, sinc.half_width))
             except TimelockError as err:
                 cells[(direction, pad)] = type(err).__name__
-    groups = {}  # targets -> the built pads of its cells
-    for key in cells.values():
-        if not isinstance(key, str):
-            groups.setdefault(key[0], set()).add(key[1])
-    warps = {}  # (targets, built_pad) -> warped t1 and t2, or the error class name
-    for targets, pads in groups.items():
+                continue
+            if key not in warps:
+                pads.add(key[1])
+        if not pads:
+            continue
         try:
             t1 = resample_pads(x, part.t1, targets[0], pads, sinc)
             t2 = resample_pads(x, part.t2, targets[1], pads, sinc)
         except TimelockError as err:
             warps.update(((targets, b), type(err).__name__) for b in pads)
             continue
-        warps.update(((targets, b), [t1[b], t2[b]]) for b in pads)
-    # the warped markers are the onset, onset + t1 and the offset, always
-    # increasing, so a finite warp is one that warp_trial's Trial accepts
-    for key, warp in warps.items():
-        if not isinstance(warp, str) and not all(np.isfinite(w).all() for w in warp):
-            warps[key] = NonFiniteError.__name__
-    scored = [key for key, warp in warps.items() if not isinstance(warp, str)]
-    reports = iter(interval_reports((x[slice(*span)], w) for key in scored
-                                    for span, w in zip((part.t1, part.t2), warps[key])))
-    for key in scored:
-        warps[key] = {interval: next(reports) for interval in INTERVALS}
-    return _rows(sweep, {at: key if isinstance(key, str) else warps[key]
-                         for at, key in cells.items()})
+        for b in pads:
+            if np.isfinite(t1[b]).all() and np.isfinite(t2[b]).all():
+                warps[(targets, b)] = len(pairs)
+                pairs += zip(originals, (t1[b], t2[b]))
+            else:
+                warps[(targets, b)] = NonFiniteError.__name__
+    reports = interval_reports(pairs)
+    outcomes = {key: w if isinstance(w, str) else reports[w:w + 2] for key, w in warps.items()}
+    return _rows(sweep, {at: cell if isinstance(cell, str) else outcomes[cell]
+                         for at, cell in cells.items()})
 
 
 def _rows(sweep: SweepConfig, cells) -> list[PaddingSweepRow]:
     """The rows of a padding sweep ordered by direction, interval, then pad
-    fraction, from cells: (direction, pad) -> the cell's IntervalReport by
-    interval, or its error class name."""
+    fraction, from cells: (direction, pad) -> the cell's IntervalReports of
+    t1 and t2, or its error class name."""
     rows = []
     for direction in sweep.directions:
-        for interval in INTERVALS:
+        for i, interval in enumerate(INTERVALS):
             for pad in sweep.pad_fractions:
                 cell = cells[(direction, pad)]
                 if isinstance(cell, str):
                     rows.append(PaddingSweepRow(direction, interval, pad,
                                                 None, None, None, None, cell))
                 else:
-                    r = cell[interval]
+                    r = cell[i]
                     rows.append(PaddingSweepRow(
                         direction, interval, pad,
                         correlation=r.correlation,

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,29 @@ class TestDtw:
         with pytest.raises(MatrixTooLargeError):
             dtw(np.zeros(5), np.ones(3))
         assert dtw_score(np.zeros(5), np.ones(3)).distance == math.sqrt(5.0)
+
+    @pytest.mark.parametrize("k", [511, 600, -560, -1000])
+    def test_scores_scale_exactly_with_the_samples(self, k):
+        # scaled by 2**k, the costs of this pair pass the float range (511,
+        # 600) or fall below it (-560, -1000); the distance is the
+        # unit-scale one times 2**k and the normalized distance the
+        # unit-scale one, bit for bit, from dtw_score and dtw alike
+        x = np.sin(np.linspace(0.0, 6.0 * np.pi, 500) + 0.1)
+        y = np.sin(np.linspace(0.0, 6.0 * np.pi, 400) + 0.15)
+        unit = dtw(x, y)
+        xs, ys = np.ldexp(x, k), np.ldexp(y, k)
+        # no sample falls below the normal range, so the scaled pair is exact
+        assert np.array_equal(np.ldexp(xs, -k), x) and np.array_equal(np.ldexp(ys, -k), y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            score = dtw_score(xs, ys)
+            full = dtw(xs, ys)
+        for got in (score, full):
+            assert got.distance == np.ldexp(unit.distance, k)
+            assert got.normalized_distance == unit.normalized_distance
+        assert np.array_equal(full.path, unit.path)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(full.cost_matrix, np.ldexp(unit.cost_matrix, 2 * k))
 
     def test_result_arrays_frozen(self):
         res = dtw([0.0, 1.0], [1.0, 0.0])

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -221,6 +224,21 @@ class TestPaddingSweep:
                     [row.correlation, row.dtw_distance, row.dtw_similarity, row.energy_ratio],
                     [r.correlation, r.dtw.distance, r.dtw.similarity, r.energy_ratio],
                     equal_nan=True)
+
+    def test_dtw_scores_scale_with_the_amplitudes(self):
+        # at amplitudes of 2**511 the DTW costs of every warp pass the float
+        # range; each cell is still ok, its similarity is the unit-amplitude
+        # one and its distance that one times 2**511, bit for bit, and the
+        # correlation and energy ratio keep their unit-amplitude bits too
+        sweep = SweepConfig(pad_fractions=(0.0, 0.01, 0.1))
+        unit = padding_sweep(sweep, QUICK_SYNTH)
+        huge = padding_sweep(sweep, replace(QUICK_SYNTH, amplitudes=(2.0 ** 511,) * 2))
+        assert len(huge) == 12
+        assert {r.status for r in huge} == {"ok"}
+        for got, want in zip(huge, unit):
+            assert got.dtw_similarity == want.dtw_similarity
+            assert got.dtw_distance == math.ldexp(want.dtw_distance, 511)
+            assert (got.correlation, got.energy_ratio) == (want.correlation, want.energy_ratio)
 
 
 class TestFsampSweep:

@@ -55,6 +55,8 @@ SYNTH_COMMANDS = [
     "synth -o long.csv --duration 24",
     "synth -o custom.csv --f-samp 1000 --duration 0.09 --f1 3 --f2 11 "
     "--amplitudes 1 0.5 --phases 0.3 1.1 --event-fracs 0.2 0.45 0.8",
+    # samples near 2e160, whose DTW costs pass the float range
+    "synth -o big.csv --amplitudes 1e160 1e160",
 ]
 
 # run once SYNTH_COMMANDS have written small.csv and its CRLF copy
@@ -71,6 +73,7 @@ COMMANDS = [
     # pad 20 against a half width of 32: taps wrap into the opposite pad
     "warp -i short.csv -o w9.csv --t1-target 410 --t2-target 614 --pad-fraction 0.01",
     "warp -i long.csv -o w10.csv --t1-target 10240 --t2-target 14336",
+    "warp -i big.csv -o w11.csv --t1-target 1638 --t2-target 2458",
     "sweep-padding -o pad1.csv",
     "sweep-padding -o pad2.csv --duration 0.5 --pad-fractions 0.001 0.1",
     "sweep-padding -o pad3.csv --config sweep.cfg --warp-magnitude 0.3 --window hann",
