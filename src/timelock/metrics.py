@@ -54,45 +54,60 @@ def _kept_slots(values: np.ndarray, start: np.ndarray,
             np.maximum.reduceat(slot - shift, start))
 
 
+def _diagonals(table: np.ndarray) -> None:
+    """Overwrite rows 2 and up of table, the local costs of consecutive
+    anti-diagonals, in place with their accumulated costs. The cell in slot
+    f reads slots f - 1 and f of the row before and slot f - 1 of the row
+    before that; slot 0 is never written."""
+    lower, upper = table[:, :-1], table[:, 1:]
+    span = np.empty(table.shape[1] - 1)
+    minimum, add = np.minimum, np.add
+    p2, p1, q1 = lower[0], lower[1], upper[1]
+    for low, cost in zip(lower[2:], upper[2:]):
+        minimum(p2, p1, out=span)
+        minimum(span, q1, out=span)
+        add(span, cost, out=cost)
+        p2, p1, q1 = p1, low, cost
+
+
 def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     """Accumulated DTW cost at the far corner of each (x, y).
 
     Local cost is the squared sample difference. Cell (i, j) on anti-diagonal
-    d = i + j depends only on diagonals d - 1 and d - 2, so three buffers
-    indexed by row replace the n x m matrix. The local costs are computed for
-    a block of kb diagonals at a time: _COST_BLOCK, or fewer when the block
-    would pass _BLOCK_CELLS cells, but at least one. y is reversed once so a
-    diagonal's local costs are contiguous.
+    d = i + j depends only on diagonals d - 1 and d - 2, so the diagonals
+    are computed a block of kb at a time and the n x m matrix is never held:
+    kb is _COST_BLOCK, or fewer when the block would pass _BLOCK_CELLS
+    cells, but at least one. y is reversed once so a diagonal's local costs
+    are contiguous.
 
     The problems are independent and advance together, one diagonal of every
     problem per step, so the three ufunc calls of a step serve them all.
     Within a block each problem covers fixed rows lo..hi, laid out as one
-    segment of a flat buffer: a separator slot for row lo - 1, then the rows.
-    A separator's local cost is inf, so the recurrence keeps it inf and no
-    problem reads its neighbour. A problem that ends within a block gets inf
-    costs after its last diagonal, where its corner is read, and leaves the
+    segment of a row: a separator slot for row lo - 1, then the rows. A
+    block is one table of kb + 2 such rows. Rows 0 and 1 hold the two
+    diagonals carried from the previous block, and rows 2 and up the local
+    costs of the block's diagonals, which _diagonals overwrites in place with
+    accumulated costs. A separator's local cost is inf, so the recurrence
+    keeps it inf and no problem reads its neighbour. A problem that ends
+    within a block gets inf costs after its last diagonal and leaves the
     layout at the next block. Cells outside a grid come out harmless: left of
-    column 0 they stay inf, and right of column m - 1 no grid cell reads them.
-    Rows that the previous block did not compute start at inf.
+    column 0 they stay inf, and right of column m - 1 no grid cell reads
+    them. Rows that the previous block did not compute start at inf.
 
-    A block's diagonals run in stretches that end only where the stack reads
-    a diagonal: at a problem's last one, for its corner, and, when acc is
-    given, at every one, to write it into the matrix. Within a stretch a
-    diagonal costs its three ufunc calls and the rotation of the buffers.
     A block's set-up lays out the segments with Python integers, from lists
     by problem in the layout (n - 1 and m + 1 among them) that change only
-    when problems leave it. It allocates the three buffers as one array,
-    copies each problem's kept rows of the two diagonals carried from the
-    previous block, themselves one array, with one assignment, and writes
-    every separator's costs with one. After the block, _kept_slots finds the
-    kept rows of every segment in eight NumPy calls. No view of the cost
-    block outlives the block.
+    when problems leave it. It copies each problem's kept rows of the
+    carried diagonals with one assignment and writes every separator's
+    costs with one. After the recurrence the block reads the corner of each
+    problem that ends in it, and its last two rows become the next block's
+    carried diagonals; _kept_slots finds the kept rows of every segment in
+    eight NumPy calls. No view of the table outlives the block.
 
-    When acc is given, the one problem keeps every row and each diagonal is
-    written into acc, giving the full accumulated-cost matrix, in either
-    orientation. Otherwise every problem has len(x) <= len(y) and, between
-    blocks, rows are dropped from both ends of a segment while their
-    cost on both of the last two diagonals exceeds the problem's
+    When acc is given, the one problem keeps every row and each diagonal of
+    the table is written into acc, giving the full accumulated-cost matrix,
+    in either orientation. Otherwise every problem has len(x) <= len(y) and,
+    between blocks, rows are dropped from both ends of a segment while
+    their cost on both of the last two diagonals exceeds the problem's
     straight-path bound. No such cell lies on the optimal path, and a cell
     within the bound takes its minimum from a predecessor within the bound,
     so every kept value and the corner come out bit for bit as in the full DP.
@@ -121,7 +136,6 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     corners = (d * d).tolist()
     if flat is not None:
         flat[0] = corners[0]
-    minimum, add = np.minimum, np.add
 
     # By problem in the layout: its last diagonal, n - 1 and m + 1; these
     # change only when problems leave the layout.
@@ -151,71 +165,54 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
         # Row lo - 1 is dropped on both earlier diagonals or lies right of
         # the grid (first is never negative); kept rows widen by at most one
         # per diagonal. deep is the last row of a _COST_BLOCK-deep block,
-        # which no shallower block passes, so the cost block holds at most
-        # max(_BLOCK_CELLS, slots) cells.
+        # which no shallower block passes, so the table holds at most
+        # max(_BLOCK_CELLS, slots) cells plus its two carried rows.
         lo = [max(f, k - c) for f, c in zip(first, m1)]
         deep = [min(t + _COST_BLOCK, r) for t, r in zip(top, n1)]
         slots = sum(deep) - sum(lo) + 2 * len(lo)
         kb = max(1, min(_COST_BLOCK, final_max + 1 - k, _BLOCK_CELLS // slots))
-        hi = deep if kb == _COST_BLOCK else [min(t + kb, r) for t, r in zip(top, n1)]
+        hi = [min(t + kb, r) for t, r in zip(top, n1)]
         width = [b + 2 - a for a, b in zip(lo, hi)]  # a separator and the rows
-        size = sum(width)
-        buffers = np.full((3, size), np.inf)
-        block = np.empty((kb, size - 1))  # local costs of slots 1..size - 1
+        table = np.empty((kb + 2, sum(width)))
+        table[:2] = np.inf
         start = []
+        ends = []  # (problem, table row, slot) of each corner in the block
         s = 0
-        due: dict[int, list[tuple[int, int]]] = {}
         for (p, x, ypad, base), last, last_row, a, b, (s0, a0, b0) in zip(
                 stack, final, n1, lo, hi, old):
             start.append(s)
             keep = min(b, b0) + 1 - a
             if keep > 0:
                 src = s0 + 1 + a - a0
-                buffers[:2, s + 1:s + 1 + keep] = carried[:, src:src + keep]
+                table[:2, s + 1:s + 1 + keep] = carried[:, src:src + keep]
             steps = min(kb, last + 1 - k)
             # row r holds y[k + r - i] for rows i = a..b; the arguments are
             # positional, which makes the call about twice as fast
             ys = np.ndarray((steps, b + 1 - a), None, ypad, base + (a - k) * item, strides)
-            np.subtract(x[a:b + 1], ys, out=block[:steps, s:s + b + 1 - a])
+            np.subtract(x[a:b + 1], ys, out=table[2:2 + steps, s + 1:s + 2 + b - a])
             if steps < kb:
-                block[steps:, s:s + b + 1 - a] = np.inf
+                table[2 + steps:, s + 1:s + 2 + b - a] = np.inf
             if last < k + kb:
-                due.setdefault(last, []).append((p, s + last_row - a))
+                ends.append((p, last + 2 - k, s + 1 + last_row - a))
             s += b + 2 - a
-        block[:, [t - 1 for t in start[1:]]] = np.inf  # the separators
-        np.multiply(block, block, out=block)
-        # (slots 0..size - 2, slots 1..size - 1) of each buffer
-        lower, upper = buffers[:, :-1], buffers[:, 1:]
-        p2, p1, cur = (lower[0], upper[0]), (lower[1], upper[1]), (lower[2], upper[2])
-        if flat is None:
-            stops = sorted({*due, k + kb - 1})
-        else:
-            stops = range(k, k + kb)
-            row0, row1 = lo[0], hi[0]
+        costs = table[2:]
+        costs[:, start] = np.inf  # the separators
+        np.multiply(costs, costs, out=costs)
+        _diagonals(table)
+        for p, r, f in ends:
+            corners[p] = float(table[r, f])
+        if flat is not None:
+            row0, m = lo[0], cols[0]
             # a one-column matrix has one cell per diagonal: any step
-            step = max(cols[0] - 1, 1)
-        # the cell in slot f reads slots f - 1 and f of diagonal d - 1 and
-        # slot f - 1 of diagonal d - 2; the buffers rotate after each diagonal
-        d = k
-        for stop in stops:
-            for cost in block[d - k:stop + 1 - k]:
-                span = cur[1]
-                minimum(p2[0], p1[0], out=span)
-                minimum(span, p1[1], out=span)
-                add(span, cost, out=span)
-                p2, p1, cur = p1, cur, p2
-            d = stop + 1
-            if flat is not None:
-                a = max(row0, stop - cols[0] + 1)
-                b = min(row1, stop)
-                flat[a * (cols[0] - 1) + stop:b * (cols[0] - 1) + stop + 1:step] = \
-                    p1[1][a - row0:b + 1 - row0]
-            for p, f in due.get(stop, ()):
-                corners[p] = float(p1[1][f])
+            step = max(m - 1, 1)
+            for d in range(k, k + kb):
+                a = max(row0, d - m + 1)
+                b = min(hi[0], d)
+                flat[a * (m - 1) + d:b * (m - 1) + d + 1:step] = \
+                    table[d + 2 - k, a + 1 - row0:b + 2 - row0]
         k += kb
-        del block, cost  # free the cost block before the next one is allocated
-        # after kb rotations diagonal k - 2 is in buffer kb % 3, k - 1 in the next
-        carried = buffers.take((kb % 3, (kb + 1) % 3), axis=0)
+        carried = table[kb:].copy()  # diagonals k - 2 and k - 1
+        del table, costs  # free the table before the next one is allocated
         first, top = _kept_slots(np.minimum(*carried), np.array(start),
                                  np.repeat(bound, width))
         # slot t of the segment from slot s holds row t - s - 1 + lo

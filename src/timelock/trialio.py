@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from array import array
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, TrialTooLongError
+from .errors import ParseError, TimelockError, TrialTooLongError
 from .metrics import DtwResult
 from .model import MAX_SAMPLES as _MAX_SAMPLES  # trial files have the budget of synthesized trials
 from .model import EventMarker, Trial
@@ -68,7 +69,9 @@ def read_trial_csv(path: str | Path) -> Trial:
 
     A trial holds at most 2**24 samples: a larger '# samples:' value raises
     TrialTooLongError when its line is read, and so does the row that passes
-    the budget.
+    the budget. An error of the Trial the file makes, such as NonFiniteError
+    for a NaN row or BadRateError for '# f_samp: 0', is raised again with
+    the path in front of its message.
     """
     metadata = {}
     values = array("d")
@@ -101,12 +104,15 @@ def read_trial_csv(path: str | Path) -> Trial:
     if metadata.get("samples", len(values)) != len(values):
         raise ParseError(f"{path}: '# samples: {metadata['samples']}' but "
                          f"{len(values)} sample rows; the file may be cut short")
-    return Trial(np.frombuffer(values), metadata["f_samp"])
+    try:
+        return Trial(np.frombuffer(values), metadata["f_samp"])
+    except TimelockError as err:
+        raise type(err)(f"{path}: {err}") from None
 
 
 def write_events_json(path: str | Path, events) -> None:
     payload = {"events": [{"index": int(e.index), "label": e.label} for e in events]}
-    _write_lines(path, [json.dumps(payload, indent=2)])
+    _write_lines(path, [json.dumps(payload, indent=2, allow_nan=False)])
 
 
 def read_events_json(path: str | Path) -> tuple[EventMarker, ...]:
@@ -148,9 +154,14 @@ def write_sweep_table(path: str | Path, row_type: type, rows, header: dict[str, 
 
 def write_warp_report_json(path: str | Path, report: WarpReport,
                            context: dict) -> None:
-    """Serialise per-interval warp metrics (without cost matrices) plus context."""
+    """Serialise per-interval warp metrics (without cost matrices) plus context.
+
+    A NaN or infinite metric, such as the correlation of a one-sample
+    interval or an energy past the float range, is written as null, so the
+    file is strict JSON.
+    """
     def interval_payload(r):
-        return {
+        values = {
             "ratio": r.ratio,
             "correlation": r.correlation,
             "dtw_distance": r.dtw.distance,
@@ -160,13 +171,15 @@ def write_warp_report_json(path: str | Path, report: WarpReport,
             "energy_out": r.energy_out,
             "energy_ratio": r.energy_ratio,
         }
+        return {key: value if math.isfinite(value) else None
+                for key, value in values.items()}
 
     payload = dict(context)
     payload["intervals"] = {"t1": interval_payload(report.t1),
                             "t2": interval_payload(report.t2)}
     payload["events"] = [{"index": e.index, "label": e.label}
                          for e in report.warped.events]
-    _write_lines(path, [json.dumps(payload, indent=2)])
+    _write_lines(path, [json.dumps(payload, indent=2, allow_nan=False)])
 
 
 def write_dtw_matrix_csv(path: str | Path, result: DtwResult) -> None:

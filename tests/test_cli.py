@@ -153,7 +153,7 @@ class TestWarpCommand:
         assert "line 3" in err
 
     def test_one_sample_target(self, run_cli, tmp_path):
-        # a one-sample interval has no correlation; the report says NaN
+        # a one-sample interval has no correlation; the report says null
         seed = _synth(run_cli, tmp_path / "one.csv", "--duration", "1")
         out = tmp_path / "w.csv"
         code, _, err = run_cli("warp", "-i", seed, "-o", out,
@@ -161,8 +161,27 @@ class TestWarpCommand:
         assert code == 0, err
         assert len(_read_values(out)) == 2048
         report = json.loads((tmp_path / "w.report.json").read_text())
-        assert np.isnan(report["intervals"]["t1"]["correlation"])
+        assert report["intervals"]["t1"]["correlation"] is None
         assert report["intervals"]["t1"]["ratio"] == 512.0
+
+    def test_report_is_strict_json(self, run_cli, tmp_path):
+        # energies past the float range are written as null, not as the
+        # Infinity token that strict JSON parsers refuse
+        seed = _synth(run_cli, tmp_path / "big.csv", "--duration", "1",
+                      "--amplitudes", "1e160", "1e160")
+        code, _, err = run_cli("warp", "-i", seed, "-o", tmp_path / "w.csv",
+                               "--t1-target", 410, "--t2-target", 614)
+        assert code == 0, err
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        text = (tmp_path / "w.report.json").read_text()
+        report = json.loads(text, parse_constant=refuse)
+        for interval in report["intervals"].values():
+            assert interval["energy_in"] is None
+            for key in ("dtw_distance", "dtw_normalized_distance", "dtw_similarity"):
+                assert np.isfinite(interval[key])
 
     def test_huge_pad_exits_3(self, run_cli, tmp_path, demo_2400):
         code, _, err = run_cli("warp", "-i", demo_2400, "-o", tmp_path / "w.csv",
@@ -427,6 +446,19 @@ class TestDtwMatrixCommand:
         code, _, err = run_cli("dtw-matrix", tmp_path / "nope.csv",
                                tmp_path / "nope.csv", "-o", tmp_path / "out")
         assert code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("# f_samp: 100.0\n0.5\nnan\n", "trial contains NaN or infinite samples"),
+        ("# f_samp: 0\n0.5\n1.0\n", "f_samp must be positive and finite, got 0.0"),
+    ], ids=["nan-row", "zero-rate"])
+    def test_invalid_trial_error_names_its_file(self, run_cli, tmp_path, text, message):
+        # the second file is the bad one; the message must say so
+        good = _synth(run_cli, tmp_path / "a.csv", "--duration", "0.05")
+        bad = tmp_path / "b.csv"
+        bad.write_text(text)
+        code, _, err = run_cli("dtw-matrix", good, bad, "-o", tmp_path / "out")
+        assert code == 3
+        assert err.splitlines() == [f"error: {bad}: {message}"]
 
 
 class TestReaders:

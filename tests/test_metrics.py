@@ -369,6 +369,12 @@ def stack_cases():
     return pairs, expected
 
 
+@pytest.fixture(scope="module")
+def stack_matrices(stack_cases):
+    """The loop-oracle matrix of each stack_cases pair."""
+    return [dp_matrix_loops(a, b) for a, b in stack_cases[0]]
+
+
 class TestStackedDtw:
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
     @pytest.mark.parametrize("budget", [1 << 21, 40])
@@ -403,20 +409,28 @@ class TestStackedDtw:
         assert scores[:2] == dtw_scores(pairs[:2])
 
     def test_costs_past_a_problems_end_are_not_read_from_stale_memory(
-            self, monkeypatch, stack_cases):
-        # the cost block is allocated uninitialised; with fresh memory full of
-        # NaN, a problem that ends inside a block must still not carry it
-        # through the separator into its neighbour
+            self, monkeypatch, stack_cases, stack_matrices):
+        # each cost block's table, and dtw()'s matrix, are allocated
+        # uninitialised; with fresh float memory full of NaN, a problem that
+        # ends inside a block must still not carry it through the separator
+        # into its neighbour, and every matrix cell must be written from the
+        # diagonal that holds it, at every block depth. Integer arrays, such
+        # as the backtrack's path, are left as allocated.
         real_empty = np.empty
 
         def nan_empty(*args, **kwargs):
             out = real_empty(*args, **kwargs)
-            out.fill(np.nan)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
             return out
 
         monkeypatch.setattr(np, "empty", nan_empty)
         pairs, expected = stack_cases
-        assert [s.distance for s in dtw_scores(pairs)] == expected
+        for block in (1, 3, 64):
+            monkeypatch.setattr(metrics, "_COST_BLOCK", block)
+            assert [s.distance for s in dtw_scores(pairs)] == expected
+            for (a, b), matrix in zip(pairs, stack_matrices):
+                assert np.array_equal(dtw(a, b).cost_matrix, matrix)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_is_refused(self, value):

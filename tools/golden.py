@@ -8,9 +8,11 @@ success paths (one of them on a CRLF copy of a synthesized trial), then
 exit-2 and exit-3 cases. A 24 s trial and its warp have intervals of more
 than 10 000 samples, past the size at which a BLAS dot product splits its
 sum over threads, so listings made with OPENBLAS_NUM_THREADS=1 and =2 can
-be diffed too. It prints one line per command
-(exit code, SHA-256 of its stderr, arguments) and then one line per output
-file (`sha256  name`). The package is imported from the checkout that holds
+be diffed too. It prints one line per command (exit code, SHA-256 of its
+stderr, arguments), followed by one line per warning the command raised
+(`warning  Category: message`, without the source path and line, which
+differ between checkouts), and then one line per output file
+(`sha256  name`). The package is imported from the checkout that holds
 this script, so a refactor that must keep every byte is checked by copying
 the script into a checkout of the parent commit, running it in both, and
 diffing the two listings. With --compare, it then prints one line per
@@ -30,6 +32,7 @@ import io
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -125,9 +128,12 @@ def _execute(commands: list[str]) -> list[str]:
     lines = []
     for command in commands:
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        # every warning is recorded, not only the first from each source line
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(command.split())
         lines.append(f"exit {code}  stderr {sha256(err.getvalue().encode())}  {command}")
+        lines += (f"warning  {w.category.__name__}: {w.message}" for w in caught)
     return lines
 
 
