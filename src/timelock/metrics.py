@@ -82,23 +82,38 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
 
     The problems are independent and advance together, one diagonal of every
     problem per step, so the three ufunc calls of a step serve them all.
-    Within a block each problem covers fixed rows lo..hi, laid out as one
-    segment of a row: a separator slot for row lo - 1, then the rows. A
-    block is one table of kb + 2 such rows. Rows 0 and 1 hold the two
-    diagonals carried from the previous block, and rows 2 and up the local
-    costs of the block's diagonals, which _diagonals overwrites in place with
-    accumulated costs. A separator's local cost is inf, so the recurrence
-    keeps it inf and no problem reads its neighbour. A problem that ends
-    within a block gets inf costs after its last diagonal and leaves the
-    layout at the next block. Cells outside a grid come out harmless: left of
-    column 0 they stay inf, and right of column m - 1 no grid cell reads
-    them. Rows that the previous block did not compute start at inf.
+    Within a block each problem covers fixed rows lo..hi, with hi = top + kb
+    for top its last kept row (never past n - 1), laid out as one segment of
+    a row: a separator slot for row lo - 1, then the rows. A block is one
+    table of kb + 2 such rows. Rows 0 and 1 hold the two diagonals carried
+    from the previous block, and rows 2 and up the local costs of the
+    block's diagonals, which _diagonals overwrites in place with accumulated
+    costs. Rows that the previous block did not compute start at inf.
+
+    A block's local costs come from two strips. One holds the x of each
+    slot: inf for a separator, so the recurrence keeps it inf and no problem
+    reads its neighbour, and inf for a row past n - 1. The y of the cell in
+    slot f on block diagonal r depends, within a segment, only on f - r, so
+    the other strip holds at f - r a reversed slice of y, each segment's
+    from its separator slot + 2 - kb to the next one's. A view of it with a
+    row stride of minus one sample gives every cell its y, and the costs
+    are (y - x)**2, the same bits as (x - y)**2, from one copy and two
+    in-place ufunc calls for the whole block. A cell whose f - r lies in its
+    neighbour's slice, or past either end of the strip (where it reads 0),
+    is a separator or lies at a row i > top + r + 2. Every path to such a
+    row crosses the carried diagonals above row top, where no cell is
+    within the bound (they are inf for dtw()'s one problem: not computed,
+    or past n - 1), so its cost cannot reach a kept value. That holds
+    because hi is top + kb even past n - 1. Cells outside a grid come out
+    harmless too: left of column 0 they stay inf, right of column m - 1 no
+    grid cell reads them, and no cell reads those after a problem's last
+    diagonal; the problem leaves the layout at the next block.
 
     A block's set-up lays out the segments with Python integers, from lists
     by problem in the layout (n - 1 and m + 1 among them) that change only
-    when problems leave it. It copies each problem's kept rows of the
-    carried diagonals with one assignment and writes every separator's
-    costs with one. After the recurrence the block reads the corner of each
+    when problems leave it. For each problem it copies the kept rows of the
+    carried diagonals with one assignment and takes its slices of both
+    strips. After the recurrence the block reads the corner of each
     problem that ends in it, and its last two rows become the next block's
     carried diagonals; _kept_slots finds the kept rows of every segment in
     eight NumPy calls. No view of the table outlives the block.
@@ -119,19 +134,21 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     bound = np.array([math.inf if acc is not None else _path_bound(x, y)
                       for x, y in problems])
     flat = None if acc is None else acc.reshape(-1)
-    # (problem, x, ypad, base) of each problem in the layout, in layout
-    # order, with ypad[margin + m - 1 - d + i] == y[d - i] and base the byte
-    # offset of ypad[margin + m - 1]. A block's rows grow by at most one per
-    # diagonal, so no computed cell lies more than margin columns past
+    # (problem, xpad, ypad, c) of each problem in the layout, in layout
+    # order: xpad is x and _COST_BLOCK infs, and ypad[c - 1 - j] == y[j]
+    # with margin zeros on each side. A block's rows grow by at most one
+    # per diagonal, so no computed cell lies more than margin columns past
     # either end of y.
     margin = _COST_BLOCK + 1
     item = np.dtype(np.float64).itemsize
     strides = (-item, item)
+    sep = np.full(1, np.inf)  # a separator's x
+    tail = np.full(_COST_BLOCK, np.inf)  # the x of rows past n - 1
     stack = []
     for p, ((x, y), m) in enumerate(zip(problems, cols)):
         ypad = np.zeros(m + 2 * margin)
         ypad[margin:margin + m] = y[::-1]
-        stack.append((p, x, ypad, (margin + m - 1) * item))
+        stack.append((p, np.concatenate((x, tail)), ypad, margin + m))
     d = np.array([x[0] - y[0] for x, y in problems])
     corners = (d * d).tolist()
     if flat is not None:
@@ -164,39 +181,43 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
         old = zip(start, lo, hi)
         # Row lo - 1 is dropped on both earlier diagonals or lies right of
         # the grid (first is never negative); kept rows widen by at most one
-        # per diagonal. deep is the last row of a _COST_BLOCK-deep block,
-        # which no shallower block passes, so the table holds at most
-        # max(_BLOCK_CELLS, slots) cells plus its two carried rows.
+        # per diagonal, and no kept row lies past n - 1. slots is the width
+        # of a _COST_BLOCK-deep block, which no shallower block passes, so
+        # the table holds at most max(_BLOCK_CELLS, slots) cells plus its
+        # two carried rows.
         lo = [max(f, k - c) for f, c in zip(first, m1)]
-        deep = [min(t + _COST_BLOCK, r) for t, r in zip(top, n1)]
-        slots = sum(deep) - sum(lo) + 2 * len(lo)
+        slots = sum(top) - sum(lo) + (_COST_BLOCK + 2) * len(lo)
         kb = max(1, min(_COST_BLOCK, final_max + 1 - k, _BLOCK_CELLS // slots))
-        hi = [min(t + kb, r) for t, r in zip(top, n1)]
+        hi = [t + kb for t in top]
         width = [b + 2 - a for a, b in zip(lo, hi)]  # a separator and the rows
         table = np.empty((kb + 2, sum(width)))
         table[:2] = np.inf
         start = []
         ends = []  # (problem, table row, slot) of each corner in the block
+        xs = []  # the x strip: each segment's separator, then its rows
+        ys = []  # the y strip between its ends, by slot minus block diagonal
         s = 0
-        for (p, x, ypad, base), last, last_row, a, b, (s0, a0, b0) in zip(
+        for (p, xpad, ypad, c), last, last_row, a, b, (s0, a0, b0) in zip(
                 stack, final, n1, lo, hi, old):
             start.append(s)
             keep = min(b, b0) + 1 - a
             if keep > 0:
                 src = s0 + 1 + a - a0
                 table[:2, s + 1:s + 1 + keep] = carried[:, src:src + keep]
-            steps = min(kb, last + 1 - k)
-            # row r holds y[k + r - i] for rows i = a..b; the arguments are
-            # positional, which makes the call about twice as fast
-            ys = np.ndarray((steps, b + 1 - a), None, ypad, base + (a - k) * item, strides)
-            np.subtract(x[a:b + 1], ys, out=table[2:2 + steps, s + 1:s + 2 + b - a])
-            if steps < kb:
-                table[2 + steps:, s + 1:s + 2 + b - a] = np.inf
+            xs += sep, xpad[a:b + 1]
+            # the cell of row i = f - s - 1 + a on block diagonal r needs
+            # y[k + r - i] == ypad[j + f - r - (s + 2 - kb)]
+            j = c + a - k - kb
+            ys.append(ypad[j:j + b + 2 - a])
             if last < k + kb:
                 ends.append((p, last + 2 - k, s + 1 + last_row - a))
             s += b + 2 - a
+        # strip[f - r + kb - 1] is the y of slot f on block diagonal r
+        strip = np.zeros(s + kb)
+        np.concatenate(ys, out=strip[1:s + 1])
         costs = table[2:]
-        costs[:, start] = np.inf  # the separators
+        np.copyto(costs, np.ndarray((kb, s), None, strip, (kb - 1) * item, strides))
+        np.subtract(costs, np.concatenate(xs), out=costs)
         np.multiply(costs, costs, out=costs)
         _diagonals(table)
         for p, r, f in ends:
@@ -207,7 +228,7 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
             step = max(m - 1, 1)
             for d in range(k, k + kb):
                 a = max(row0, d - m + 1)
-                b = min(hi[0], d)
+                b = min(hi[0], d, n1[0])
                 flat[a * (m - 1) + d:b * (m - 1) + d + 1:step] = \
                     table[d + 2 - k, a + 1 - row0:b + 2 - row0]
         k += kb
@@ -217,7 +238,7 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
                                  np.repeat(bound, width))
         # slot t of the segment from slot s holds row t - s - 1 + lo
         first = [t - s - 1 + a for t, s, a in zip(first.tolist(), start, lo)]
-        top = [t - s - 1 + a for t, s, a in zip(top.tolist(), start, lo)]
+        top = [min(t - s - 1 + a, r) for t, s, a, r in zip(top.tolist(), start, lo, n1)]
     return corners
 
 
@@ -370,7 +391,7 @@ def dtw_scores(pairs) -> list[DtwScore]:
     per NumPy step. Each score equals dtw_score(x, y) bit for bit. The memory
     is a cost block of at most _BLOCK_CELLS cells (16 MiB), or one
     anti-diagonal of the stack when that is larger, plus buffers linear in
-    the rows of the shorter sequences. A distance scales exactly with the
+    both lengths of each pair. A distance scales exactly with the
     samples, and a normalized distance does not depend on their scale (see
     _dtw_pair). Raises NonFiniteError if any pair holds a NaN or infinite
     sample.

@@ -35,11 +35,17 @@ def event_index_from_seconds(t_seconds: float, f_samp: float) -> int:
     """Convert an event time in seconds to a sample index.
 
     Rounds to the nearest sample; an exact half-sample tie resolves toward the
-    earlier sample so partitioning stays deterministic.
+    earlier sample so partitioning stays deterministic. Raises BadEventsError
+    when t_seconds * f_samp is NaN or infinite, as for a NaN, infinite or
+    too large t_seconds.
     """
     if not (math.isfinite(f_samp) and f_samp > 0):
         raise BadRateError(f"f_samp must be positive and finite, got {f_samp}")
-    return int(math.ceil(t_seconds * f_samp - 0.5))
+    position = t_seconds * f_samp
+    if not math.isfinite(position):
+        raise BadEventsError(
+            f"event time {t_seconds} s at {f_samp} Hz is not a finite sample position")
+    return int(math.ceil(position - 0.5))
 
 
 @dataclass(frozen=True)

@@ -375,6 +375,24 @@ def stack_matrices(stack_cases):
     return [dp_matrix_loops(a, b) for a, b in stack_cases[0]]
 
 
+@pytest.fixture(scope="module")
+def scaled_neighbours():
+    """Pairs whose neighbours in the stack differ in length and in amplitude
+    by 2**20 or 2**-20, with the loop-oracle matrix of each. The 4 x 150
+    pair's band reaches its last row within a few anti-diagonals and runs
+    along it while the longer pairs around it still run."""
+    rng = np.random.default_rng(113)
+    shapes = [(40, 55), (4, 150), (60, 61), (25, 90), (7, 7), (80, 120), (33, 40)]
+    pairs = []
+    for (n, m), e in zip(shapes, [0, 20, -20, 20, 0, -20, 20]):
+        x = np.ldexp(np.cumsum(rng.normal(size=n)), e)
+        warp = np.linspace(0.0, 1.0, m) ** 1.2 * (n - 1)
+        y = np.ldexp(np.interp(warp, np.arange(n), np.ldexp(x, -e))
+                     + 0.2 * rng.normal(size=m), e)
+        pairs.append((x, y) if len(pairs) % 2 else (y, x))
+    return pairs, [dp_matrix_loops(a, b) for a, b in pairs]
+
+
 class TestStackedDtw:
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
     @pytest.mark.parametrize("budget", [1 << 21, 40])
@@ -392,6 +410,23 @@ class TestStackedDtw:
             assert dtw_scores([(a, b)]) == [score]
             assert dtw_score(a, b) == score
             assert dtw(a, b).distance == score.distance
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("budget", [1 << 21, 40])
+    def test_neighbours_of_other_scales_and_lengths(self, monkeypatch, scaled_neighbours,
+                                                    block, budget):
+        # a cost block reads every problem's y from one strip, where each
+        # problem's slice meets its neighbours'; a cell within a band that
+        # read a neighbour's sample, 2**20 times larger or smaller, would
+        # move the distance. Rows past a band's last row n - 1 are laid out
+        # too, so that only cells no kept path reaches read a neighbour.
+        monkeypatch.setattr(metrics, "_COST_BLOCK", block)
+        monkeypatch.setattr(metrics, "_BLOCK_CELLS", budget)
+        pairs, matrices = scaled_neighbours
+        scores = dtw_scores(pairs)
+        assert [s.distance for s in scores] == [math.sqrt(a[-1, -1]) for a in matrices]
+        for (a, b), matrix in zip(pairs, matrices):
+            assert np.array_equal(dtw(a, b).cost_matrix, matrix)
 
     def test_memory_is_one_cost_block_plus_rows(self):
         # 40 noise pairs keep nearly the whole band: 36 000 rows in one

@@ -166,3 +166,11 @@ class TestSecondsConversion:
     def test_bad_rate(self):
         with pytest.raises(BadRateError):
             event_index_from_seconds(1.0, 0.0)
+
+    @pytest.mark.parametrize("seconds", [float("inf"), -float("inf"), float("nan"), 1e308])
+    def test_time_without_a_finite_sample_position(self, seconds):
+        # int() of an infinite or NaN position would raise a bare
+        # OverflowError or ValueError; 1e308 s is finite but its position
+        # at 2048 Hz is not
+        with pytest.raises(BadEventsError, match="not a finite sample position"):
+            event_index_from_seconds(seconds, 2048.0)
