@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadOutputLengthError, ConfigError, RangeOutOfBoundsError,
                      SegmentTooShortError)
@@ -146,19 +145,27 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
     phi, f or 1 - f. Its kernel value is sinc(cutoff * (i + phi)) times the
     taper there. The sine's angle a * i + a * phi, a = pi * cutoff, is taken
     apart by angle addition, sin(a i) cos(a phi) + cos(a i) sin(a phi), so
-    each half row costs one sine and one cosine; at unit cutoff sin(a i) is
-    0 and cos(a i) is (-1)**i. The taper is two rows of the taper table,
-    interpolated with one weight. The half row i = 0, phi = 0 is the centre
-    tap of an integral position, where both parts of the sinc are eps, as in
-    np.sinc.
+    each half row costs one sine and one cosine. At unit cutoff sin(a i) is
+    0 and cos(a i) is (-1)**i, so the numerator is (-1)**i sin(a phi): one
+    sine per half row, with its sign taken from the tap. The taper is two
+    rows of the taper table, interpolated with one weight. The half row i =
+    0, phi = 0 is the centre tap of an integral position, where both parts
+    of the sinc are eps, as in np.sinc; at unit cutoff no integral position
+    is evaluated.
 
     Outputs are computed in blocks of at most _CELLS kernel cells (outputs x
-    taps), so the temporaries stay bounded whatever the output length.
+    taps), so the temporaries stay bounded whatever the output length. Every
+    pass over a block's half rows runs on contiguous arrays of one shape:
+    the per-tap constants are tiled over the rows once per call, for no more
+    outputs than the call evaluates, the per-output values are repeated
+    along the rows, and the outer products of the numerator are formed by
+    np.einsum, which makes single products and no sums.
     """
     h = cfg.half_width
     width = 2 * h + 1
-    # rows[b] holds the taps of an output whose position floors to b
-    rows = sliding_window_view(reach, width)
+    # rows[b] holds the taps of an output whose position floors to b, a
+    # view of the contiguous reach
+    rows = np.ndarray((len(reach) - width + 1, width), None, reach, 0, reach.strides * 2)
     out = np.empty(len(base))
     if cutoff == 1.0:
         # At unit cutoff the kernel is an exact delta on integral positions.
@@ -171,46 +178,52 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
     phases = len(table) - 1
     a = np.pi * cutoff
     i = np.arange(h + 1)
-    angles = a * i
+    n = max(1, min(_CELLS // width, len(todo)))
+    angles = np.repeat((a * i)[None, :], 2 * n, axis=0)
     if cutoff == 1.0:
-        sin_i, cos_i = np.zeros(h + 1), np.where(i % 2 == 0, 1.0, -1.0)
+        signs = np.ones((2 * n, h + 1))
+        signs[:, 1::2] = -1.0
     else:
-        sin_i, cos_i = np.sin(angles), np.cos(angles)
-    n = max(1, _CELLS // width)
-    kernel = np.empty((n, width))
-    half, den = (np.empty((2 * n, h + 1)) for _ in range(2))
+        sin_i, cos_i = np.sin(angles[0]), np.cos(angles[0])
     for s in range(0, len(todo), n):
         which = todo[s:s + n]
         f = frac[which]
         k = len(which)
-        # half rows 0..k - 1 at phase f, half rows k..2k - 1 at phase 1 - f;
-        # the sinc's numerator goes into half_ and its denominator into den_
+        # half rows 0..k - 1 at phase f, half rows k..2k - 1 at phase 1 - f
         phi = np.concatenate((f, 1.0 - f))
-        aphi = a * phi
-        half_ = np.multiply(sin_i, np.cos(aphi)[:, None], out=half[:2 * k])
-        den_ = np.multiply(cos_i, np.sin(aphi)[:, None], out=den[:2 * k])
-        half_ += den_
-        np.add(angles, aphi[:, None], out=den_)
-        centre = np.flatnonzero(f == 0.0)
-        half_[centre, 0] = den_[centre, 0] = _EPS
-        half_ /= den_
         # the taper at phase p = phi * phases, between table rows q and q + 1
         p = phi * phases
         q = np.minimum(p.astype(np.int64), phases - 1)
-        low = table[q]
-        taper = table[q + 1]
+        low = np.take(table, q, axis=0)
+        taper = np.take(table, q + 1, axis=0)
         taper -= low
-        taper *= (p - q)[:, None]
+        taper *= np.repeat(p - q, h + 1).reshape(2 * k, h + 1)
         taper += low
-        half_ *= taper
+        # each del frees a block of half rows before the next one is made,
+        # so no more than four are alive at once
+        del low
+        # the sinc's numerator goes into half and its denominator into den
+        aphi = a * phi
+        if cutoff == 1.0:
+            half = np.repeat(np.sin(aphi), h + 1).reshape(2 * k, h + 1)
+            half *= signs[:2 * k]
+        else:
+            half = np.einsum("o,i->oi", np.cos(aphi), sin_i)
+            half += np.einsum("o,i->oi", np.sin(aphi), cos_i)
+        den = np.repeat(aphi, h + 1).reshape(2 * k, h + 1)
+        den += angles[:2 * k]
+        if cutoff != 1.0:
+            centre = np.flatnonzero(f == 0.0)
+            half[centre, 0] = den[centre, 0] = _EPS
+        half /= den
+        half *= taper
+        del den, taper
         # taps -h..0 are the phase-f half row reversed, taps 1..h the first h
         # entries of the phase-(1 - f) half row
-        kernel_ = kernel[:k]
-        kernel_[:, :h + 1] = half_[:k, ::-1]
-        kernel_[:, h + 1:] = half_[k:, :h]
+        kernel = np.concatenate((half[:k, ::-1], half[k:, :h]), axis=1)
         values = rows[base[which]]
-        values *= kernel_
-        out[which] = values.sum(axis=1) / kernel_.sum(axis=1)
+        values *= kernel
+        out[which] = values.sum(axis=1) / kernel.sum(axis=1)
     return out
 
 

@@ -88,8 +88,8 @@ def direction_targets(p: Partition, direction: str, magnitude: float) -> tuple[i
     """Complementary target lengths for a sweep direction at a warp magnitude."""
     total = p.len_t1 + p.len_t2
     scale = 1.0 - magnitude if direction == CONTRACT_T1 else 1.0 + magnitude
-    t1 = round(p.len_t1 * scale)
-    t1 = min(max(t1, 1), total - 1)
+    # clamped before rounding: a huge magnitude makes the product inf
+    t1 = round(min(max(p.len_t1 * scale, 1), total - 1))
     return t1, total - t1
 
 

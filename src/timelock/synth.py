@@ -56,6 +56,9 @@ class SynthSpec:
             prev = frac
         if len(self.amplitudes) != 2 or len(self.phases) != 2:
             raise ConfigError("amplitudes and phases must each hold two values")
+        for name, values in (("amplitudes", self.amplitudes), ("phases", self.phases)):
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"{name} must be finite, got {values}")
 
 
 def generate(spec: SynthSpec) -> Trial:
@@ -69,7 +72,9 @@ def generate(spec: SynthSpec) -> Trial:
     t = np.arange(n) / spec.f_samp
     a1, a2 = spec.amplitudes
     p1, p2 = spec.phases
-    x = a1 * np.sin(2.0 * math.pi * spec.f1 * t + p1) + a2 * np.sin(2.0 * math.pi * spec.f2 * t + p2)
+    # a mix of finite amplitudes past the float range is inf, which Trial refuses
+    with np.errstate(over="ignore"):
+        x = a1 * np.sin(2.0 * math.pi * spec.f1 * t + p1) + a2 * np.sin(2.0 * math.pi * spec.f2 * t + p2)
     indices = [round(frac * n) for frac in spec.event_fracs]
     if not (0 < indices[0] < indices[1] < indices[2] < n):
         raise BadEventFracsError(

@@ -73,6 +73,19 @@ class TestSynthCommand:
         with pytest.raises(ValueError, match="not a config check"):
             cli.main(["synth", "-o", str(tmp_path / "t.csv")])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amplitudes, message", [
+        (("inf", "1"), "amplitudes must be finite, got (inf, 1.0)"),
+        (("1e308", "1e308"), "trial contains NaN or infinite samples"),
+    ], ids=["inf", "overflow"])
+    def test_non_finite_mix_exits_3_without_a_warning(self, run_cli, tmp_path,
+                                                      amplitudes, message):
+        # with warnings as errors, a NumPy RuntimeWarning from the mix would
+        # propagate instead of the exit code
+        code, _, err = run_cli("synth", "-o", tmp_path / "t.csv", "--amplitudes", *amplitudes)
+        assert (code, err) == (3, f"error: {message}\n")
+        assert not (tmp_path / "t.csv").exists()
+
     def test_roundtrip_read(self, run_cli, tmp_path):
         out = _synth(run_cli, tmp_path / "t.csv", "--duration", "0.25")
         trial = trialio.read_trial_csv(out)
@@ -282,6 +295,14 @@ class TestSweepCommands:
         rows = read_table(out)
         assert {r["pad_fraction"] for r in rows} == {"0.1"}  # flag beats file
         assert "# warp_magnitude: 0.1\n" in out.read_text()
+
+    def test_huge_warp_magnitude_exits_0(self, run_cli, tmp_path):
+        out = tmp_path / "pad.csv"
+        code, _, err = run_cli("sweep-padding", "-o", out, "--duration", "0.5",
+                               "--pad-fractions", "0.1", "--warp-magnitude", "1e308")
+        assert code == 0, err
+        assert "# warp_magnitude: 1e+308\n" in out.read_text()
+        assert {r["status"] for r in read_table(out)} == {"ok"}
 
     def test_unknown_config_key_exit_2(self, run_cli, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -1,4 +1,5 @@
 from bisect import bisect_left
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,18 +271,23 @@ def _expected_cutoff(in_len, out_len, cfg):
 class TestBlockedEvaluation:
     # oracle: the whole (n_out x taps) grid evaluated at once, as the
     # resampler did before it worked in blocks
-    @pytest.mark.parametrize("window", ["kaiser", "hann", "blackman"])
+    @pytest.mark.parametrize("cfg", [SincConfig(), SincConfig(window="hann"),
+                                     SincConfig(window="blackman"), QUALITY,
+                                     SincConfig(beta=0.5)],
+                             ids=["kaiser", "hann", "blackman", "quality", "beta0.5"])
     @pytest.mark.parametrize("in_len", [900, 3000, 829])
     @pytest.mark.parametrize("anti_alias", [True, False])
-    def test_blocks_match_direct_evaluation(self, window, in_len, anti_alias):
-        # ten blocks of _CELLS // 65 = 252 outputs, the last one partial;
+    def test_blocks_match_direct_evaluation(self, cfg, in_len, anti_alias):
+        # blocks of _CELLS // (2 * half_width + 1) outputs, 252 at the
+        # default half width and 127 at QUALITY's 64, the last one partial;
         # 900 samples expand (unit cutoff, exact deltas on integral
         # positions), 3000 contract, and 829 expand with every third output
-        # on an input sample, copied rather than evaluated
-        cfg = SincConfig(window=window, anti_alias=anti_alias)
+        # on an input sample, copied rather than evaluated. Beta 0.5 takes
+        # the taper table from its power series.
+        cfg = replace(cfg, anti_alias=anti_alias)
         out_len = 2485
-        rows = sincmod._CELLS // 65
-        assert rows == 252 and 9 * rows < out_len < 10 * rows
+        rows = sincmod._CELLS // (2 * cfg.half_width + 1)
+        assert rows in (252, 127) and out_len // rows >= 9 and out_len % rows
         x = np.random.default_rng(31).normal(size=in_len)
         expected = resample_direct(x, *resample_grid(in_len, out_len),
                                    _expected_cutoff(in_len, out_len, cfg), cfg)
@@ -381,6 +387,25 @@ class TestBlockedEvaluation:
         assert peak < 16 * 2**20
         base, frac = resample_grid(16, 1000)
         assert np.array_equal(out[:40], resample_direct(x, base[:40], frac[:40], 1.0, cfg))
+
+    def test_small_call_allocates_less_than_one_block_of_half_rows(self):
+        # 51 outputs of a 64-sample interval: the kernel's tiles and half
+        # rows are sized to the 51 outputs, not to a block of 252
+        import tracemalloc
+
+        x = np.random.default_rng(61).normal(size=256)
+        block = 2 * (sincmod._CELLS // 65) * 33 * 8  # bytes of (2 * 252, 33) float64
+        resample_padded(x, (96, 160), 51, 32)  # the taper table is cached
+        tracemalloc.start()
+        try:
+            out = resample_padded(x, (96, 160), 51, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block
+        padded = x[64:192]
+        assert np.array_equal(out, resample_direct(padded, *resample_grid(64, 51, 32),
+                                                   50 / 63, SincConfig()))
 
     def test_padded_endpoints_land_on_interval_ends(self):
         # the last position is exactly the interval's last sample, where the

@@ -71,6 +71,12 @@ class TestDirectionTargets:
         t1, t2 = direction_targets(p, EXPAND_T1, 5.0)
         assert t1 == 19 and t2 == 1
 
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_huge_magnitude_clamps_as_a_large_one(self, demo_partition, direction):
+        # len_t1 * (1 + 1e308) is inf, so it is clamped before it is rounded
+        assert (direction_targets(demo_partition, direction, 1e308)
+                == direction_targets(demo_partition, direction, 1e6))
+
 
 class TestPaddingSweep:
     def test_row_grid_and_order(self, default_rows):
@@ -254,6 +260,13 @@ class TestFsampSweep:
                    (pr.direction, pr.interval, pr.pad_fraction)
             assert fr.correlation == pr.correlation
             assert fr.dtw_similarity == pr.dtw_similarity
+
+    def test_huge_magnitude_sweeps_as_a_large_one(self):
+        # a finite magnitude of 1e308 used to end both sweeps in an
+        # OverflowError, which neither catches
+        rows = [(padding_sweep(sweep, QUICK_SYNTH), fsamp_sweep(sweep, QUICK_SYNTH))
+                for sweep in (replace(QUICK_SWEEP, warp_magnitude=m) for m in (1e308, 1e6))]
+        assert repr(rows[0]) == repr(rows[1])
 
     def test_factor_order_and_grid(self):
         rows = fsamp_sweep(QUICK_SWEEP, QUICK_SYNTH)

@@ -6,7 +6,8 @@ import pytest
 
 import timelock.synth as synth
 from timelock import SynthSpec, generate
-from timelock.errors import BadEventFracsError, BadRateError, NyquistViolationError
+from timelock.errors import (BadEventFracsError, BadRateError, ConfigError, NonFiniteError,
+                             NyquistViolationError)
 
 
 class TestSynthSpec:
@@ -29,6 +30,17 @@ class TestSynthSpec:
     def test_bad_duration(self):
         with pytest.raises(ValueError):
             SynthSpec(duration_s=0.0)
+
+    @pytest.mark.parametrize("field, values", [
+        ("amplitudes", (math.inf, 1.0)),
+        ("amplitudes", (1.0, -math.inf)),
+        ("amplitudes", (math.nan, 1.0)),
+        ("phases", (0.0, math.inf)),
+        ("phases", (math.nan, 0.0)),
+    ])
+    def test_non_finite_amplitude_or_phase(self, field, values):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SynthSpec(**{field: values})
 
     def test_sample_budget(self, monkeypatch):
         # a trial of more than 2**24 samples, or an infinite count, is refused
@@ -93,6 +105,11 @@ class TestGenerate:
         # 0 or 1 samples fail the same event-index check, as a TimelockError
         with pytest.raises(BadEventFracsError):
             generate(SynthSpec(duration_s=n_samples / 2048.0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_mix_past_the_float_range_raises_without_a_warning(self):
+        with pytest.raises(NonFiniteError):
+            generate(SynthSpec(amplitudes=(1e308, 1e308), duration_s=1.0))
 
     def test_phases_and_amplitudes_applied(self):
         spec = SynthSpec(amplitudes=(0.5, 2.0), phases=(0.3, -1.1), duration_s=1.0)

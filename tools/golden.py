@@ -77,6 +77,11 @@ COMMANDS = [
     "warp -i short.csv -o w9.csv --t1-target 410 --t2-target 614 --pad-fraction 0.01",
     "warp -i long.csv -o w10.csv --t1-target 10240 --t2-target 14336",
     "warp -i big.csv -o w11.csv --t1-target 1638 --t2-target 2458",
+    # the high-accuracy filter, t1 expanded and then contracted
+    "warp -i demo.csv -o w12.csv --t1-target 2560 --t2-target 1536 --half-width 64 --beta 14",
+    "warp -i demo.csv -o w13.csv --t1-target 1536 --t2-target 2560 --half-width 64 --beta 14",
+    # a Kaiser beta below 2, whose taper table comes from the power series
+    "warp -i short.csv -o w14.csv --t1-target 410 --t2-target 614 --beta 0.5",
     "sweep-padding -o pad1.csv",
     "sweep-padding -o pad2.csv --duration 0.5 --pad-fractions 0.001 0.1",
     "sweep-padding -o pad3.csv --config sweep.cfg --warp-magnitude 0.3 --window hann",
