@@ -16,9 +16,9 @@ from .errors import (
     NonFiniteError,
     ZeroVarianceError,
 )
+from .model import MAX_SAMPLES as _MAX_MATRIX_CELLS  # largest cost matrix dtw() builds
 
 _COST_BLOCK = 64  # most anti-diagonals whose local costs are computed in one call
-_MAX_MATRIX_CELLS = 1 << 24  # largest cost matrix dtw() builds: 128 MiB of float64
 _BLOCK_CELLS = 1 << 21  # cells a cost block may hold: 16 MiB of float64
 
 
@@ -83,11 +83,11 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     The problems are independent and advance together, one diagonal of every
     problem per step, so the three ufunc calls of a step serve them all.
     Within a block each problem covers fixed rows lo..hi, with hi = top + kb
-    for top its last kept row (never past n - 1), laid out as one segment of
-    a row: a separator slot for row lo - 1, then the rows. A block is one
-    table of kb + 2 such rows. Rows 0 and 1 hold the two diagonals carried
-    from the previous block, and rows 2 and up the local costs of the
-    block's diagonals, which _diagonals overwrites in place with accumulated
+    for top its last kept row, laid out as one segment of a row: a
+    separator slot for row lo - 1, then the rows. A block is one table of
+    kb + 2 such rows. Rows 0 and 1 hold the two diagonals carried from the
+    previous block, and rows 2 and up the local costs of the block's
+    diagonals, which _diagonals overwrites in place with accumulated
     costs. Rows that the previous block did not compute start at inf.
 
     A block's local costs come from two strips. One holds the x of each
@@ -102,8 +102,7 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     neighbour's slice, or past either end of the strip (where it reads 0),
     is a separator or lies at a row i > top + r + 2. Every path to such a
     row crosses the carried diagonals above row top, where no cell is
-    within the bound (they are inf for dtw()'s one problem: not computed,
-    or past n - 1), so its cost cannot reach a kept value. That holds
+    within the bound, so its cost cannot reach a kept value. That holds
     because hi is top + kb even past n - 1. Cells outside a grid come out
     harmless too: left of column 0 they stay inf, right of column m - 1 no
     grid cell reads them, and no cell reads those after a problem's last
@@ -118,20 +117,21 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     carried diagonals; _kept_slots finds the kept rows of every segment in
     eight NumPy calls. No view of the table outlives the block.
 
-    When acc is given, the one problem keeps every row and each diagonal of
-    the table is written into acc, giving the full accumulated-cost matrix,
-    in either orientation. Otherwise every problem has len(x) <= len(y) and,
-    between blocks, rows are dropped from both ends of a segment while
+    Between blocks, rows are dropped from both ends of a segment while
     their cost on both of the last two diagonals exceeds the problem's
-    straight-path bound. No such cell lies on the optimal path, and a cell
-    within the bound takes its minimum from a predecessor within the bound,
-    so every kept value and the corner come out bit for bit as in the full DP.
-    For similar sequences only a narrow band around the optimal path is
-    computed.
+    bound. No such cell lies on the optimal path, and a cell within the
+    bound takes its minimum from a predecessor within the bound, so every
+    kept value and the corner come out bit for bit as in the full DP. A
+    scored problem has len(x) <= len(y) and its straight-path bound, so for
+    similar sequences only a narrow band around the optimal path is
+    computed. When acc is given, the one problem, in either orientation, is
+    bounded by the largest finite float, which every cell of its grid is
+    below (see _dtw_pair), and each diagonal of the table is written into
+    acc, giving the full accumulated-cost matrix.
     """
     rows = [len(x) for x, _ in problems]
     cols = [len(y) for _, y in problems]
-    bound = np.array([math.inf if acc is not None else _path_bound(x, y)
+    bound = np.array([np.finfo(np.float64).max if acc is not None else _path_bound(x, y)
                       for x, y in problems])
     flat = None if acc is None else acc.reshape(-1)
     # (problem, xpad, ypad, c) of each problem in the layout, in layout
@@ -238,40 +238,27 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
                                  np.repeat(bound, width))
         # slot t of the segment from slot s holds row t - s - 1 + lo
         first = [t - s - 1 + a for t, s, a in zip(first.tolist(), start, lo)]
-        top = [min(t - s - 1 + a, r) for t, s, a, r in zip(top.tolist(), start, lo, n1)]
+        top = [t - s - 1 + a for t, s, a in zip(top.tolist(), start, lo)]
     return corners
 
 
 def _backtrack(acc: np.ndarray) -> np.ndarray:
-    n = acc.shape[0]
-    m = acc.shape[1]
-    path = np.empty((n + m - 1, 2), dtype=np.int64)
-    i = n - 1
-    j = m - 1
-    k = n + m - 2
-    path[k, 0] = i
-    path[k, 1] = j
-    while i > 0 or j > 0:
-        if i == 0:
+    i, j = acc.shape[0] - 1, acc.shape[1] - 1
+    path = [(i, j)]
+    while i or j:
+        # a step off the matrix reads inf; ties prefer the diagonal, then
+        # the step that advances x
+        diag, vert, horiz = [acc.item(a, b) if a >= 0 <= b else math.inf
+                             for a, b in ((i - 1, j - 1), (i - 1, j), (i, j - 1))]
+        if diag <= vert and diag <= horiz:
+            i -= 1
             j -= 1
-        elif j == 0:
+        elif vert <= horiz:
             i -= 1
         else:
-            diag = acc[i - 1, j - 1]
-            vert = acc[i - 1, j]
-            horiz = acc[i, j - 1]
-            # ties prefer the diagonal, then the step that advances x
-            if diag <= vert and diag <= horiz:
-                i -= 1
-                j -= 1
-            elif vert <= horiz:
-                i -= 1
-            else:
-                j -= 1
-        k -= 1
-        path[k, 0] = i
-        path[k, 1] = j
-    return path[k:].copy()
+            j -= 1
+        path.append((i, j))
+    return np.array(path[::-1], dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,8 @@ class Partition:
 
     The boundaries are the onset, transition, and offset sample indices; the
     four half-open ranges tile [0, n_samples) exactly, with the transition
-    sample belonging to t2.
+    sample belonging to t2. A bound that is not an integer raises
+    ConfigError.
     """
 
     onset: int
@@ -138,6 +139,9 @@ class Partition:
     n_samples: int
 
     def __post_init__(self) -> None:
+        bounds = (self.onset, self.transition, self.offset, self.n_samples)
+        if not all(map(is_integer, bounds)):
+            raise ConfigError(f"partition bounds must be integers, got {bounds}")
         if not 0 <= self.onset <= self.transition <= self.offset <= self.n_samples:
             raise ConfigError(
                 "partition bounds must satisfy 0 <= onset <= transition <= offset <= n_samples, "

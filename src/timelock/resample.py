@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (BadOutputLengthError, ConfigError, RangeOutOfBoundsError,
                      SegmentTooShortError)
 from .model import MAX_SAMPLES as _MAX_OUT_LEN  # longest output resample_padded builds
+from .model import MAX_SAMPLES as _MAX_PAD  # largest pad per side; at most half_width are read
 from .model import is_integer
 
 WINDOWS = ("kaiser", "hann", "blackman")
@@ -39,7 +40,6 @@ _TABLE_POINTS = 1 << 16  # taper table points per unit of |u| / half_width, at l
 _CELLS = 1 << 14  # kernel cells (outputs x taps) evaluated per block
 _OUTPUTS = 1 << 13  # output positions made per chunk
 _EPS = float(np.finfo(np.float64).eps)  # np.sinc's stand-in for a zero argument
-_MAX_PAD = 1 << 24  # largest pad accepted per side: an input check, as at most half_width are read
 _MAX_HALF_WIDTH = 1 << 12  # widest kernel: one row of taps fits in _CELLS
 
 
@@ -278,7 +278,8 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int, pad: int,
     samples per side are read, and pads with the same built_pad give
     bitwise identical outputs. An out_len that is not a positive integer
     (numbers.Integral, not bool) or is over 2**24 raises
-    BadOutputLengthError before anything is allocated.
+    BadOutputLengthError before anything is allocated, and an index_range
+    bound that is not such an integer raises RangeOutOfBoundsError.
     """
     (out,) = resample_pads(full, index_range, out_len, (pad,), cfg, pad_mode).values()
     return out
@@ -352,7 +353,10 @@ def _checked(full, index_range, out_len, pads, cfg: SincConfig, pad_mode: str):
     x = np.asarray(full, dtype=np.float64)
     if x.ndim != 1:
         raise ConfigError(f"signal must be one-dimensional, got shape {x.shape}")
-    start, stop = int(index_range[0]), int(index_range[1])
+    start, stop = index_range[0], index_range[1]
+    if not (is_integer(start) and is_integer(stop)):
+        raise RangeOutOfBoundsError(f"range bounds must be integers, got {index_range!r}")
+    start, stop = int(start), int(stop)
     if not 0 <= start < stop <= len(x):
         raise RangeOutOfBoundsError(
             f"range [{start}, {stop}) does not fit signal of length {len(x)}"

@@ -100,14 +100,14 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
     Rows come out ordered by direction, interval, then pad fraction; a cell
     that raises records the error class name in its rows' status instead of
     aborting the sweep. A direction's cells share their target lengths, and
-    cells with the same targets and built_pad have bitwise identical warps,
-    so each such warp is made and scored once for all of its cells. One loop
-    makes a direction's warps: one resample_pads call each for t1 and t2 at
-    every built pad not yet warped (a smaller built_pad differs from the
-    largest only within half_width - built_pad samples of an interval's
-    ends), a check of each warp where it is made, and its (original, warped)
-    pairs. A resampling error does not depend on the pad and is recorded on
-    every cell of the call; a warp with a NaN or infinite sample records
+    its cells with the same built_pad have bitwise identical warps, so each
+    such warp is made and scored once for all of them. One loop makes a
+    direction's warps: one resample_pads call each for t1 and t2 at every
+    built pad of its cells (a smaller built_pad differs from the largest
+    only within half_width - built_pad samples of an interval's ends), a
+    check of each warp where it is made, and its (original, warped) pairs.
+    A resampling error does not depend on the pad and is recorded on every
+    cell of the call; a warp with a NaN or infinite sample records
     NonFiniteError on its own cells, as warp_trial's Trial raises it there
     (the warped markers always increase, so Trial refuses nothing else). One
     interval_reports call then scores every pair as one stacked DTW.
@@ -116,38 +116,36 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
     part = partition_from_events(trial)
     x = trial.samples
     originals = x[slice(*part.t1)], x[slice(*part.t2)]
-    cells = {}  # (direction, pad) -> (targets, built_pad), or the error class name
-    warps = {}  # (targets, built_pad) -> index of its t1 pair in pairs, or the error class name
+    cells = {}  # (direction, pad) -> index of its t1 pair in pairs, or the error class name
     pairs = []
     for direction in sweep.directions:
         targets = direction_targets(part, direction, sweep.warp_magnitude)
-        pads = set()
+        built = {}  # pad -> its built_pad, or the error class name
         for pad in sweep.pad_fractions:
             try:
                 spec = plan_warp(part, *targets, pad, trial.f_samp)
-                cells[(direction, pad)] = key = (targets, built_pad(spec.pad, sinc.half_width))
+                built[pad] = built_pad(spec.pad, sinc.half_width)
             except TimelockError as err:
-                cells[(direction, pad)] = type(err).__name__
-                continue
-            if key not in warps:
-                pads.add(key[1])
-        if not pads:
-            continue
+                built[pad] = type(err).__name__
+        pads = {b for b in built.values() if not isinstance(b, str)}
+        warps = {}  # built_pad -> index of its t1 pair in pairs, or the error class name
         try:
+            # with no built pad the call raises, and its error lands on no cell
             t1 = resample_pads(x, part.t1, targets[0], pads, sinc)
             t2 = resample_pads(x, part.t2, targets[1], pads, sinc)
         except TimelockError as err:
-            warps.update(((targets, b), type(err).__name__) for b in pads)
-            continue
-        for b in pads:
-            if np.isfinite(t1[b]).all() and np.isfinite(t2[b]).all():
-                warps[(targets, b)] = len(pairs)
-                pairs += zip(originals, (t1[b], t2[b]))
-            else:
-                warps[(targets, b)] = NonFiniteError.__name__
+            warps = dict.fromkeys(pads, type(err).__name__)
+        else:
+            for b in pads:
+                if np.isfinite(t1[b]).all() and np.isfinite(t2[b]).all():
+                    warps[b] = len(pairs)
+                    pairs += zip(originals, (t1[b], t2[b]))
+                else:
+                    warps[b] = NonFiniteError.__name__
+        cells.update(((direction, pad), b if isinstance(b, str) else warps[b])
+                     for pad, b in built.items())
     reports = interval_reports(pairs)
-    outcomes = {key: w if isinstance(w, str) else reports[w:w + 2] for key, w in warps.items()}
-    return _rows(sweep, {at: cell if isinstance(cell, str) else outcomes[cell]
+    return _rows(sweep, {at: cell if isinstance(cell, str) else reports[cell:cell + 2]
                          for at, cell in cells.items()})
 
 

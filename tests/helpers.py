@@ -1,8 +1,8 @@
 """Shared oracles. For DTW: exhaustive enumeration, an independent
-shortest-path formulation, and the plain loop recurrence. For the resampler:
-the whole-grid windowed-sinc evaluation. For the warp's index maps: the
-step-multiple formulas with explicit one-sample cases. For the CLI: a reader
-of sweep tables."""
+shortest-path formulation, the plain loop recurrence and its backtrack. For
+the resampler: the whole-grid windowed-sinc evaluation. For the warp's index
+maps: the step-multiple formulas with explicit one-sample cases. For the CLI:
+a reader of sweep tables."""
 
 import csv
 import math
@@ -112,6 +112,41 @@ def dp_matrix_loops(x, y):
             d = x[i] - y[j]
             acc[i, j] = best + d * d
     return acc
+
+
+def backtrack_loops(acc):
+    """Optimal warping path read back from an accumulated-cost matrix, with
+    explicit first-row and first-column steps; ties prefer the diagonal,
+    then the step that advances x. The reference for dtw()'s path."""
+    n = acc.shape[0]
+    m = acc.shape[1]
+    path = np.empty((n + m - 1, 2), dtype=np.int64)
+    i = n - 1
+    j = m - 1
+    k = n + m - 2
+    path[k, 0] = i
+    path[k, 1] = j
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            diag = acc[i - 1, j - 1]
+            vert = acc[i - 1, j]
+            horiz = acc[i, j - 1]
+            # ties prefer the diagonal, then the step that advances x
+            if diag <= vert and diag <= horiz:
+                i -= 1
+                j -= 1
+            elif vert <= horiz:
+                i -= 1
+            else:
+                j -= 1
+        k -= 1
+        path[k, 0] = i
+        path[k, 1] = j
+    return path[k:].copy()
 
 
 def resample_grid(in_len, out_len, pad=0):

@@ -177,6 +177,24 @@ class TestWarpCommand:
         assert report["intervals"]["t1"]["correlation"] is None
         assert report["intervals"]["t1"]["ratio"] == 512.0
 
+    def test_silent_interval_has_no_energy_ratio(self, run_cli, tmp_path):
+        # t1 of this trial is all zeros, so E_in is 0 and the ratio is NaN,
+        # written as null; the pad reads the nonzero neighbours, so the
+        # warped t1 is not silent
+        x = np.sin(0.3 * np.arange(100))
+        x[20:50] = 0.0
+        seed = tmp_path / "silent.csv"
+        trialio.write_trial_csv(seed, Trial(x, 100.0))
+        code, _, err = run_cli("warp", "-i", seed, "-o", tmp_path / "w.csv",
+                               "--onset", 20, "--transition", 50, "--offset", 80,
+                               "--t1-target", 25, "--t2-target", 35)
+        assert code == 0, err
+        report = json.loads((tmp_path / "w.report.json").read_text())
+        t1 = report["intervals"]["t1"]
+        assert t1["energy_in"] == 0.0 and t1["energy_out"] > 0.0
+        assert t1["energy_ratio"] is None
+        assert report["intervals"]["t2"]["energy_ratio"] > 0.0
+
     def test_report_is_strict_json(self, run_cli, tmp_path):
         # energies past the float range are written as null, not as the
         # Infinity token that strict JSON parsers refuse

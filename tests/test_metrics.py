@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import assert_valid_path, brute_force_min_cost, dp_matrix_loops
+from helpers import assert_valid_path, backtrack_loops, brute_force_min_cost, dp_matrix_loops
 
 from timelock import DtwScore, dtw, dtw_score, energy, metrics, pearson
 from timelock.errors import (
+    ConfigError,
     EmptyInputError,
     LengthMismatchError,
     MatrixTooLargeError,
@@ -161,6 +162,37 @@ class TestDtw:
         assert np.array_equal(res.cost_matrix, expected_acc)
         # backtracking prefers diagonal, then the step advancing x
         assert np.array_equal(res.path, [[0, 0], [1, 0], [2, 1], [3, 2]])
+
+    def test_path_matches_loop_backtrack(self):
+        # the tie order on every shape: one pair in ten is a single row or
+        # column, where every step runs along the matrix edge, and half hold
+        # small integers, whose equal costs tie steps often
+        rng = np.random.default_rng(123)
+        ties = 0
+        for trial in range(200):
+            n, m = (int(v) for v in rng.integers(1, 25, size=2))
+            if trial % 10 == 0:
+                n, m = (1, m) if trial % 20 == 0 else (n, 1)
+            if trial % 2:
+                x, y = (rng.integers(0, 3, size=k).astype(float) for k in (n, m))
+            else:
+                x, y = rng.normal(size=n), rng.normal(size=m)
+            acc = dp_matrix_loops(x, y)
+            expected = backtrack_loops(acc)
+            path = dtw(x, y).path
+            assert path.dtype == expected.dtype
+            assert np.array_equal(path, expected), (trial, n, m)
+            for i, j in expected[1:]:
+                if i and j:
+                    steps = [acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]]
+                    ties += steps.count(min(steps)) > 1
+        assert ties > 100
+
+    def test_two_dimensional_input_is_refused(self):
+        with pytest.raises(ConfigError, match="one-dimensional"):
+            dtw(np.zeros((3, 2)), np.zeros(4))
+        with pytest.raises(ConfigError, match="one-dimensional"):
+            energy(np.zeros((3, 2)))
 
     def test_optimal_on_small_instances(self):
         rng = np.random.default_rng(104)

@@ -5,6 +5,7 @@ from timelock import EventMarker, Partition, Trial, partition_from_events
 from timelock.errors import (
     BadEventsError,
     BadRateError,
+    ConfigError,
     DegenerateIntervalError,
     DuplicateEventError,
     EmptySignalError,
@@ -39,6 +40,14 @@ class TestTrialValidation:
     def test_bad_rate(self, rate):
         with pytest.raises(BadRateError):
             Trial([0.0, 1.0], rate)
+
+    def test_rate_that_is_not_a_number(self):
+        with pytest.raises(BadRateError, match="must be a number"):
+            Trial(np.zeros(3), "abc")
+
+    def test_event_that_is_not_a_marker(self):
+        with pytest.raises(BadEventsError, match="EventMarker instances, got tuple"):
+            Trial(np.zeros(3), 1.0, ((1, "onset"),))
 
     def test_unordered_events(self):
         with pytest.raises(BadEventsError):
@@ -108,6 +117,16 @@ class TestPartition:
     def test_empty_t2_rejected(self):
         with pytest.raises(DegenerateIntervalError):
             Partition(onset=20, transition=80, offset=80, n_samples=100)
+
+    @pytest.mark.parametrize("bounds", [(0.5, 1, 2, 3), (0, 1.0, 2, 3), (0, 1, True, 3),
+                                        (0, 1, 2, np.float64(3))])
+    def test_bounds_must_be_integers(self, bounds):
+        with pytest.raises(ConfigError, match="must be integers"):
+            Partition(*bounds)
+
+    def test_numpy_integer_bounds_accepted(self):
+        p = Partition(np.int64(0), np.int32(1), 2, np.int64(3))
+        assert (p.len_t1, p.len_t2) == (1, 1)
 
     def test_out_of_order_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import timelock.resample as sincmod
 from timelock import SincConfig, pearson, resample_padded
 from timelock.errors import (
     BadOutputLengthError,
+    ConfigError,
     RangeOutOfBoundsError,
     SegmentTooShortError,
 )
@@ -227,6 +228,19 @@ class TestResamplePadded:
             resample_padded(x, (10, 20), 0, 0)
         with pytest.raises(ValueError):
             resample_padded(x, (10, 20), 5, 0, pad_mode="mirror")
+
+    def test_range_bounds_must_be_integers(self):
+        # a fractional bound is refused, not truncated to the range below it
+        x = np.arange(10.0)
+        for bounds in ((1.9, 5.9), (1, 5.0), (True, 5), (1, np.float64(5))):
+            with pytest.raises(RangeOutOfBoundsError, match="must be integers"):
+                resample_padded(x, bounds, 4, 0)
+        assert np.array_equal(resample_padded(x, (np.int64(1), np.int32(5)), 4, 0),
+                              resample_padded(x, (1, 5), 4, 0))
+
+    def test_two_dimensional_signal_is_refused(self):
+        with pytest.raises(ConfigError, match="one-dimensional"):
+            resample_padded(np.zeros((10, 2)), (1, 5), 4, 0)
 
     @pytest.mark.parametrize("pad_mode", ["neighbor", "zero"])
     def test_pad_budget(self, monkeypatch, pad_mode):

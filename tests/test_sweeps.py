@@ -157,6 +157,19 @@ class TestPaddingSweep:
                     row.energy_ratio) == ("ok", r.correlation, r.dtw.distance,
                                           r.dtw.similarity, r.energy_ratio)
 
+    def test_directions_with_shared_targets(self):
+        # at a tiny magnitude both directions round to the identity targets;
+        # each direction's rows must be those of the direction swept alone
+        sweep = SweepConfig(pad_fractions=(0.001, 0.1), warp_magnitude=1e-9)
+        part = partition_from_events(generate(SynthSpec()))
+        assert {direction_targets(part, d, sweep.warp_magnitude)
+                for d in DIRECTIONS} == {(2048, 2048)}
+        rows = padding_sweep(sweep)
+        alone = [row for d in DIRECTIONS
+                 for row in padding_sweep(replace(sweep, directions=(d,)))]
+        assert rows == alone
+        assert {r.status for r in rows} == {"ok"}
+
     def test_default_sweep_builds_only_the_generated_trial(self, monkeypatch):
         built = []
         post_init = model.Trial.__post_init__

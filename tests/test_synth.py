@@ -27,6 +27,15 @@ class TestSynthSpec:
         with pytest.raises(BadRateError):
             SynthSpec(f_samp=0.0)
 
+    @pytest.mark.parametrize("fields, error, match", [
+        ({"f1": -1.0}, ConfigError, "f1 must be positive"),
+        ({"event_fracs": (0.1, 0.2)}, BadEventFracsError, "exactly 3"),
+        ({"amplitudes": (1.0,)}, ConfigError, "two values"),
+    ])
+    def test_typed_field_errors(self, fields, error, match):
+        with pytest.raises(error, match=match):
+            SynthSpec(**fields)
+
     def test_bad_duration(self):
         with pytest.raises(ValueError):
             SynthSpec(duration_s=0.0)

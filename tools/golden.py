@@ -4,11 +4,11 @@ Usage: python tools/golden.py OUTDIR [--compare OTHER_OUTDIR]
 
 Runs a fixed list of CLI commands in process, with OUTDIR as the working
 directory: synth, warp, sweep-padding, sweep-fsamp and dtw-matrix on their
-success paths (one of them on a CRLF copy of a synthesized trial), then
-exit-2 and exit-3 cases. A 24 s trial and its warp have intervals of more
-than 10 000 samples, past the size at which a BLAS dot product splits its
-sum over threads, so listings made with OPENBLAS_NUM_THREADS=1 and =2 can
-be diffed too. It prints one line per command (exit code, SHA-256 of its
+success paths (one of them on a CRLF copy of a synthesized trial, two on a
+one-sample trial), then exit-2 and exit-3 cases. A 24 s trial and its warp
+have intervals of more than 10 000 samples, past the size at which a BLAS
+dot product splits its sum over threads, so listings made with
+OPENBLAS_NUM_THREADS=1 and =2 can be diffed too. It prints one line per command (exit code, SHA-256 of its
 stderr, arguments), followed by one line per warning the command raised
 (`warning  Category: message`, without the source path and line, which
 differ between checkouts), and then one line per output file
@@ -47,6 +47,7 @@ BAD_NUMBER_CONFIG = "pad_fractions = 0.1, fast\n"
 BAD_EVENTS = '{"events": [{"index": 2048}]}\n'
 BROKEN_EVENTS = '{"events": [\n'
 NO_FSAMP = "0.5\n1.0\n"
+ONE_SAMPLE = "# f_samp: 100.0\n0.5\n"
 OVER_BUDGET = "# f_samp: 100.0\n# samples: 16777217\n0.5\n"
 NOT_UTF8 = b"\xff\xfe"
 
@@ -102,6 +103,9 @@ COMMANDS = [
     "dtw-matrix custom.csv small.csv -o d3",
     # the same bytes as d1, read from CRLF line ends
     "dtw-matrix small_crlf.csv small_crlf.csv -o d4",
+    # a one-row and a one-column matrix: every backtrack step runs along an edge
+    "dtw-matrix one.csv small.csv -o d5",
+    "dtw-matrix small.csv one.csv -o d6",
     # exit 2: input and parse errors
     "warp -i missing.csv -o x.csv --t1-target 1 --t2-target 1",
     "warp -i short.csv -o x.csv --t1-target 410 --t2-target 614 --half-width 2",
@@ -150,6 +154,7 @@ def run(outdir: Path) -> list[str]:
     (outdir / "bad.events.json").write_text(BAD_EVENTS, encoding="utf-8")
     (outdir / "broken.events.json").write_text(BROKEN_EVENTS, encoding="utf-8")
     (outdir / "nofs.csv").write_text(NO_FSAMP, encoding="utf-8")
+    (outdir / "one.csv").write_text(ONE_SAMPLE, encoding="utf-8")
     (outdir / "huge.csv").write_text(OVER_BUDGET, encoding="utf-8")
     (outdir / "bin.csv").write_bytes(NOT_UTF8)
     lines = []
