@@ -23,16 +23,19 @@ _BLOCK_CELLS = 1 << 21  # cells a cost block may hold: 16 MiB of float64
 
 
 def _path_bound(x: np.ndarray, y: np.ndarray) -> float:
-    """Accumulated cost of the straight monotone path, for len(x) <= len(y).
+    """Accumulated cost of a straight monotone path: its cell s, for s < L =
+    max(n, m), is (s * (n - 1) // (L - 1), s * (m - 1) // (L - 1)).
 
     The costs are added one cell at a time in path order, exactly as the DP
     adds them. Rounding is monotone and costs are non-negative, so the DP's
-    corner value, its minimum over all paths, is at most this bound.
+    corner value, its minimum over all paths, is at most this bound. The
+    longer sequence's index is s itself. Swapping x and y swaps the indices,
+    and (y - x)**2 has the bits of (x - y)**2, so either orientation gives
+    the same bound.
     """
-    n = x.shape[0]
-    m = y.shape[0]
-    rows = np.arange(m) * (n - 1) // max(m - 1, 1)
-    d = x[rows] - y
+    short, long = sorted((x, y), key=len)
+    rows = np.arange(len(long)) * (len(short) - 1) // max(len(long) - 1, 1)
+    d = short[rows] - long
     return float(np.cumsum(d * d)[-1])
 
 
@@ -88,7 +91,7 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     kb + 2 such rows. Rows 0 and 1 hold the two diagonals carried from the
     previous block, and rows 2 and up the local costs of the block's
     diagonals, which _diagonals overwrites in place with accumulated
-    costs. Rows that the previous block did not compute start at inf.
+    costs. Rows that the previous block did not keep start at inf.
 
     A block's local costs come from two strips. One holds the x of each
     slot: inf for a separator, so the recurrence keeps it inf and no problem
@@ -108,110 +111,98 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
     grid cell reads them, and no cell reads those after a problem's last
     diagonal; the problem leaves the layout at the next block.
 
-    A block's set-up lays out the segments with Python integers, from lists
-    by problem in the layout (n - 1 and m + 1 among them) that change only
-    when problems leave it. For each problem it copies the kept rows of the
-    carried diagonals with one assignment and takes its slices of both
-    strips. After the recurrence the block reads the corner of each
-    problem that ends in it, and its last two rows become the next block's
-    carried diagonals; _kept_slots finds the kept rows of every segment in
-    eight NumPy calls. No view of the table outlives the block.
+    A block's set-up lays out the segments with Python integers from each
+    problem's stack entry (its last diagonal, n - 1 and m + 1 among them),
+    origin, the carried slot of its row 0, and its kept rows. It drops the
+    problems past their last diagonal, copies each one's kept rows lo..top
+    of the carried diagonals, at origin + row, with one assignment, and
+    takes its slices of both strips. After the recurrence the block reads
+    the corner of each problem that ends in it, and its last two rows
+    become the next block's carried diagonals; _kept_slots finds the kept
+    rows of every segment in eight NumPy calls. No view of the table
+    outlives the block.
 
     Between blocks, rows are dropped from both ends of a segment while
     their cost on both of the last two diagonals exceeds the problem's
-    bound. No such cell lies on the optimal path, and a cell within the
-    bound takes its minimum from a predecessor within the bound, so every
-    kept value and the corner come out bit for bit as in the full DP. A
-    scored problem has len(x) <= len(y) and its straight-path bound, so for
-    similar sequences only a narrow band around the optimal path is
-    computed. When acc is given, the one problem, in either orientation, is
+    bound, and carried rows past top are not copied. No such cell lies on
+    the optimal path, and a cell within the bound takes its minimum from a
+    predecessor within the bound, so every kept value and the corner come
+    out bit for bit as in the full DP. A scored problem has its
+    straight-path bound, which, like its corner, is the same in either
+    orientation, so for similar sequences only a narrow band around the
+    optimal path is computed. When acc is given, the one problem is
     bounded by the largest finite float, which every cell of its grid is
     below (see _dtw_pair), and each diagonal of the table is written into
     acc, giving the full accumulated-cost matrix.
     """
-    rows = [len(x) for x, _ in problems]
-    cols = [len(y) for _, y in problems]
     bound = np.array([np.finfo(np.float64).max if acc is not None else _path_bound(x, y)
                       for x, y in problems])
     flat = None if acc is None else acc.reshape(-1)
-    # (problem, xpad, ypad, c) of each problem in the layout, in layout
-    # order: xpad is x and _COST_BLOCK infs, and ypad[c - 1 - j] == y[j]
-    # with margin zeros on each side. A block's rows grow by at most one
-    # per diagonal, so no computed cell lies more than margin columns past
-    # either end of y.
+    # (problem, xpad, ypad, c, last diagonal, n - 1, m + 1) of each problem in
+    # the layout, in layout order: xpad is x and _COST_BLOCK infs, and
+    # ypad[c - 1 - j] == y[j] with margin zeros on each side. A block's rows
+    # grow by at most one per diagonal, so no computed cell lies more than
+    # margin columns past either end of y.
     margin = _COST_BLOCK + 1
     item = np.dtype(np.float64).itemsize
     strides = (-item, item)
     sep = np.full(1, np.inf)  # a separator's x
     tail = np.full(_COST_BLOCK, np.inf)  # the x of rows past n - 1
     stack = []
-    for p, ((x, y), m) in enumerate(zip(problems, cols)):
+    for p, (x, y) in enumerate(problems):
+        n, m = len(x), len(y)
         ypad = np.zeros(m + 2 * margin)
         ypad[margin:margin + m] = y[::-1]
-        stack.append((p, np.concatenate((x, tail)), ypad, margin + m))
+        stack.append((p, np.concatenate((x, tail)), ypad, margin + m, n + m - 2, n - 1, m + 1))
     d = np.array([x[0] - y[0] for x, y in problems])
     corners = (d * d).tolist()
     if flat is not None:
         flat[0] = corners[0]
 
-    # By problem in the layout: its last diagonal, n - 1 and m + 1; these
-    # change only when problems leave the layout.
-    final = [n + m - 2 for n, m in zip(rows, cols)]
-    n1 = [n - 1 for n in rows]
-    m1 = [m + 1 for m in cols]
     # Diagonal 0 in a layout of two slots per problem; diagonal -1 is all inf.
     carried = np.full((2, 2 * len(stack)), np.inf)  # diagonals k - 2 and k - 1
     carried[1, 1::2] = corners
-    start = list(range(0, 2 * len(stack), 2))  # each segment's separator slot
-    # the rows of each segment, and its first and last rows kept on diagonal
-    # k - 1 or k - 2
-    lo = hi = first = top = [0] * len(stack)
-    final_max = max(final)
-    next_end = min(final)
+    origin = list(range(1, 2 * len(stack), 2))  # each problem's carried slot of row 0
+    first = top = [0] * len(stack)  # its first and last rows kept on diagonal k - 1 or k - 2
 
     k = 1
-    while k <= final_max:
-        if k > next_end:
-            alive = [f >= k for f in final]
-            final, n1, m1, stack, start, lo, hi, first, top = (
-                list(compress(v, alive)) for v in (final, n1, m1, stack, start, lo, hi,
-                                                   first, top))
-            bound = bound[alive]
-            next_end = min(final)
-        old = zip(start, lo, hi)
+    while True:
+        alive = [e[4] >= k for e in stack]
+        stack, origin, first, top = (list(compress(v, alive))
+                                     for v in (stack, origin, first, top))
+        bound = bound[alive]
+        if not stack:
+            return corners
         # Row lo - 1 is dropped on both earlier diagonals or lies right of
         # the grid (first is never negative); kept rows widen by at most one
         # per diagonal, and no kept row lies past n - 1. slots is the width
         # of a _COST_BLOCK-deep block, which no shallower block passes, so
         # the table holds at most max(_BLOCK_CELLS, slots) cells plus its
         # two carried rows.
-        lo = [max(f, k - c) for f, c in zip(first, m1)]
+        lo = [max(f, k - e[6]) for f, e in zip(first, stack)]
         slots = sum(top) - sum(lo) + (_COST_BLOCK + 2) * len(lo)
-        kb = max(1, min(_COST_BLOCK, final_max + 1 - k, _BLOCK_CELLS // slots))
-        hi = [t + kb for t in top]
-        width = [b + 2 - a for a, b in zip(lo, hi)]  # a separator and the rows
+        kb = max(1, min(_COST_BLOCK, max(e[4] for e in stack) + 1 - k, _BLOCK_CELLS // slots))
+        width = [t + kb + 2 - a for a, t in zip(lo, top)]  # a separator, rows lo..hi
         table = np.empty((kb + 2, sum(width)))
         table[:2] = np.inf
-        start = []
+        start = []  # each segment's separator slot
         ends = []  # (problem, table row, slot) of each corner in the block
         xs = []  # the x strip: each segment's separator, then its rows
         ys = []  # the y strip between its ends, by slot minus block diagonal
         s = 0
-        for (p, xpad, ypad, c), last, last_row, a, b, (s0, a0, b0) in zip(
-                stack, final, n1, lo, hi, old):
+        for (p, xpad, ypad, c, last, n1, _), o, a, t, w in zip(stack, origin, lo, top, width):
             start.append(s)
-            keep = min(b, b0) + 1 - a
+            keep = t + 1 - a
             if keep > 0:
-                src = s0 + 1 + a - a0
-                table[:2, s + 1:s + 1 + keep] = carried[:, src:src + keep]
-            xs += sep, xpad[a:b + 1]
+                table[:2, s + 1:s + 1 + keep] = carried[:, o + a:o + a + keep]
+            xs += sep, xpad[a:a + w - 1]
             # the cell of row i = f - s - 1 + a on block diagonal r needs
             # y[k + r - i] == ypad[j + f - r - (s + 2 - kb)]
             j = c + a - k - kb
-            ys.append(ypad[j:j + b + 2 - a])
+            ys.append(ypad[j:j + w])
             if last < k + kb:
-                ends.append((p, last + 2 - k, s + 1 + last_row - a))
-            s += b + 2 - a
+                ends.append((p, last + 2 - k, s + 1 + n1 - a))
+            s += w
         # strip[f - r + kb - 1] is the y of slot f on block diagonal r
         strip = np.zeros(s + kb)
         np.concatenate(ys, out=strip[1:s + 1])
@@ -223,29 +214,28 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
         for p, r, f in ends:
             corners[p] = float(table[r, f])
         if flat is not None:
-            row0, m = lo[0], cols[0]
+            (n, m), row0 = acc.shape, lo[0]
             # a one-column matrix has one cell per diagonal: any step
             step = max(m - 1, 1)
             for d in range(k, k + kb):
                 a = max(row0, d - m + 1)
-                b = min(hi[0], d, n1[0])
+                b = min(d, n - 1)
                 flat[a * (m - 1) + d:b * (m - 1) + d + 1:step] = \
                     table[d + 2 - k, a + 1 - row0:b + 2 - row0]
         k += kb
         carried = table[kb:].copy()  # diagonals k - 2 and k - 1
         del table, costs  # free the table before the next one is allocated
+        origin = [s + 1 - a for s, a in zip(start, lo)]
         first, top = _kept_slots(np.minimum(*carried), np.array(start),
                                  np.repeat(bound, width))
-        # slot t of the segment from slot s holds row t - s - 1 + lo
-        first = [t - s - 1 + a for t, s, a in zip(first.tolist(), start, lo)]
-        top = [t - s - 1 + a for t, s, a in zip(top.tolist(), start, lo)]
-    return corners
+        first = [t - o for t, o in zip(first.tolist(), origin)]
+        top = [t - o for t, o in zip(top.tolist(), origin)]
 
 
 def _backtrack(acc: np.ndarray) -> np.ndarray:
     i, j = acc.shape[0] - 1, acc.shape[1] - 1
     path = [(i, j)]
-    while i or j:
+    while i > 0 or j > 0:  # stops even if a corrupt matrix leads off it
         # a step off the matrix reads inf; ties prefer the diagonal, then
         # the step that advances x
         diag, vert, horiz = [acc.item(a, b) if a >= 0 <= b else math.inf
@@ -384,9 +374,7 @@ def dtw_scores(pairs) -> list[DtwScore]:
     sample.
     """
     inputs = [_dtw_pair(x, y) for x, y in pairs]
-    if not inputs:
-        return []
-    corners = _accumulate([tuple(sorted((xa, ya), key=len)) for xa, ya, _ in inputs])
+    corners = _accumulate([(xa, ya) for xa, ya, _ in inputs])
     return [_score(xa, ya, corner, e) for (xa, ya, e), corner in zip(inputs, corners)]
 
 

@@ -279,7 +279,7 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int, pad: int,
     bitwise identical outputs. An out_len that is not a positive integer
     (numbers.Integral, not bool) or is over 2**24 raises
     BadOutputLengthError before anything is allocated, and an index_range
-    bound that is not such an integer raises RangeOutOfBoundsError.
+    that is not a pair of such integers raises RangeOutOfBoundsError.
     """
     (out,) = resample_pads(full, index_range, out_len, (pad,), cfg, pad_mode).values()
     return out
@@ -353,7 +353,11 @@ def _checked(full, index_range, out_len, pads, cfg: SincConfig, pad_mode: str):
     x = np.asarray(full, dtype=np.float64)
     if x.ndim != 1:
         raise ConfigError(f"signal must be one-dimensional, got shape {x.shape}")
-    start, stop = index_range[0], index_range[1]
+    try:
+        start, stop = index_range
+    except (TypeError, ValueError):
+        raise RangeOutOfBoundsError(
+            f"index_range must be a (start, stop) pair, got {index_range!r}") from None
     if not (is_integer(start) and is_integer(stop)):
         raise RangeOutOfBoundsError(f"range bounds must be integers, got {index_range!r}")
     start, stop = int(start), int(stop)

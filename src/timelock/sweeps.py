@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -36,6 +37,10 @@ class SweepConfig:
     warp_magnitude: float = 0.2
 
     def __post_init__(self) -> None:
+        for name in ("pad_fractions", "fsamp_factors", "directions"):
+            value = getattr(self, name)
+            if isinstance(value, (str, numbers.Number)):
+                raise ConfigError(f"{name} must be a sequence of values, got {value!r}")
         if not self.pad_fractions:
             raise ConfigError("pad_fractions must be nonempty")
         for pad in self.pad_fractions:

@@ -522,6 +522,53 @@ class TestStackedDtw:
             dtw_scores([([1.0], [2.0]), ([], [1.0])])
 
 
+class TestOrientation:
+    # scoring runs each pair in the orientation it is given: the bound and
+    # the corner must not depend on which sequence is the longer
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(114)
+        shapes = [(1, 1), (1, 2), (1, 40), (2, 1), (40, 1), (3, 90), (90, 3)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 80, size=2)) for _ in range(40)]
+        pairs = []
+        for i, (n, m) in enumerate(shapes):
+            x = np.cumsum(rng.normal(size=n))
+            if i % 2:
+                y = rng.normal(size=m)
+            else:
+                warp = np.linspace(0.0, 1.0, m) ** rng.uniform(0.5, 2.0) * (n - 1)
+                y = np.interp(warp, np.arange(n), x) + 0.05 * rng.normal(size=m)
+            pairs.append((x, y))
+        assert {n > m for n, m in shapes[7:]} == {True, False}
+        return pairs
+
+    def test_bound_is_the_same_either_way(self):
+        for x, y in self.pairs():
+            assert metrics._path_bound(x, y).hex() == metrics._path_bound(y, x).hex()
+
+    def test_corner_is_the_loop_oracles_either_way(self):
+        pairs = self.pairs()
+        expected = [dp_matrix_loops(x, y)[-1, -1] for x, y in pairs]
+        for (x, y), corner in zip(pairs, expected):
+            assert metrics._accumulate([(x, y)]) == [corner]
+            assert metrics._accumulate([(y, x)]) == [corner]
+        assert metrics._accumulate(pairs) == expected
+        assert metrics._accumulate([(y, x) for x, y in pairs]) == expected
+
+    def test_longer_first_pair_keeps_its_optimum(self):
+        # a straight path that took one cell per sample of the shorter
+        # sequence would skip rows of this pair: it would read only zeros of
+        # x, a bound of 5.0 below the optimum of 150.0, and prune the whole
+        # band
+        x = np.zeros(300)
+        x[1::2] = 1.0
+        y = np.zeros(10)
+        assert metrics._path_bound(x, y) == metrics._path_bound(y, x) == 150.0
+        assert dp_matrix_loops(x, y)[-1, -1] == 150.0
+        assert metrics._accumulate([(x, y)]) == metrics._accumulate([(y, x)]) == [150.0]
+
+
 class TestEnergyPower:
     def test_zero_signal(self):
         assert energy([0.0, 0.0, 0.0]) == 0.0

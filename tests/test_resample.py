@@ -238,6 +238,16 @@ class TestResamplePadded:
         assert np.array_equal(resample_padded(x, (np.int64(1), np.int32(5)), 4, 0),
                               resample_padded(x, (1, 5), 4, 0))
 
+    def test_range_must_be_a_pair(self):
+        # a range of one bound or three, or a bare number, is refused as a
+        # range; a two-element NumPy array is a pair
+        x = np.arange(10.0)
+        for bounds in ((1,), (1, 5, 7), 5, None):
+            with pytest.raises(RangeOutOfBoundsError, match="pair"):
+                resample_padded(x, bounds, 4, 0)
+        assert np.array_equal(resample_padded(x, np.array([1, 5]), 4, 0),
+                              resample_padded(x, (1, 5), 4, 0))
+
     def test_two_dimensional_signal_is_refused(self):
         with pytest.raises(ConfigError, match="one-dimensional"):
             resample_padded(np.zeros((10, 2)), (1, 5), 4, 0)

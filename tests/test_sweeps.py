@@ -13,7 +13,7 @@ from timelock import (SincConfig, SweepConfig, SynthSpec, dtw_score, fsamp_sweep
                       generate, padding_sweep, partition_from_events, plan_warp,
                       warp_trial)
 from timelock.sweeps import CONTRACT_T1, DIRECTIONS, EXPAND_T1, direction_targets
-from timelock.errors import NonFiniteError
+from timelock.errors import ConfigError, NonFiniteError
 from timelock.model import Partition
 
 QUICK_SYNTH = SynthSpec(duration_s=0.5)
@@ -53,6 +53,20 @@ class TestSweepConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("directions", CONTRACT_T1),
+        ("pad_fractions", 0.1),
+        ("pad_fractions", "0.1"),
+        ("fsamp_factors", 0.5),
+        ("fsamp_factors", np.float64(0.5)),
+    ], ids=["directions-str", "pad_fractions-float", "pad_fractions-str",
+            "fsamp_factors-float", "fsamp_factors-numpy"])
+    def test_bare_value_for_a_grid_is_refused(self, field, value):
+        # a bare string or number is not a grid of one; the error names the
+        # field, since a string would otherwise read as a grid of characters
+        with pytest.raises(ConfigError, match=f"{field} must be a sequence"):
+            SweepConfig(**{field: value})
 
 
 class TestDirectionTargets:

@@ -1,0 +1,171 @@
+"""Mutation check of the tests of timelock's stacked DTW dynamic program.
+
+Usage: python tools/mutate.py [NAME ...]
+
+MUTANTS is a table of small deliberate faults in metrics._accumulate and
+its helpers. Each entry names a file, one or more edits (an exact old text,
+which must occur exactly once, and its new text) and the pytest arguments
+that should catch it. For each mutant, all of them or those named on the
+command line, the checkout's src/, tests/ and pyproject.toml are copied
+into a temporary directory, the edits are applied to the copy and pytest
+runs the selection there; the checkout itself is never written. One line
+per mutant says "killed", with the number of failed and erroring tests,
+or "survived".
+
+An equivalent mutant changes no result, so no test can kill it. Its entry
+records why it is exact, and its survival is expected. The exit status is
+1 when a mutant that is not equivalent survives, when one recorded as
+equivalent is killed, or when an old text does not occur exactly once;
+otherwise 0. Each mutant runs its selection once, so a full run takes
+minutes and is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+METRICS = "src/timelock/metrics.py"
+DP_TESTS = ("tests/test_metrics.py",)
+TIMEOUT_S = 900
+# A mutant can make a loop run away and allocate without end; each run's
+# address space is capped so that it fails with MemoryError instead of
+# taking the machine's memory.
+MEMORY_CAP = 1 << 30
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    edits: tuple[tuple[str, str], ...]  # (old text, new text), applied in order
+    file: str = METRICS
+    select: tuple[str, ...] = DP_TESTS
+    equivalent: str = ""  # why the mutant changes no result; empty if a test must kill it
+
+
+MUTANTS = [
+    # faults recorded for the one-table cost block, adapted to this code
+    Mutant("corner read from the row before",
+           (("ends.append((p, last + 2 - k,", "ends.append((p, last + 1 - k,"),)),
+    Mutant("carried rows taken one row early",
+           (("carried = table[kb:].copy()", "carried = table[kb - 1:kb + 1].copy()"),)),
+    Mutant("diagonal predecessor read from the row before",
+           (("minimum(p2, p1, out=span)", "minimum(p1, p1, out=span)"),)),
+    Mutant("matrix written from the row before",
+           (("table[d + 2 - k, a + 1 - row0", "table[d + 1 - k, a + 1 - row0"),)),
+    Mutant("separator x finite (0 in place of inf)",
+           (("sep = np.full(1, np.inf)", "sep = np.full(1, 0.0)"),)),
+    # faults recorded for the two per-block strips
+    Mutant("y strip owners shifted by +1",
+           (("j = c + a - k - kb\n", "j = c + a - k - kb + 1\n"),
+            ("strip = np.zeros(s + kb)", "strip = np.zeros(s + kb + 1)"),
+            ("out=strip[1:s + 1]", "out=strip[2:s + 2]"))),
+    Mutant("y strip owners shifted by -1",
+           (("margin = _COST_BLOCK + 1", "margin = _COST_BLOCK + 2"),
+            ("j = c + a - k - kb\n", "j = c + a - k - kb - 1\n"),
+            ("out=strip[1:s + 1]", "out=strip[:s]")),
+           equivalent="each segment then owns f - r from its separator slot + 1 - kb; "
+                      "the cells that read a neighbour's y instead lie at rows above "
+                      "top + r + 1, where every path crosses the carried rows above top, "
+                      "all over the bound, so no kept value or corner changes"),
+    Mutant("y view offset at kb samples",
+           (("strip, (kb - 1) * item, strides)", "strip, kb * item, strides)"),)),
+    Mutant("y view offset at kb - 2 samples",
+           (("strip, (kb - 1) * item, strides)", "strip, (kb - 2) * item, strides)"),)),
+    Mutant("hi capped at n - 1",
+           (("width = [t + kb + 2 - a for a, t in zip(lo, top)]",
+             "width = [min(t + kb, e[5]) + 2 - a for a, t, e in zip(lo, top, stack)]"),)),
+    Mutant("separator not forced out of the kept rows",
+           (("    drop[start] = True\n", ""),)),
+    # faults of one entry per problem
+    Mutant("problem dropped at its last diagonal (alive test > k)",
+           (("alive = [e[4] >= k", "alive = [e[4] > k"),)),
+    Mutant("carried copy one row short",
+           (("keep = t + 1 - a", "keep = t - a"),)),
+    Mutant("carried copy one row long",
+           (("keep = t + 1 - a", "keep = t + 2 - a"),)),
+    Mutant("origin one slot early",
+           (("origin = [s + 1 - a for", "origin = [s - a for"),)),
+    Mutant("straight-path bound reading the longer sequence at the shorter's index",
+           (("d = short[rows] - long\n", "d = short[rows] - long[rows]\n"),)),
+]
+
+
+def mutated_copy(mutant: Mutant, dest: Path) -> None:
+    """Copy the checkout's sources and tests into dest and apply the edits
+    there; raises ValueError when an old text does not occur exactly once."""
+    skip = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    path = dest / mutant.file
+    text = path.read_text()
+    for old, new in mutant.edits:
+        if text.count(old) != 1:
+            raise ValueError(f"{old!r} occurs {text.count(old)} times in {mutant.file}")
+        text = text.replace(old, new)
+    path.write_text(text)
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """Whether the selection failed on the mutant, and what it reported;
+    raises ValueError when the mutant cannot be made or pytest selects no
+    test."""
+    with tempfile.TemporaryDirectory(prefix="timelock-mutant-") as tmp:
+        dest = Path(tmp)
+        mutated_copy(mutant, dest)
+        env = dict(os.environ, PYTHONPATH=str(dest / "src"))
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *mutant.select]
+        try:
+            done = subprocess.run(cmd, cwd=dest, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S, preexec_fn=_cap_memory)
+        except subprocess.TimeoutExpired:
+            return True, f"timed out after {TIMEOUT_S} s"
+    if done.returncode == 0:
+        return False, "all passed"
+    if done.returncode in (4, 5):  # a usage error, or no test selected
+        raise ValueError(f"pytest exited {done.returncode}: {done.stdout}{done.stderr}")
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (failed|error)", done.stdout)}
+    if not counts:  # a crash or a signal ended the run
+        return True, f"pytest exited {done.returncode}"
+    return True, f"{counts.get('failed', 0)} failed, {counts.get('error', 0)} errors"
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    status = 0
+    for mutant in chosen:
+        try:
+            killed, detail = run(mutant)
+        except ValueError as err:
+            print(f"error     {mutant.name}: {err}")
+            status = 1
+            continue
+        verdict = "killed" if killed else "survived"
+        if mutant.equivalent:
+            verdict += " (equivalent)"
+            detail += f"; exact because {mutant.equivalent}"
+        print(f"{verdict:<23} {mutant.name}: {detail}", flush=True)
+        if killed == bool(mutant.equivalent):
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
