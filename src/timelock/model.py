@@ -31,6 +31,15 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_finite(value) -> bool:
+    """Whether value is a finite real number: math.isfinite, with False in
+    place of its TypeError for a string, None or other non-number."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 def event_index_from_seconds(t_seconds: float, f_samp: float) -> int:
     """Convert an event time in seconds to a sample index.
 
@@ -39,13 +48,12 @@ def event_index_from_seconds(t_seconds: float, f_samp: float) -> int:
     when t_seconds * f_samp is NaN or infinite, as for a NaN, infinite or
     too large t_seconds.
     """
-    if not (math.isfinite(f_samp) and f_samp > 0):
+    if not (is_finite(f_samp) and f_samp > 0):
         raise BadRateError(f"f_samp must be positive and finite, got {f_samp}")
-    position = t_seconds * f_samp
-    if not math.isfinite(position):
+    if not (is_finite(t_seconds) and math.isfinite(t_seconds * f_samp)):
         raise BadEventsError(
             f"event time {t_seconds} s at {f_samp} Hz is not a finite sample position")
-    return int(math.ceil(position - 0.5))
+    return int(math.ceil(t_seconds * f_samp - 0.5))
 
 
 @dataclass(frozen=True)

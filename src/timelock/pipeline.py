@@ -15,7 +15,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .metrics import DtwScore, _unit_scale, dtw_scores, energy, pearson
-from .model import EventMarker, Partition, Trial, is_integer
+from .model import EventMarker, Partition, Trial, is_finite, is_integer
 from .resample import SincConfig, grid_position, resample_padded
 
 
@@ -74,9 +74,9 @@ def plan_warp(p: Partition, t1_target: int, t2_target: int, pad_fraction: float,
     In preserving mode (the default) the targets must sum to the current
     warpable length so the output trial keeps the input length.
     """
-    if not (math.isfinite(pad_fraction) and pad_fraction >= 0):
+    if not (is_finite(pad_fraction) and pad_fraction >= 0):
         raise BadTargetError(f"pad_fraction must be >= 0 and finite, got {pad_fraction}")
-    if not (math.isfinite(f_samp) and f_samp > 0):
+    if not (is_finite(f_samp) and f_samp > 0):
         raise BadRateError(f"f_samp must be positive and finite, got {f_samp}")
     if preserve_length and t1_target + t2_target != p.len_t1 + p.len_t2:
         raise BadTargetError(

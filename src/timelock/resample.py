@@ -12,16 +12,15 @@ interval, so only min(pad, half_width) samples per side are ever read. Taps
 past a shorter pad see the padded segment repeated periodically (the
 classical discrete-signal model) and wrap into the opposite pad, so an
 unpadded segment whose ends do not match up rings near its endpoints.
-resample_pads gives the outputs at several pads from one pass of the
-kernel, which evaluates a narrower pad's outputs only where its pad is
-read. When contracting with anti-aliasing enabled, the kernel cutoff is
+resample_pads gives the outputs at several pads from one kernel call per
+chunk of output positions, which evaluates a narrower pad's outputs only
+where the chunk's floors reach its pad. When contracting with anti-aliasing enabled, the kernel cutoff is
 lowered to the output rate so content above the new Nyquist is attenuated
 rather than folded back.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +30,7 @@ from .errors import (BadOutputLengthError, ConfigError, RangeOutOfBoundsError,
                      SegmentTooShortError)
 from .model import MAX_SAMPLES as _MAX_OUT_LEN  # longest output resample_padded builds
 from .model import MAX_SAMPLES as _MAX_PAD  # largest pad per side; at most half_width are read
-from .model import is_integer
+from .model import is_finite, is_integer
 
 WINDOWS = ("kaiser", "hann", "blackman")
 PAD_MODES = ("neighbor", "zero")
@@ -70,7 +69,7 @@ class SincConfig:
         if self.window not in WINDOWS:
             raise ConfigError(f"window must be one of {WINDOWS}, got {self.window!r}")
         if self.window == "kaiser":
-            if not (np.isfinite(self.beta) and self.beta > 0):
+            if not (is_finite(self.beta) and self.beta > 0):
                 raise ConfigError(f"Kaiser beta must be positive and finite, got {self.beta}")
             # the taper is divided by i0(beta), which overflows from about 709.8
             with np.errstate(over="ignore"):
@@ -295,26 +294,35 @@ def resample_pads(full, index_range: tuple[int, int], out_len: int, pads,
     up to b past the interval: both are the interval's neighbours, clamped
     or zeroed the same way. So an output at t reads the same taps at either
     pad unless floor(t) < h - b or floor(t) >= n_in - h + b (h the half
-    width, n_in the interval's length). The widest built pad's whole grid,
-    and for each narrower one only that prefix and suffix of the grid, are
-    evaluated in one pass of the kernel over the reaches of every pad; the
-    rest of a narrower output is copied from the widest. The arguments are
-    checked as resample_padded checks them, each pad as its pad; pads must
-    not be empty.
+    width, n_in the interval's length). The grid is taken _OUTPUTS
+    positions at a time, and each chunk is one kernel call over the reaches
+    of every pad: the chunk at the widest built pad, and for each narrower
+    one only the chunk's outputs whose floors satisfy that rule. The rest of
+    a narrower row is the widest row's value. The arguments are checked as
+    resample_padded checks them, each pad as its pad; pads must not be
+    empty.
     """
     x, start, stop, bs, n_out = _checked(full, index_range, out_len, pads, cfg, pad_mode)
     h, n_in = cfg.half_width, stop - start
+    cutoff = _cutoff(n_in, n_out, cfg)
+    # the reach of every pad in one flat run, row r from r * width on
+    width = n_in + 2 * h
+    reach = _reach(x, start, stop, bs, h, pad_mode).reshape(-1)
     out = np.empty((len(bs), n_out))
-    # row 0, the widest pad, whole; each narrower row its suffix
-    # max(lo, hi)..n_out - 1, then its prefix 0..lo - 1, read cyclically:
-    # each output once, all of them when the two overlap
-    ranges = [(0, n_out)]
-    for b in bs[1:]:
-        lo, hi = (_first_at_least(edge, n_in, n_out) for edge in (h - b, n_in - h + b))
-        ranges.append((max(lo, hi) - n_out, lo))
-    _fill(out, ranges, _reach(x, start, stop, bs, h, pad_mode), n_in, cfg)
-    for row, (first, lo) in enumerate(ranges[1:], 1):
-        out[row, lo:first + n_out] = out[0, lo:first + n_out]
+    # _OUTPUTS positions at a time, so no array as long as a row is made
+    for s in range(0, n_out, _OUTPUTS):
+        t = grid_position(np.arange(s, min(s + _OUTPUTS, n_out)), n_in, n_out)
+        whole = np.floor(t)
+        base = whole.astype(np.int64)
+        # the widest row's whole chunk, then each narrower row's edges
+        at = [np.arange(len(t))] + [np.flatnonzero((base < h - b) | (base >= n_in - h + b))
+                                    for b in bs[1:]]
+        r = np.repeat(np.arange(len(bs)), [len(e) for e in at])
+        at = np.concatenate(at)
+        values = _resample_at(reach, base[at] + r * width, (t - whole)[at], cutoff, cfg)
+        chunk = out[:, s:s + len(t)]
+        chunk[:] = values[:len(t)]
+        chunk[r, at] = values
     return dict(zip(bs, out))
 
 
@@ -330,21 +338,6 @@ def grid_position(k, n_in: int, n_out: int):
         t[k == n_out - 1] = n_in - 1.0
         return t
     return n_in - 1.0 if k == n_out - 1 else t
-
-
-def _first_at_least(edge: int, n_in: int, n_out: int) -> int:
-    """The first k with grid_position(k, n_in, n_out) >= edge, or n_out if
-    there is none. ceil(edge / step) is off by at most one, from the
-    rounding of the quotient and of the positions, and a probe on either
-    side of it puts it right."""
-    if n_out == 1:
-        return int(edge > 0)
-    k = min(max(math.ceil(edge / ((n_in - 1.0) / (n_out - 1))), 0), n_out)
-    if k > 0 and grid_position(k - 1, n_in, n_out) >= edge:
-        return k - 1
-    if k < n_out and grid_position(k, n_in, n_out) < edge:
-        return k + 1
-    return k
 
 
 def _checked(full, index_range, out_len, pads, cfg: SincConfig, pad_mode: str):
@@ -392,25 +385,3 @@ def _reach(x: np.ndarray, start: int, stop: int, bs, h: int, pad_mode: str) -> n
     if pad_mode == "zero":
         reach[(source < start) | (source >= stop)] = 0.0
     return reach
-
-
-def _fill(out: np.ndarray, ranges, reach: np.ndarray, n_in: int, cfg: SincConfig) -> None:
-    """Evaluate the outputs k % n_out of out[row] for k in lo..hi - 1, with
-    (lo, hi) = ranges[row], from the taps in reach[row]; every row of out
-    is the grid of n_out positions over n_in samples. The ranges are read
-    in order as one run of positions, _OUTPUTS at a time, each chunk in one
-    kernel call: no array as long as a row is made."""
-    n_out, width = out.shape[1], reach.shape[1]
-    cutoff = _cutoff(n_in, n_out, cfg)
-    flat_out, flat_reach = out.reshape(-1), reach.reshape(-1)
-    lo, hi = np.array(ranges).T
-    ends = np.cumsum(hi - lo)
-    shift = hi - ends  # position v of the run is k = v + shift[row] of its row
-    for s in range(0, ends[-1], _OUTPUTS):
-        v = np.arange(s, min(s + _OUTPUTS, ends[-1]))
-        row = np.searchsorted(ends, v, side="right")
-        k = (v + shift[row]) % n_out
-        t = grid_position(k, n_in, n_out)
-        whole = np.floor(t)
-        flat_out[row * n_out + k] = _resample_at(
-            flat_reach, whole.astype(np.int64) + row * width, t - whole, cutoff, cfg)

@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, NonFiniteError, TimelockError
-from .model import Partition, partition_from_events
+from .model import Partition, is_finite, partition_from_events
 from .pipeline import interval_reports, plan_warp
 from .resample import SincConfig, built_pad, resample_pads
 from .synth import SynthSpec, generate
@@ -44,25 +44,25 @@ class SweepConfig:
         if not self.pad_fractions:
             raise ConfigError("pad_fractions must be nonempty")
         for pad in self.pad_fractions:
-            if not (math.isfinite(pad) and pad >= 0):
+            if not (is_finite(pad) and pad >= 0):
                 raise ConfigError(f"pad fractions must be >= 0 and finite, got {pad}")
         if not self.fsamp_factors:
             raise ConfigError("fsamp_factors must be nonempty")
         prev = math.inf
         for f in self.fsamp_factors:
-            if not 0.0 < f <= 1.0:
+            if not (is_finite(f) and 0.0 < f <= 1.0):
                 raise ConfigError(f"fsamp factors must lie in (0, 1], got {f}")
             if f >= prev:
                 raise ConfigError(f"fsamp factors must be sorted descending, got {self.fsamp_factors}")
             prev = f
         if not self.directions:
             raise ConfigError("directions must be nonempty")
-        if len(set(self.directions)) != len(self.directions):
-            raise ConfigError(f"duplicate directions in {self.directions}")
         for d in self.directions:
             if d not in DIRECTIONS:
                 raise ConfigError(f"unknown direction {d!r}; choose from {DIRECTIONS}")
-        if not (math.isfinite(self.warp_magnitude) and self.warp_magnitude > 0):
+        if len(set(self.directions)) != len(self.directions):
+            raise ConfigError(f"duplicate directions in {self.directions}")
+        if not (is_finite(self.warp_magnitude) and self.warp_magnitude > 0):
             raise ConfigError(f"warp_magnitude must be positive, got {self.warp_magnitude}")
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import BadEventFracsError, BadRateError, ConfigError, NyquistViolationError
 from .model import MAX_SAMPLES as _MAX_SAMPLES  # longest trial generate builds
-from .model import OFFSET, ONSET, TRANSITION, EventMarker, Trial
+from .model import OFFSET, ONSET, TRANSITION, EventMarker, Trial, is_finite
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,9 @@ class SynthSpec:
     phases: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.f_samp) and self.f_samp > 0):
+        if not (is_finite(self.f_samp) and self.f_samp > 0):
             raise BadRateError(f"f_samp must be positive and finite, got {self.f_samp}")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+        if not (is_finite(self.duration_s) and self.duration_s > 0):
             raise ConfigError(f"duration_s must be positive, got {self.duration_s}")
         n = self.duration_s * self.f_samp
         if not (math.isfinite(n) and round(n) <= _MAX_SAMPLES):
@@ -41,7 +41,7 @@ class SynthSpec:
                 f"duration_s * f_samp = {n} samples exceeds the limit of {_MAX_SAMPLES}")
         nyq = self.f_samp / 2.0
         for name, f in (("f1", self.f1), ("f2", self.f2)):
-            if not (math.isfinite(f) and f > 0):
+            if not (is_finite(f) and f > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {f}")
             if f >= nyq:
                 raise NyquistViolationError(f"{name} = {f} is not below f_nyq = {nyq}")
@@ -49,7 +49,7 @@ class SynthSpec:
             raise BadEventFracsError(f"need exactly 3 event fractions, got {len(self.event_fracs)}")
         prev = 0.0
         for frac in self.event_fracs:
-            if not (prev < frac < 1.0):
+            if not (is_finite(frac) and prev < frac < 1.0):
                 raise BadEventFracsError(
                     f"event fractions must be strictly increasing within (0, 1), got {self.event_fracs}"
                 )
@@ -57,7 +57,7 @@ class SynthSpec:
         if len(self.amplitudes) != 2 or len(self.phases) != 2:
             raise ConfigError("amplitudes and phases must each hold two values")
         for name, values in (("amplitudes", self.amplitudes), ("phases", self.phases)):
-            if not all(math.isfinite(v) for v in values):
+            if not all(is_finite(v) for v in values):
                 raise ConfigError(f"{name} must be finite, got {values}")
 
 

@@ -1,8 +1,12 @@
 import dataclasses
 import inspect
+import math
 import types
 
+import pytest
+
 import timelock
+from timelock import errors
 import timelock.resample as sincmod
 
 
@@ -31,3 +35,64 @@ def test_one_pad_per_side():
     params = list(inspect.signature(timelock.resample_padded).parameters)
     assert params[:4] == ["full", "index_range", "out_len", "pad"]
     assert not set(params) & {"pad_left", "pad_right"}
+
+
+# A field given a value that is not a number raises the class the same field
+# raises for an out-of-range number: each case makes the object or the call
+# from one value, and gives a value that is not a number and one out of range.
+PART = timelock.Partition(10, 20, 30, 40)
+
+
+def _case(name, make, value, out_of_range):
+    return pytest.param(make, value, out_of_range, id=name)
+
+
+def _raises_as_out_of_range(error, make, value, out_of_range):
+    with pytest.raises(error):
+        make(out_of_range)
+    with pytest.raises(error):
+        make(value)
+
+
+@pytest.mark.parametrize("make, value, out_of_range", [
+    _case("pad_fractions", lambda v: timelock.SweepConfig(pad_fractions=(v,)), "a", -1.0),
+    _case("fsamp_factors", lambda v: timelock.SweepConfig(fsamp_factors=(v,)), "a", 2.0),
+    _case("warp_magnitude", lambda v: timelock.SweepConfig(warp_magnitude=v), "a", 0.0),
+    _case("directions", lambda v: timelock.SweepConfig(directions=(v,)), ["x"], "x"),
+    _case("beta", lambda v: timelock.SincConfig(beta=v), "a", -1.0),
+    _case("beta-none", lambda v: timelock.SincConfig(beta=v), None, math.inf),
+    _case("amplitudes", lambda v: timelock.SynthSpec(amplitudes=(v, 1.0)), "a", math.nan),
+])
+def test_config_fields_that_are_not_numbers(make, value, out_of_range):
+    _raises_as_out_of_range(errors.ConfigError, make, value, out_of_range)
+
+
+@pytest.mark.parametrize("make, value, out_of_range", [
+    _case("synth", lambda v: timelock.SynthSpec(f_samp=v), "a", 0.0),
+    _case("plan_warp", lambda v: timelock.plan_warp(PART, 10, 10, 0.1, v), "a", -1.0),
+])
+def test_rates_that_are_not_numbers(make, value, out_of_range):
+    _raises_as_out_of_range(errors.BadRateError, make, value, out_of_range)
+
+
+@pytest.mark.parametrize("make, value, out_of_range", [
+    _case("string", lambda v: timelock.SynthSpec(event_fracs=v), "abc", (0.5, 0.25, 0.75)),
+    _case("none", lambda v: timelock.SynthSpec(event_fracs=(0.25, v, 0.75)), None, 1.5),
+])
+def test_event_fractions_that_are_not_numbers(make, value, out_of_range):
+    _raises_as_out_of_range(errors.BadEventFracsError, make, value, out_of_range)
+
+
+@pytest.mark.parametrize("make, value, out_of_range", [
+    _case("plan_warp", lambda v: timelock.plan_warp(PART, 10, 10, v, 100.0), "a", -0.1),
+])
+def test_pad_fractions_that_are_not_numbers(make, value, out_of_range):
+    _raises_as_out_of_range(errors.BadTargetError, make, value, out_of_range)
+
+
+@pytest.mark.parametrize("make, value, out_of_range", [
+    _case("string", lambda v: timelock.event_index_from_seconds(v, 100.0), "a", math.inf),
+    _case("none", lambda v: timelock.event_index_from_seconds(v, 100.0), None, 1e308),
+])
+def test_event_times_that_are_not_numbers(make, value, out_of_range):
+    _raises_as_out_of_range(errors.BadEventsError, make, value, out_of_range)

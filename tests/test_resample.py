@@ -1,4 +1,3 @@
-from bisect import bisect_left
 from dataclasses import replace
 
 import numpy as np
@@ -485,20 +484,16 @@ class TestEdges:
         # of the widest built pad and, of each narrower one, only the
         # outputs the edge formula names, each exactly once, reading the
         # pad's own row of taps; one _resample_at call per chunk of
-        # positions. Chunks of a few positions put the wrap from the suffix
-        # to the prefix, and from one pad to the next, both at and inside a
-        # chunk boundary.
-        bases, chunks = [], []
-        resample_at, position = sincmod._resample_at, sincmod.grid_position
+        # positions, which evaluates the chunk at the widest pad and then the
+        # narrower pads' edges within it. Chunks of a few positions put the
+        # prefix and the suffix edges in different calls, and an edge both at
+        # and inside a chunk boundary.
+        calls = []
+        resample_at = sincmod._resample_at
 
         def counted(reach, base, frac, cutoff, cfg):
-            bases.append(np.array(base))
+            calls.append((np.array(base), np.array(frac)))
             return resample_at(reach, base, frac, cutoff, cfg)
-
-        def recorded(k, n_in, n_out):
-            if np.ndim(k):  # a chunk of positions, not a probe for an edge
-                chunks.append(np.array(k))
-            return position(k, n_in, n_out)
 
         rng = np.random.default_rng(61)
         for case in range(80):
@@ -515,27 +510,64 @@ class TestEdges:
             built = sorted({min(pad, h) for pad in pads}, reverse=True)
             want = {b: resample_padded(full, (start, stop), out_len, b, cfg, pad_mode)
                     for b in built}
-            # the outputs each built pad's row evaluates, widest first
+            # the outputs each built pad's row evaluates, widest first, and
+            # the grid they are read at
             rows = [np.arange(out_len)] + [edge_indices(n_in, out_len, b, h) for b in built[1:]]
+            grid_base, grid_frac = resample_grid(n_in, out_len)
+            width = n_in + 2 * h  # one row of the reach
             for outputs in (sincmod._OUTPUTS, 1, 2, 3, 7):
                 with monkeypatch.context() as patch:
                     patch.setattr(sincmod, "_OUTPUTS", outputs)
                     patch.setattr(sincmod, "_resample_at", counted)
-                    patch.setattr(sincmod, "grid_position", recorded)
                     got = resample_pads(full, (start, stop), out_len, pads, cfg, pad_mode)
                 assert list(got) == built, (case, outputs)
                 for b in built:
                     assert np.array_equal(got[b].view(np.int64), want[b].view(np.int64)), \
                         (case, outputs, b)
-                assert [len(base) for base in bases] == [len(k) for k in chunks], (case, outputs)
-                evaluated = sum(len(k) for k in rows)
-                assert len(bases) == -(-evaluated // outputs), (case, outputs)
-                k, row = np.concatenate(chunks), np.concatenate(bases) // (n_in + 2 * h)
-                assert len(k) == evaluated, (case, outputs)
-                for j, want_k in enumerate(rows):
-                    assert np.array_equal(np.sort(k[row == j]), want_k), (case, outputs, j)
-                bases.clear()
-                chunks.clear()
+                assert len(calls) == -(-out_len // outputs), (case, outputs)
+                for c, (base, frac) in enumerate(calls):
+                    chunk = np.arange(c * outputs, min((c + 1) * outputs, out_len))
+                    assert np.array_equal(base[:len(chunk)], grid_base[chunk]), (case, outputs, c)
+                    assert np.array_equal(frac[:len(chunk)], grid_frac[chunk]), (case, outputs, c)
+                    assert len(base) == sum(np.isin(k, chunk).sum() for k in rows), \
+                        (case, outputs, c)
+                    row = base // width
+                    for j, k in enumerate(rows[1:], 1):
+                        k = k[np.isin(k, chunk)]
+                        order = np.lexsort((frac[row == j], base[row == j]))
+                        assert np.array_equal(base[row == j][order], grid_base[k] + j * width), \
+                            (case, outputs, c, j)
+                        assert np.array_equal(frac[row == j][order], grid_frac[k]), \
+                            (case, outputs, c, j)
+                calls.clear()
+
+    def test_long_output_at_several_pads_stays_near_its_own_size(self):
+        # 2**20 outputs of a 40-sample interval at five built pads against a
+        # half width of 32: 40 MiB of rows. Pads 0 and 8 differ from the
+        # widest at every output and pads 16 and 24 at most of them, so
+        # nearly every chunk holds several rows of edges; what the chunks
+        # make beside the rows stays within a few MiB.
+        import tracemalloc
+
+        x = np.sin(0.01 * np.arange(4096))
+        start, stop, pads = 1024, 1064, (0, 8, 16, 24, 32)
+        resample_pads(x, (start, stop), 2, pads)  # the taper table is cached
+        tracemalloc.start()
+        try:
+            out = resample_pads(x, (start, stop), 2**20, pads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = sum(row.nbytes for row in out.values())
+        assert rows == 5 * 2**23
+        assert peak < rows + 6 * 2**20
+        assert edge_indices(40, 2**20, 8, 32).size == 2**20
+        for b in pads:
+            padded = x[np.clip(np.arange(start - b, stop + b), 0, len(x) - 1)]
+            base, frac = resample_grid(40, 2**20, b)
+            k = np.array([0, 1, 5000, 2**19 + 7, 2**20 - 1])
+            assert np.array_equal(out[b][k], resample_direct(padded, base[k], frac[k], 1.0,
+                                                             SincConfig())), b
 
     def test_arguments_are_checked_as_resample_padded_checks_them(self):
         x = np.arange(30.0)
@@ -551,26 +583,6 @@ class TestEdges:
             resample_pads(x, (10, 20), 5, (3,), pad_mode="mirror")
         with pytest.raises(ValueError, match="pads must not be empty"):
             resample_pads(x, (10, 20), 5, ())
-
-    def test_edge_bounds_match_a_search_of_the_grid(self):
-        # the closed form against bisect_left over grid_position: outputs of
-        # 1 and 2 samples, integral grids (steps 1, 2 and 1/3), random and
-        # long grids, and edges from before the interval's first sample to
-        # past its last. Both probes of the closed form are needed on these.
-        rng = np.random.default_rng(67)
-        shapes = [(n_in, n_out) for n_in in (2, 3, 5, 9, 64, 1025)
-                  for n_out in (1, 2, n_in, (n_in - 1) // 2 + 1, 3 * (n_in - 1) + 1)]
-        shapes += [(int(n_in), int(n_out)) for n_in, n_out in
-                   zip(rng.integers(2, 2**24, 300), rng.integers(1, 2**24, 300))]
-        shapes += [(int(n_in), int(n_out)) for n_in, n_out in
-                   zip(rng.integers(2, 200, 300), rng.integers(1, 600, 300))]
-        for n_in, n_out in shapes:
-            edges = {*range(-3, 4), *range(n_in - 4, n_in + 4),
-                     *(int(e) for e in rng.integers(0, n_in, 20))}
-            for edge in edges:
-                want = bisect_left(range(n_out), edge,
-                                   key=lambda k: grid_position(k, n_in, n_out))
-                assert sincmod._first_at_least(edge, n_in, n_out) == want, (n_in, n_out, edge)
 
 
 class TestAnalyticAccuracy:

@@ -91,6 +91,9 @@ COMMANDS = [
     # 51-sample intervals against a half width of 64: every output reads the pad
     "sweep-padding -o pad5.csv --duration 0.1 --half-width 64 "
     "--pad-fractions 0 0.005 0.01 0.03 0.1",
+    # outputs of 9830 and 14746 samples span two chunks of 2**13 positions,
+    # so a narrower pad's prefix and suffix edges fall in different kernel calls
+    "sweep-padding -o pad6.csv --duration 24 --pad-fractions 0.001 0.01 0.1",
     "sweep-fsamp -o fs1.csv",
     "sweep-fsamp -o fs2.csv --duration 0.5 --fsamp-factors 1.0 0.5 --pad-fractions 0.1",
     "sweep-fsamp -o fs3.csv --config sweep.cfg --duration 1",

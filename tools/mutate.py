@@ -1,9 +1,10 @@
-"""Mutation check of the tests of timelock's stacked DTW dynamic program.
+"""Mutation check of the tests of timelock's stacked DTW and its resampler.
 
 Usage: python tools/mutate.py [NAME ...]
 
 MUTANTS is a table of small deliberate faults in metrics._accumulate and
-its helpers. Each entry names a file, one or more edits (an exact old text,
+its helpers, and in the resampler's evaluation of several pads at once.
+Each entry names a file, one or more edits (an exact old text,
 which must occur exactly once, and its new text) and the pytest arguments
 that should catch it. For each mutant, all of them or those named on the
 command line, the checkout's src/, tests/ and pyproject.toml are copied
@@ -35,6 +36,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = "src/timelock/metrics.py"
 DP_TESTS = ("tests/test_metrics.py",)
+RESAMPLE = "src/timelock/resample.py"
+RESAMPLE_TESTS = ("tests/test_resample.py", "tests/test_sweeps.py")
 TIMEOUT_S = 900
 # A mutant can make a loop run away and allocate without end; each run's
 # address space is capped so that it fails with MemoryError instead of
@@ -96,6 +99,20 @@ MUTANTS = [
            (("origin = [s + 1 - a for", "origin = [s - a for"),)),
     Mutant("straight-path bound reading the longer sequence at the shorter's index",
            (("d = short[rows] - long\n", "d = short[rows] - long[rows]\n"),)),
+    # faults of the edge outputs of a narrower pad, found from each chunk's floors
+    Mutant("left edge one output short",
+           (("(base < h - b)", "(base < h - b - 1)"),), RESAMPLE, RESAMPLE_TESTS),
+    Mutant("right edge one output short",
+           (("(base >= n_in - h + b)", "(base > n_in - h + b)"),), RESAMPLE, RESAMPLE_TESTS),
+    # the extra output reads the same taps at either pad, so only the count
+    # of evaluated outputs tells
+    Mutant("left edge one output wide",
+           (("(base < h - b)", "(base <= h - b)"),), RESAMPLE, RESAMPLE_TESTS),
+    Mutant("narrower row reading the widest row's taps",
+           (("base[at] + r * width", "base[at]"),), RESAMPLE, RESAMPLE_TESTS),
+    Mutant("reach wrapping with a pad one sample short",
+           (("b = np.array(bs)[:, None]\n", "b = np.array(bs)[:, None] - 1\n"),),
+           RESAMPLE, RESAMPLE_TESTS),
 ]
 
 
