@@ -44,12 +44,11 @@ def _kept_slots(values: np.ndarray, start: np.ndarray,
     """First and last slot of each segment whose value is not above its bound.
 
     bounds holds each slot's bound, the bound of the segment it belongs to.
-    Segment p runs from slot start[p], a separator that is never kept, to the
-    slot before start[p + 1]. A segment with no such slot gives a first slot
-    past every slot and a last slot before its separator.
+    Segment p runs from slot start[p], a separator whose inf is above every
+    bound, to the slot before start[p + 1]. A segment with no kept slot
+    gives a first slot past every slot and a last slot before its separator.
     """
     drop = values > bounds
-    drop[start] = True
     # a dropped slot moves past every slot for the minimum, below 0 for the maximum
     shift = drop * len(values)
     slot = np.arange(len(values))
@@ -192,9 +191,9 @@ def _accumulate(problems, acc: np.ndarray | None = None) -> list[float]:
         s = 0
         for (p, xpad, ypad, c, last, n1, _), o, a, t, w in zip(stack, origin, lo, top, width):
             start.append(s)
+            # never empty: the optimal path's row on a carried diagonal is kept
             keep = t + 1 - a
-            if keep > 0:
-                table[:2, s + 1:s + 1 + keep] = carried[:, o + a:o + a + keep]
+            table[:2, s + 1:s + 1 + keep] = carried[:, o + a:o + a + keep]
             xs += sep, xpad[a:a + w - 1]
             # the cell of row i = f - s - 1 + a on block diagonal r needs
             # y[k + r - i] == ypad[j + f - r - (s + 2 - kb)]
@@ -281,22 +280,12 @@ class DtwResult(DtwScore):
     path: np.ndarray
 
 
-def _worst_case_corner(x: np.ndarray, m: int) -> float:
-    """Accumulated DTW cost between x and its worse constant range extreme.
-
-    Against a constant c the local cost of every cell in row i is
-    (x[i] - c)**2, so the optimal path costs sum((x - c)**2) plus, when the
-    constant sequence is longer, (m - n) repeats of the cheapest row.
-    """
-    n = len(x)
-    worst = 0.0
-    for c in (float(x.min()), float(x.max())):
-        w = np.square(x - c)
-        corner = float(w.sum())
-        if m > n:
-            corner += (m - n) * float(w.min())
-        worst = max(worst, corner)
-    return worst
+def _worst_case_corner(x: np.ndarray) -> float:
+    """Accumulated DTW cost between x and a constant at its worse range
+    extreme. Against a constant c the optimal path costs sum((x - c)**2)
+    plus repeats of the cheapest row, which costs 0 since c is a sample of
+    x, so the constant's length does not matter."""
+    return max(float(np.square(x - c).sum()) for c in (x.min(), x.max()))
 
 
 def _score(xa: np.ndarray, ya: np.ndarray, corner: float, e: int) -> DtwScore:
@@ -304,14 +293,13 @@ def _score(xa: np.ndarray, ya: np.ndarray, corner: float, e: int) -> DtwScore:
     scale of (xa, ya); the distance scales back by 2**e, and the normalized
     distance, a quotient of two distances, does not depend on the scale."""
     distance = math.sqrt(corner)
-    worst = math.sqrt(_worst_case_corner(xa, len(ya)))
+    worst = math.sqrt(_worst_case_corner(xa))
     if worst == 0.0:
         normalized = 0.0 if distance == 0.0 else 1.0
     else:
         normalized = min(1.0, distance / worst)
-    if e:
-        with np.errstate(over="ignore"):
-            distance = float(np.ldexp(distance, e))
+    with np.errstate(over="ignore"):
+        distance = float(np.ldexp(distance, e))
     return DtwScore(distance=distance, normalized_distance=normalized)
 
 
@@ -321,8 +309,8 @@ def dtw(x, y) -> DtwResult:
     Local cost is the squared sample difference; allowed steps are the three
     unit moves. distance is the square root of the accumulated cost between
     the sequence ends. normalized_distance divides that by the distance from
-    x to a constant signal of y's length held at whichever extreme of x's
-    range is farther (the costlier of the two), clamped to [0, 1];
+    x to a constant signal held at whichever extreme of x's range is
+    farther (the costlier of the two), clamped to [0, 1];
     1 - normalized_distance is the similarity used in reports and sweeps.
 
     A pair whose largest magnitude lies outside [2**-400, 2**496) runs
@@ -343,9 +331,8 @@ def dtw(x, y) -> DtwResult:
     acc = np.empty((len(xa), len(ya)))
     score = _score(xa, ya, _accumulate([(xa, ya)], acc)[0], e)
     path = _backtrack(acc)
-    if e:
-        with np.errstate(over="ignore"):
-            np.ldexp(acc, 2 * e, out=acc)
+    with np.errstate(over="ignore"):
+        np.ldexp(acc, 2 * e, out=acc)
     acc.flags.writeable = False
     path.flags.writeable = False
     return DtwResult(score.distance, score.normalized_distance, cost_matrix=acc, path=path)

@@ -51,7 +51,7 @@ class SincConfig:
     window: taper applied to the sinc kernel; one of "kaiser", "hann",
         "blackman".
     beta: Kaiser shape parameter, ignored by the other windows.
-    anti_alias: lower the kernel cutoff when contracting.
+    anti_alias: lower the kernel cutoff when contracting; a bool.
     """
 
     half_width: int = 32
@@ -76,6 +76,8 @@ class SincConfig:
                 if not np.isfinite(np.i0(self.beta)):
                     raise ConfigError(
                         f"Kaiser beta must keep i0(beta) finite, got {self.beta}")
+        if not isinstance(self.anti_alias, (bool, np.bool_)):
+            raise ConfigError(f"anti_alias must be a bool, got {self.anti_alias!r}")
 
 
 def _i0_series_minus_1(beta: float, u):
@@ -211,9 +213,8 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
             half += np.einsum("o,i->oi", np.sin(aphi), cos_i)
         den = np.repeat(aphi, h + 1).reshape(2 * k, h + 1)
         den += angles[:2 * k]
-        if cutoff != 1.0:
-            centre = np.flatnonzero(f == 0.0)
-            half[centre, 0] = den[centre, 0] = _EPS
+        centre = np.flatnonzero(f == 0.0)
+        half[centre, 0] = den[centre, 0] = _EPS
         half /= den
         half *= taper
         del den, taper
@@ -328,16 +329,12 @@ def resample_pads(full, index_range: tuple[int, int], out_len: int, pads,
 
 def grid_position(k, n_in: int, n_out: int):
     """np.linspace(0.0, n_in - 1.0, n_out)[k], bit for bit, for an index or
-    an array of indices k, without building the n_out-long array: k * step +
-    0.0 with step = (n_in - 1.0) / (n_out - 1), n_in - 1.0 at k == n_out - 1,
+    an array of indices k, without building the n_out-long array: k * step
+    with step = (n_in - 1.0) / (n_out - 1), n_in - 1.0 at k == n_out - 1,
     and 0.0 when n_out == 1."""
     if n_out == 1:
         return k * 0.0
-    t = k * ((n_in - 1.0) / (n_out - 1)) + 0.0
-    if np.ndim(t):
-        t[k == n_out - 1] = n_in - 1.0
-        return t
-    return n_in - 1.0 if k == n_out - 1 else t
+    return np.where(k == n_out - 1, n_in - 1.0, k * ((n_in - 1.0) / (n_out - 1)))
 
 
 def _checked(full, index_range, out_len, pads, cfg: SincConfig, pad_mode: str):

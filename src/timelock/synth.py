@@ -45,8 +45,8 @@ class SynthSpec:
                 raise ConfigError(f"{name} must be positive and finite, got {f}")
             if f >= nyq:
                 raise NyquistViolationError(f"{name} = {f} is not below f_nyq = {nyq}")
-        if len(self.event_fracs) != 3:
-            raise BadEventFracsError(f"need exactly 3 event fractions, got {len(self.event_fracs)}")
+        if not (hasattr(self.event_fracs, "__len__") and len(self.event_fracs) == 3):
+            raise BadEventFracsError(f"need exactly 3 event fractions, got {self.event_fracs!r}")
         prev = 0.0
         for frac in self.event_fracs:
             if not (is_finite(frac) and prev < frac < 1.0):
@@ -54,7 +54,7 @@ class SynthSpec:
                     f"event fractions must be strictly increasing within (0, 1), got {self.event_fracs}"
                 )
             prev = frac
-        if len(self.amplitudes) != 2 or len(self.phases) != 2:
+        if not all(hasattr(v, "__len__") and len(v) == 2 for v in (self.amplitudes, self.phases)):
             raise ConfigError("amplitudes and phases must each hold two values")
         for name, values in (("amplitudes", self.amplitudes), ("phases", self.phases)):
             if not all(is_finite(v) for v in values):

@@ -62,6 +62,8 @@ def _raises_as_out_of_range(error, make, value, out_of_range):
     _case("beta", lambda v: timelock.SincConfig(beta=v), "a", -1.0),
     _case("beta-none", lambda v: timelock.SincConfig(beta=v), None, math.inf),
     _case("amplitudes", lambda v: timelock.SynthSpec(amplitudes=(v, 1.0)), "a", math.nan),
+    _case("amplitudes-none", lambda v: timelock.SynthSpec(amplitudes=v), None, (1.0,)),
+    _case("phases-number", lambda v: timelock.SynthSpec(phases=v), 5, (0.0, 0.0, 0.0)),
 ])
 def test_config_fields_that_are_not_numbers(make, value, out_of_range):
     _raises_as_out_of_range(errors.ConfigError, make, value, out_of_range)
@@ -78,6 +80,8 @@ def test_rates_that_are_not_numbers(make, value, out_of_range):
 @pytest.mark.parametrize("make, value, out_of_range", [
     _case("string", lambda v: timelock.SynthSpec(event_fracs=v), "abc", (0.5, 0.25, 0.75)),
     _case("none", lambda v: timelock.SynthSpec(event_fracs=(0.25, v, 0.75)), None, 1.5),
+    _case("fracs-none", lambda v: timelock.SynthSpec(event_fracs=v), None, (0.25, 0.5)),
+    _case("fracs-number", lambda v: timelock.SynthSpec(event_fracs=v), 5, (0.2, 0.4, 0.6, 0.8)),
 ])
 def test_event_fractions_that_are_not_numbers(make, value, out_of_range):
     _raises_as_out_of_range(errors.BadEventFracsError, make, value, out_of_range)

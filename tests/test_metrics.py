@@ -54,6 +54,12 @@ class TestPearson:
         with pytest.raises(LengthMismatchError):
             pearson([1, 2, 3], [1, 2])
 
+    def test_two_dimensional_input_is_refused(self):
+        # equal shapes with at least two rows pass every other clause
+        x = np.arange(6.0).reshape(2, 3)
+        with pytest.raises(LengthMismatchError):
+            pearson(x, x * x)
+
     def test_too_short(self):
         with pytest.raises(LengthMismatchError):
             pearson([1.0], [2.0])
@@ -102,6 +108,16 @@ class TestPearson:
                 r = float(np.add.reduce(dx * dy)) / math.sqrt(
                     float(np.add.reduce(dx * dx)) * float(np.add.reduce(dy * dy)))
                 assert pearson(x, y) == max(-1.0, min(1.0, r)), (scale, n)
+
+    def test_near_collinear_pairs_stay_within_unit_range(self):
+        # for y = a x + b the direct formula gives 1 + 2**-52 (or its
+        # negative) for about a quarter of such pairs
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            x = rng.normal(size=int(rng.integers(2, 50)))
+            a, b = rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0)
+            assert pearson(x, a * x + b) <= 1.0
+            assert pearson(x, b - a * x) >= -1.0
 
 
 # energy, pearson and the reports of a 60 s warp, whose intervals have
@@ -234,6 +250,20 @@ class TestDtw:
         res = dtw([0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0])
         assert res.normalized_distance == 1.0
 
+    def test_constant_against_a_varying_sequence_saturates(self):
+        # a constant x has a worst-case reference of 0, so any distance
+        # from it is the whole range
+        for res in (dtw(np.zeros(5), [0.0, 1.0, 0.0, 1.0, 0.0]),
+                    dtw_score(np.zeros(5), [0.0, 1.0, 0.0, 1.0, 0.0])):
+            assert res.normalized_distance == 1.0 and res.similarity == 0.0
+
+    def test_one_sample_pair_scores_without_a_warning(self):
+        # the straight path of a one-sample pair divides by its length - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dtw_score([1.0], [3.0]).distance == 2.0
+            assert dtw([1.0], [3.0]).distance == 2.0
+
     def test_matrix_matches_loop_oracle(self):
         # the vectorised anti-diagonal DP, both the matrix dtw() returns and
         # the matrix-free distance reports use, must equal the plain row-wise
@@ -289,8 +319,8 @@ class TestDtw:
     def test_kept_rows_of_a_diagonal_above_the_bound_is_empty(self):
         # two segments, each a separator slot and then four rows; a segment
         # with no row within its bound gets a first slot past every slot and
-        # a last slot before its separator; only a NaN or infinite bound
-        # keeps every row, and a separator is never kept
+        # a last slot before its separator; the largest finite bound, dtw()'s,
+        # keeps every row, and a separator is dropped by its own inf
         from timelock.metrics import _kept_slots
 
         values = np.array([np.inf, 3.0, 1.0, 2.0, 5.0] * 2)
@@ -298,13 +328,12 @@ class TestDtw:
         first, last = _kept_slots(values, start, np.repeat([2.0, 0.5], 5))
         assert (first[0], last[0]) == (2, 3)
         assert first[1] >= 10 and last[1] < 5
-        for bound in (math.nan, math.inf):
-            first, last = _kept_slots(values, start, np.full(10, bound))
-            assert first.tolist() == [1, 6] and last.tolist() == [4, 9]
+        first, last = _kept_slots(values, start, np.full(10, np.finfo(np.float64).max))
+        assert first.tolist() == [1, 6] and last.tolist() == [4, 9]
 
     def test_worst_case_closed_form_matches_dp(self):
         # the closed form used for normalization must agree with the DP it
-        # replaces
+        # replaces, whatever the constant sequence's length
         rng = np.random.default_rng(107)
         for _ in range(30):
             x = rng.normal(size=int(rng.integers(2, 25)))
@@ -313,7 +342,7 @@ class TestDtw:
                 dtw(x, np.full(m, x.min())).distance,
                 dtw(x, np.full(m, x.max())).distance,
             )
-            assert math.sqrt(_worst_case_corner(x, m)) == pytest.approx(
+            assert math.sqrt(_worst_case_corner(x)) == pytest.approx(
                 expected, rel=1e-12, abs=1e-12)
 
     def test_constant_pair(self):
@@ -340,12 +369,13 @@ class TestDtw:
             dtw(np.zeros(5), np.ones(3))
         assert dtw_score(np.zeros(5), np.ones(3)).distance == math.sqrt(5.0)
 
-    @pytest.mark.parametrize("k", [511, 600, -560, -1000])
+    @pytest.mark.parametrize("k", [508, 511, 600, -560, -1000])
     def test_scores_scale_exactly_with_the_samples(self, k):
-        # scaled by 2**k, the costs of this pair pass the float range (511,
-        # 600) or fall below it (-560, -1000); the distance is the
-        # unit-scale one times 2**k and the normalized distance the
-        # unit-scale one, bit for bit, from dtw_score and dtw alike
+        # scaled by 2**k, the sums of this pair's costs pass the float range
+        # (508), its costs do (511, 600), or they fall below it (-560,
+        # -1000); the distance is the unit-scale one times 2**k and the
+        # normalized distance the unit-scale one, bit for bit, from
+        # dtw_score and dtw alike
         x = np.sin(np.linspace(0.0, 6.0 * np.pi, 500) + 0.1)
         y = np.sin(np.linspace(0.0, 6.0 * np.pi, 400) + 0.15)
         unit = dtw(x, y)

@@ -27,6 +27,11 @@ class TestTrialValidation:
         assert t.f_samp == 2048.0 and isinstance(t.f_samp, float)
         assert t.events == (EventMarker(1, "onset"),)
 
+    def test_events_from_a_generator_are_kept_as_a_tuple(self):
+        markers = (EventMarker(1, "onset"), EventMarker(3, "offset"))
+        t = Trial(np.zeros(5), 100.0, (e for e in markers))
+        assert isinstance(t.events, tuple) and t.events == markers
+
     def test_empty_signal(self):
         with pytest.raises(EmptySignalError):
             Trial([], 2048.0)

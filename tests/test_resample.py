@@ -64,6 +64,13 @@ class TestSincConfig:
         with pytest.raises(ValueError):
             SincConfig(beta=beta)
 
+    @pytest.mark.parametrize("value", ["no", None, 2])
+    def test_anti_alias_must_be_a_bool(self, value):
+        # a truthy string would turn anti-aliasing on
+        with pytest.raises(ConfigError, match="anti_alias must be a bool"):
+            SincConfig(anti_alias=value)
+        assert not SincConfig(anti_alias=np.bool_(False)).anti_alias
+
     def test_half_width_cap(self):
         assert SincConfig(half_width=sincmod._MAX_HALF_WIDTH).half_width == 4096
         with pytest.raises(ValueError, match="half_width must be <= 4096"):
@@ -147,6 +154,13 @@ class TestResample:
     def test_too_short(self):
         with pytest.raises(SegmentTooShortError):
             resample([1.0], 5)
+
+    @pytest.mark.parametrize("segment", [[], 5.0])
+    def test_empty_or_scalar_segment_is_too_short(self, segment):
+        # resample's own check: through resample_padded these would raise
+        # RangeOutOfBoundsError and ConfigError
+        with pytest.raises(SegmentTooShortError):
+            resample(segment, 3)
 
     @pytest.mark.parametrize("out_len", [0, -3, 2.5, 100.0, np.inf, np.nan, True])
     def test_bad_output_length(self, out_len):
@@ -661,6 +675,13 @@ class TestKernel:
         signal = np.sin(0.1 * np.arange(200))
         out = resample_padded(signal, (50, 150), 80, 10, SincConfig(beta=beta))
         assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("window", sincmod.WINDOWS)
+    def test_taper_is_exactly_zero_at_the_window_edge(self, window):
+        # Blackman's closed form leaves -1.39e-17 at x == 1, which moves a
+        # few outputs by up to 5.6e-17
+        table = sincmod._taper_table(window, 8.0, 16)
+        assert (table[:, -1] == 0.0).all() and table[-1, -2] == 0.0
 
     @pytest.mark.parametrize("cutoff", [1.0, 0.8])
     @pytest.mark.parametrize("window", ["kaiser", "hann", "blackman"])

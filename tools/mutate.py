@@ -1,12 +1,13 @@
-"""Mutation check of the tests of timelock's stacked DTW and its resampler.
+"""Mutation check of timelock's tests.
 
 Usage: python tools/mutate.py [NAME ...]
 
-MUTANTS is a table of small deliberate faults in metrics._accumulate and
-its helpers, and in the resampler's evaluation of several pads at once.
-Each entry names a file, one or more edits (an exact old text,
-which must occur exactly once, and its new text) and the pytest arguments
-that should catch it. For each mutant, all of them or those named on the
+MUTANTS is a table of small deliberate faults: in metrics._accumulate and
+its helpers, in the resampler's evaluation of several pads at once, and
+one deletion of each guard, clamp or check in src/timelock that the code
+keeps and whose deletion no older entry covers. Each entry names a file,
+one or more edits (an exact old text, which must occur exactly once, and
+its new text) and the pytest arguments that should catch it. For each mutant, all of them or those named on the
 command line, the checkout's src/, tests/ and pyproject.toml are copied
 into a temporary directory, the edits are applied to the copy and pytest
 runs the selection there; the checkout itself is never written. One line
@@ -38,6 +39,10 @@ METRICS = "src/timelock/metrics.py"
 DP_TESTS = ("tests/test_metrics.py",)
 RESAMPLE = "src/timelock/resample.py"
 RESAMPLE_TESTS = ("tests/test_resample.py", "tests/test_sweeps.py")
+MODEL = "src/timelock/model.py"
+SYNTH = "src/timelock/synth.py"
+API_TESTS = ("tests/test_api.py",)
+ALL_TESTS = ("tests",)
 TIMEOUT_S = 900
 # A mutant can make a loop run away and allocate without end; each run's
 # address space is capped so that it fails with MemoryError instead of
@@ -86,8 +91,6 @@ MUTANTS = [
     Mutant("hi capped at n - 1",
            (("width = [t + kb + 2 - a for a, t in zip(lo, top)]",
              "width = [min(t + kb, e[5]) + 2 - a for a, t, e in zip(lo, top, stack)]"),)),
-    Mutant("separator not forced out of the kept rows",
-           (("    drop[start] = True\n", ""),)),
     # faults of one entry per problem
     Mutant("problem dropped at its last diagonal (alive test > k)",
            (("alive = [e[4] >= k", "alive = [e[4] > k"),)),
@@ -113,6 +116,49 @@ MUTANTS = [
     Mutant("reach wrapping with a pad one sample short",
            (("b = np.array(bs)[:, None]\n", "b = np.array(bs)[:, None] - 1\n"),),
            RESAMPLE, RESAMPLE_TESTS),
+    # one deletion per guard: each is killed by the test that pins it
+    Mutant("taper table without its edge zero",
+           (("    table[x == 1.0] = 0.0\n", ""),), RESAMPLE, RESAMPLE_TESTS),
+    Mutant("pearson without its ndim clause",
+           (("if xa.ndim != 1 or ya.ndim != 1 or xa.shape", "if xa.shape"),)),
+    Mutant("pearson without its clamp",
+           (("return max(-1.0, min(1.0, r))", "return r"),)),
+    Mutant("straight-path bound of a one-sample pair dividing by 0",
+           (("// max(len(long) - 1, 1)", "// (len(long) - 1)"),)),
+    Mutant("score of a constant x as 0 whatever the distance",
+           (("    if worst == 0.0:\n"
+             "        normalized = 0.0 if distance == 0.0 else 1.0\n"
+             "    else:\n"
+             "        normalized = min(1.0, distance / worst)\n",
+             "    normalized = min(1.0, distance / worst) if worst else 0.0\n"),)),
+    Mutant("unscaled pairs up to a peak of 2**510",
+           (("< 2.0 ** 496:", "< 2.0 ** 510:"),)),
+    Mutant("resample without its own length check",
+           (("if seg.size < 2:", "if False:"),), RESAMPLE, RESAMPLE_TESTS),
+    Mutant("anti_alias taken whatever its type",
+           (("if not isinstance(self.anti_alias, (bool, np.bool_)):", "if False:"),),
+           RESAMPLE, RESAMPLE_TESTS),
+    Mutant("trial events kept as given, not as a tuple",
+           (("        object.__setattr__(self, \"events\", tuple(self.events))\n", ""),),
+           MODEL, ("tests/test_model.py",)),
+    Mutant("event fractions measured before their type is checked",
+           (("hasattr(self.event_fracs, \"__len__\") and ", ""),), SYNTH, API_TESTS),
+    Mutant("amplitudes and phases measured before their type is checked",
+           (("hasattr(v, \"__len__\") and ", ""),), SYNTH, API_TESTS),
+    # guards whose deletion changes no result, run against the whole suite
+    Mutant("last block not stopped at the stack's last diagonal",
+           (("min(_COST_BLOCK, max(e[4] for e in stack) + 1 - k, _BLOCK_CELLS // slots)",
+             "min(_COST_BLOCK, _BLOCK_CELLS // slots)"),),
+           select=ALL_TESTS,
+           equivalent="the term only stops the last block at the stack's last diagonal; "
+                      "the diagonals a deeper block adds lie past every problem's end, "
+                      "where no corner is read and no matrix cell is written, and no "
+                      "block is deeper than _COST_BLOCK either way"),
+    Mutant("trial event index without its lower end",
+           (("if not 0 <= e.index < len(arr):", "if not e.index < len(arr):"),),
+           MODEL, ALL_TESTS,
+           equivalent="every event is an EventMarker, checked just before, and "
+                      "EventMarker refuses a negative index on construction"),
 ]
 
 
