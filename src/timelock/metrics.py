@@ -288,12 +288,13 @@ def _worst_case_corner(x: np.ndarray) -> float:
     return max(float(np.square(x - c).sum()) for c in (x.min(), x.max()))
 
 
-def _score(xa: np.ndarray, ya: np.ndarray, corner: float, e: int) -> DtwScore:
-    """The DtwScore of the pair (xa * 2**e, ya * 2**e) from its corner at the
-    scale of (xa, ya); the distance scales back by 2**e, and the normalized
-    distance, a quotient of two distances, does not depend on the scale."""
+def _score(corner: float, worst_corner: float, e: int) -> DtwScore:
+    """The DtwScore of a pair scaled by 2**-e from its corner and its
+    worst-case corner, both at that scale; the distance scales back by
+    2**e, and the normalized distance, a quotient of two distances, does
+    not depend on the scale."""
     distance = math.sqrt(corner)
-    worst = math.sqrt(_worst_case_corner(xa))
+    worst = math.sqrt(worst_corner)
     if worst == 0.0:
         normalized = 0.0 if distance == 0.0 else 1.0
     else:
@@ -322,14 +323,14 @@ def dtw(x, y) -> DtwResult:
     MatrixTooLargeError, before allocating, when the matrix would have more
     than 2**24 cells; dtw_score needs no matrix.
     """
-    xa, ya, e = _dtw_pair(x, y)
+    xa, ya, e = _dtw_pair(_dtw_input(x), _dtw_input(y))
     if len(xa) * len(ya) > _MAX_MATRIX_CELLS:
         raise MatrixTooLargeError(
             f"a {len(xa)} x {len(ya)} DTW cost matrix exceeds the limit of "
             f"{_MAX_MATRIX_CELLS} cells"
         )
     acc = np.empty((len(xa), len(ya)))
-    score = _score(xa, ya, _accumulate([(xa, ya)], acc)[0], e)
+    score = _score(_accumulate([(xa, ya)], acc)[0], _worst_case_corner(xa), e)
     path = _backtrack(acc)
     with np.errstate(over="ignore"):
         np.ldexp(acc, 2 * e, out=acc)
@@ -360,9 +361,22 @@ def dtw_scores(pairs) -> list[DtwScore]:
     _dtw_pair). Raises NonFiniteError if any pair holds a NaN or infinite
     sample.
     """
-    inputs = [_dtw_pair(x, y) for x, y in pairs]
+    pairs = list(pairs)
+    # each distinct input object is checked once, and each distinct x's
+    # worst-case corner is taken once per scale; the list keeps every
+    # object alive, so no id is reused within the call
+    checked = {id(v): v for pair in pairs for v in pair}
+    checked = {key: _dtw_input(v) for key, v in checked.items()}
+    inputs = [_dtw_pair(checked[id(x)], checked[id(y)]) for x, y in pairs]
     corners = _accumulate([(xa, ya) for xa, ya, _ in inputs])
-    return [_score(xa, ya, corner, e) for (xa, ya, e), corner in zip(inputs, corners)]
+    worst = {}
+    scores = []
+    for (x, _), (xa, _, e), corner in zip(pairs, inputs, corners):
+        key = id(x), e  # xa is x scaled by 2**-e
+        if key not in worst:
+            worst[key] = _worst_case_corner(xa)
+        scores.append(_score(corner, worst[key], e))
+    return scores
 
 
 def _metric_input(x) -> np.ndarray:
@@ -384,8 +398,9 @@ def _dtw_input(x) -> tuple[np.ndarray, float]:
     return xa, peak
 
 
-def _dtw_pair(x, y) -> tuple[np.ndarray, np.ndarray, int]:
-    """x and y as float64 arrays, scaled by one power of two, 2**-e, and e.
+def _dtw_pair(x_input, y_input) -> tuple[np.ndarray, np.ndarray, int]:
+    """x and y, from their _dtw_input, scaled by one power of two, 2**-e,
+    and e.
 
     A pair whose largest magnitude M lies in [2**-400, 2**496) keeps its
     samples, and e is 0. Its local costs are below (2 M)**2 < 2**994. A
@@ -396,7 +411,7 @@ def _dtw_pair(x, y) -> tuple[np.ndarray, np.ndarray, int]:
     underflow only below 2**-1022, which is at most 2**-222 M**2. Any other
     pair is scaled by _unit_scale, so that M lies in [0.5, 1).
     """
-    (xa, x_peak), (ya, y_peak) = _dtw_input(x), _dtw_input(y)
+    (xa, x_peak), (ya, y_peak) = x_input, y_input
     if 2.0 ** -400 <= max(x_peak, y_peak) < 2.0 ** 496:
         return xa, ya, 0
     return _unit_scale(xa, ya)

@@ -143,21 +143,35 @@ def interval_reports(pairs) -> list[IntervalReport]:
     This is the one scoring step of warp_trial, align_batch and
     padding_sweep: each hands it every pair it has warped. All of them are
     scored in one dtw_scores call, so their DTW dynamic programs advance side
-    by side, and each report equals that of its pair scored alone.
+    by side, and each report equals that of its pair scored alone. Pairs
+    may share an original array, as a sweep's cells do: each distinct
+    original's energy and its nearest-sample reference at each warped
+    length are taken once, and dtw_scores checks it and takes its
+    worst-case corner once per scale.
     """
     pairs = list(pairs)
-    return [_interval_report(*pair, score) for pair, score in zip(pairs, dtw_scores(pairs))]
+    energies = {}  # id of an original -> its energy
+    references = {}  # (id of an original, warped length) -> its reference
+    reports = []
+    for (original, warped), score in zip(pairs, dtw_scores(pairs)):
+        if id(original) not in energies:
+            energies[id(original)] = energy(original)
+        key = id(original), len(warped)
+        if key not in references:
+            references[key] = _nearest_remap(original, len(warped))
+        reports.append(_interval_report(original, warped, score, energies[id(original)],
+                                        references[key]))
+    return reports
 
 
-def _interval_report(original: np.ndarray, warped: np.ndarray,
-                     score: DtwScore) -> IntervalReport:
+def _interval_report(original: np.ndarray, warped: np.ndarray, score: DtwScore,
+                     e_in: float, reference: np.ndarray) -> IntervalReport:
     ratio = len(original) / len(warped)
-    reference = _nearest_remap(original, len(warped))
     try:
         corr = pearson(warped, reference) if len(warped) > 1 else math.nan
     except ZeroVarianceError:
         corr = math.nan
-    e_in, e_out = energy(original), energy(warped)
+    e_out = energy(warped)
     return IntervalReport(
         ratio=ratio,
         correlation=corr,

@@ -12,9 +12,11 @@ interval, so only min(pad, half_width) samples per side are ever read. Taps
 past a shorter pad see the padded segment repeated periodically (the
 classical discrete-signal model) and wrap into the opposite pad, so an
 unpadded segment whose ends do not match up rings near its endpoints.
-resample_pads gives the outputs at several pads from one kernel call per
-chunk of output positions, which evaluates a narrower pad's outputs only
-where the chunk's floors reach its pad. When contracting with anti-aliasing enabled, the kernel cutoff is
+resample_pads gives the outputs of several ranges of one length at several
+pads from one kernel call per chunk of output positions, which makes each
+position's kernel row once, applies it to every range's widest pad, and
+evaluates a narrower pad's outputs only where the chunk's floors reach its
+pad. When contracting with anti-aliasing enabled, the kernel cutoff is
 lowered to the output rate so content above the new Nyquist is attenuated
 rather than folded back.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -131,14 +134,23 @@ def _taper_table(window: str, beta: float, half_width: int) -> np.ndarray:
 
 
 def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
-                 cutoff: float, cfg: SincConfig) -> np.ndarray:
-    """Evaluate the windowed-sinc interpolant at positions base + frac.
+                 cutoff: float, cfg: SincConfig, reads=None) -> np.ndarray:
+    """Evaluate the windowed-sinc interpolant at positions base + frac, once
+    per position, and apply each position's kernel row to every read of it.
 
     base holds integer indices into the interval and frac fractions in
-    [0, 1). reach holds every sample a tap can read: the interval and
-    half_width samples on each side, so reach[base + h + j] is tap j of the
-    output at base. The kernel is renormalised to unit gain at every output
-    position, so constants are preserved exactly.
+    [0, 1). reads holds (offset, start, stop) triples. A read takes the
+    outputs of positions start..stop - 1, tap j of the output at base from
+    reach[offset + base + h + j], so reach holds at each offset every sample
+    a tap can read: the interval and half_width samples on each side. By
+    default there is one read, of every position at offset 0. The values
+    of every read come out one after another. The kernel is renormalised to
+    unit gain at every output position, so constants are preserved exactly.
+
+    A kernel row's only inputs are its position's phase, the cutoff and the
+    filter, so it is made once for every read of its position. Each output
+    divides the sum of its 2 half_width + 1 products, in tap order over a
+    contiguous row, by the row's kernel sum, whichever read it belongs to.
 
     Tap j of an output at base + f sits at u = j - f: taps j <= 0 at |u| = i
     + f and taps j >= 1 at |u| = i + (1 - f), for i = |j| and i = j - 1. So
@@ -154,7 +166,7 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
     of the sinc are eps, as in np.sinc; at unit cutoff no integral position
     is evaluated.
 
-    Outputs are computed in blocks of at most _CELLS kernel cells (outputs x
+    Kernel rows are made in blocks of at most _CELLS kernel cells (outputs x
     taps), so the temporaries stay bounded whatever the output length. Every
     pass over a block's half rows runs on contiguous arrays of one shape:
     the per-tap constants are tiled over the rows once per call, for no more
@@ -164,17 +176,28 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
     """
     h = cfg.half_width
     width = 2 * h + 1
-    # rows[b] holds the taps of an output whose position floors to b, a
-    # view of the contiguous reach
-    rows = np.ndarray((len(reach) - width + 1, width), None, reach, 0, reach.strides * 2)
-    out = np.empty(len(base))
+    reads = [(0, 0, len(base))] if reads is None else reads
+    # a read's values go to out from its first entry on
+    first = list(accumulate((stop - start for _, start, stop in reads), initial=0))
+    out = np.empty(first[-1])
     if cutoff == 1.0:
         # At unit cutoff the kernel is an exact delta on integral positions.
         integral = frac == 0.0
-        out[integral] = reach[base[integral] + h]
+        for (offset, start, stop), done in zip(reads, first):
+            hit = np.flatnonzero(integral[start:stop])
+            out[done + hit] = reach[offset + base[start + hit] + h]
         todo = np.flatnonzero(~integral)
+        bounds = np.searchsorted(todo, [r[1:] for r in reads]).tolist()
     else:
         todo = np.arange(len(base))
+        bounds = [r[1:] for r in reads]
+    # (rows, shift from a position to its entry of out, lo, hi) of each
+    # read, whose evaluated positions are todo[lo:hi]; rows[b] holds the
+    # taps of an output whose position floors to b, a view of the
+    # contiguous reach from the read's offset on
+    plan = [(np.ndarray((len(reach) - offset - width + 1, width), None, reach,
+                        offset * reach.itemsize, reach.strides * 2), done - start, lo, hi)
+            for (offset, start, _), done, (lo, hi) in zip(reads, first, bounds)]
     table = _taper_table(cfg.window, cfg.beta, h)
     phases = len(table) - 1
     a = np.pi * cutoff
@@ -187,9 +210,8 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
     else:
         sin_i, cos_i = np.sin(angles[0]), np.cos(angles[0])
     for s in range(0, len(todo), n):
-        which = todo[s:s + n]
-        f = frac[which]
-        k = len(which)
+        f = frac[todo[s:s + n]]
+        k = len(f)
         # half rows 0..k - 1 at phase f, half rows k..2k - 1 at phase 1 - f
         phi = np.concatenate((f, 1.0 - f))
         # the taper at phase p = phi * phases, between table rows q and q + 1
@@ -221,9 +243,14 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
         # taps -h..0 are the phase-f half row reversed, taps 1..h the first h
         # entries of the phase-(1 - f) half row
         kernel = np.concatenate((half[:k, ::-1], half[k:, :h]), axis=1)
-        values = rows[base[which]]
-        values *= kernel
-        out[which] = values.sum(axis=1) / kernel.sum(axis=1)
+        total = kernel.sum(axis=1)
+        for rows, shift, lo, hi in plan:
+            lo, hi = max(lo, s), min(hi, s + k)
+            if lo < hi:  # the read has positions in this block
+                at = todo[lo:hi]
+                values = rows[base[at]]
+                values *= kernel[lo - s:hi - s]
+                out[at + shift] = values.sum(axis=1) / total[lo - s:hi - s]
     return out
 
 
@@ -281,50 +308,64 @@ def resample_padded(full, index_range: tuple[int, int], out_len: int, pad: int,
     BadOutputLengthError before anything is allocated, and an index_range
     that is not a pair of such integers raises RangeOutOfBoundsError.
     """
-    (out,) = resample_pads(full, index_range, out_len, (pad,), cfg, pad_mode).values()
+    (out,) = resample_pads(full, [index_range], out_len, (pad,), cfg, pad_mode)[0].values()
     return out
 
 
-def resample_pads(full, index_range: tuple[int, int], out_len: int, pads,
+def resample_pads(full, index_ranges, out_len: int, pads,
                   cfg: SincConfig = SincConfig(),
-                  pad_mode: str = "neighbor") -> dict[int, np.ndarray]:
-    """resample_padded(full, index_range, out_len, pad, cfg, pad_mode) at
-    each pad of pads, as {built_pad(pad, half_width): output}, bit for bit.
+                  pad_mode: str = "neighbor") -> list[dict[int, np.ndarray]]:
+    """resample_padded(full, index_range, out_len, pad, cfg, pad_mode) of
+    each index_range of index_ranges, which share one length, at each pad
+    of pads: per range, {built_pad(pad, half_width): output}, bit for bit.
 
     For built pads b < b', the samples the taps reach agree on every sample
     up to b past the interval: both are the interval's neighbours, clamped
     or zeroed the same way. So an output at t reads the same taps at either
     pad unless floor(t) < h - b or floor(t) >= n_in - h + b (h the half
-    width, n_in the interval's length). The grid is taken _OUTPUTS
-    positions at a time, and each chunk is one kernel call over the reaches
-    of every pad: the chunk at the widest built pad, and for each narrower
-    one only the chunk's outputs whose floors satisfy that rule. The rest of
-    a narrower row is the widest row's value. The arguments are checked as
-    resample_padded checks them, each pad as its pad; pads must not be
-    empty.
+    width, n_in the intervals' length): a prefix and a suffix of the grid.
+    The grid is taken _OUTPUTS positions at a time, and each chunk is one
+    kernel call, which makes the kernel row of each of the chunk's
+    positions once and applies it to every row of taps that reads it: the
+    widest built pad's row of every range at every position, and each
+    narrower pad's row only at the chunk's outputs whose floors satisfy
+    that rule. The rest of a narrower row is its range's widest row's
+    value. The arguments are checked as resample_padded checks them, each
+    range as its index_range and each pad as its pad; index_ranges and
+    pads must not be empty.
     """
-    x, start, stop, bs, n_out = _checked(full, index_range, out_len, pads, cfg, pad_mode)
-    h, n_in = cfg.half_width, stop - start
+    x, starts, n_in, bs, n_out = _checked(full, index_ranges, out_len, pads, cfg, pad_mode)
+    h = cfg.half_width
     cutoff = _cutoff(n_in, n_out, cfg)
-    # the reach of every pad in one flat run, row r from r * width on
+    # the reach of every range and pad in one flat run, row r from r * width on
     width = n_in + 2 * h
-    reach = _reach(x, start, stop, bs, h, pad_mode).reshape(-1)
-    out = np.empty((len(bs), n_out))
+    reach = _reach(x, starts, n_in, bs, h, pad_mode).reshape(-1)
+    out = np.empty((len(starts), len(bs), n_out))
     # _OUTPUTS positions at a time, so no array as long as a row is made
     for s in range(0, n_out, _OUTPUTS):
         t = grid_position(np.arange(s, min(s + _OUTPUTS, n_out)), n_in, n_out)
         whole = np.floor(t)
         base = whole.astype(np.int64)
-        # the widest row's whole chunk, then each narrower row's edges
-        at = [np.arange(len(t))] + [np.flatnonzero((base < h - b) | (base >= n_in - h + b))
-                                    for b in bs[1:]]
-        r = np.repeat(np.arange(len(bs)), [len(e) for e in at])
-        at = np.concatenate(at)
-        values = _resample_at(reach, base[at] + r * width, (t - whole)[at], cutoff, cfg)
-        chunk = out[:, s:s + len(t)]
-        chunk[:] = values[:len(t)]
-        chunk[r, at] = values
-    return dict(zip(bs, out))
+        # (pad, first, stop) of the outputs each pad's row evaluates: the
+        # widest row's whole chunk, then each narrower row's two edges
+        spans = [(0, 0, len(t))]
+        for j, b in enumerate(bs[1:], 1):
+            right = int(np.searchsorted(base, n_in - h + b))
+            spans += (j, 0, min(int(np.searchsorted(base, h - b)), right)), (j, right, len(t))
+        values = _resample_at(reach, base, t - whole, cutoff, cfg,
+                              [((i * len(bs) + j) * width, first, stop)
+                               for i in range(len(starts)) for j, first, stop in spans])
+        # each range's reads make one run of values; its widest row's
+        # values fill every row of the range, and each narrower row's edge
+        # values overwrite them
+        values = values.reshape(len(starts), -1)
+        chunk = out[:, :, s:s + len(t)]
+        chunk[:] = values[:, None, :len(t)]
+        done = len(t)
+        for j, first, stop in spans[1:]:
+            chunk[:, j, first:stop] = values[:, done:done + stop - first]
+            done += stop - first
+    return [dict(zip(bs, rows)) for rows in out]
 
 
 def grid_position(k, n_in: int, n_out: int):
@@ -337,30 +378,42 @@ def grid_position(k, n_in: int, n_out: int):
     return np.where(k == n_out - 1, n_in - 1.0, k * ((n_in - 1.0) / (n_out - 1)))
 
 
-def _checked(full, index_range, out_len, pads, cfg: SincConfig, pad_mode: str):
-    """The signal as float64, start, stop, the distinct built pads of pads,
-    widest first, and out_len, after the checks resample_padded documents."""
+def _checked(full, index_ranges, out_len, pads, cfg: SincConfig, pad_mode: str):
+    """The signal as float64, the ranges' starts, their one length, the
+    distinct built pads of pads, widest first, and out_len, after the checks
+    resample_pads documents."""
     x = np.asarray(full, dtype=np.float64)
     if x.ndim != 1:
         raise ConfigError(f"signal must be one-dimensional, got shape {x.shape}")
     try:
-        start, stop = index_range
-    except (TypeError, ValueError):
+        ranges = list(index_ranges)
+    except TypeError:
         raise RangeOutOfBoundsError(
-            f"index_range must be a (start, stop) pair, got {index_range!r}") from None
-    if not (is_integer(start) and is_integer(stop)):
-        raise RangeOutOfBoundsError(f"range bounds must be integers, got {index_range!r}")
-    start, stop = int(start), int(stop)
-    if not 0 <= start < stop <= len(x):
-        raise RangeOutOfBoundsError(
-            f"range [{start}, {stop}) does not fit signal of length {len(x)}"
-        )
+            f"index_ranges must be a sequence of ranges, got {index_ranges!r}") from None
+    starts, lengths = [], set()
+    for index_range in ranges:
+        try:
+            start, stop = index_range
+        except (TypeError, ValueError):
+            raise RangeOutOfBoundsError(
+                f"index_range must be a (start, stop) pair, got {index_range!r}") from None
+        if not (is_integer(start) and is_integer(stop)):
+            raise RangeOutOfBoundsError(f"range bounds must be integers, got {index_range!r}")
+        start, stop = int(start), int(stop)
+        if not 0 <= start < stop <= len(x):
+            raise RangeOutOfBoundsError(
+                f"range [{start}, {stop}) does not fit signal of length {len(x)}"
+            )
+        starts.append(start)
+        lengths.add(stop - start)
+    if len(lengths) != 1:
+        raise ConfigError(f"index_ranges must be nonempty and of one length, got {ranges!r}")
+    (in_len,) = lengths
     bs = sorted({built_pad(pad, cfg.half_width) for pad in pads}, reverse=True)
     if not bs:
         raise ConfigError("pads must not be empty")
     if pad_mode not in PAD_MODES:
         raise ConfigError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
-    in_len = stop - start
     if in_len < 2:
         raise SegmentTooShortError(f"interval needs at least 2 samples, got {in_len}")
     if not is_integer(out_len) or out_len < 1:
@@ -368,17 +421,18 @@ def _checked(full, index_range, out_len, pads, cfg: SincConfig, pad_mode: str):
     if out_len > _MAX_OUT_LEN:
         raise BadOutputLengthError(
             f"output length {out_len} exceeds the limit of {_MAX_OUT_LEN} samples")
-    return x, start, stop, bs, int(out_len)
+    return x, starts, in_len, bs, int(out_len)
 
 
-def _reach(x: np.ndarray, start: int, stop: int, bs, h: int, pad_mode: str) -> np.ndarray:
-    """The samples the taps reach at each built pad b of bs, one row per pad
-    from one gather: half_width h per side of x[start:stop] padded by b; a
-    tap past a pad shorter than h wraps into the other pad."""
-    in_len = stop - start
+def _reach(x: np.ndarray, starts, in_len: int, bs, h: int, pad_mode: str) -> np.ndarray:
+    """The samples the taps reach at each built pad b of bs, for the
+    interval of in_len samples from each start of starts, one row per range
+    and pad from one gather: half_width h per side of the interval padded
+    by b; a tap past a pad shorter than h wraps into the other pad."""
+    start = np.array(starts)[:, None, None]
     b = np.array(bs)[:, None]
     source = start - b + (np.arange(in_len + 2 * h) + (b - h)) % (in_len + 2 * b)
     reach = x[np.clip(source, 0, len(x) - 1)]
     if pad_mode == "zero":
-        reach[(source < start) | (source >= stop)] = 0.0
+        reach[(source < start) | (source >= start + in_len)] = 0.0
     return reach

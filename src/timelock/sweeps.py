@@ -106,23 +106,30 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
     that raises records the error class name in its rows' status instead of
     aborting the sweep. A direction's cells share their target lengths, and
     its cells with the same built_pad have bitwise identical warps, so each
-    such warp is made and scored once for all of them. One loop makes a
-    direction's warps: one resample_pads call each for t1 and t2 at every
-    built pad of its cells (a smaller built_pad differs from the largest
-    only within half_width - built_pad samples of an interval's ends), a
-    check of each warp where it is made, and its (original, warped) pairs.
-    A resampling error does not depend on the pad and is recorded on every
-    cell of the call; a warp with a NaN or infinite sample records
-    NonFiniteError on its own cells, as warp_trial's Trial raises it there
-    (the warped markers always increase, so Trial refuses nothing else). One
-    interval_reports call then scores every pair as one stacked DTW.
+    such warp is made and scored once for all of them. The resampling is
+    grouped by (interval length, target length) across directions: one
+    resample_pads call per group makes each of its intervals at every
+    built pad its directions ask for, so each kernel row of the group's
+    output grid is made once (a smaller built_pad differs from the largest
+    only within half_width - built_pad samples of an interval's ends). On
+    equal-length intervals t1 of one direction and t2 of the other share
+    a group. A resampling error does not depend on the pad and is recorded
+    on every cell of each direction whose t1 or t2 is in the group, t1's
+    first; a warp with a NaN or infinite sample records NonFiniteError on
+    its own cells, as warp_trial's Trial raises it there (the warped
+    markers always increase, so Trial refuses nothing else). One
+    interval_reports call then scores every pair as one stacked DTW, with
+    the statistics of each original interval taken once.
     """
     trial = generate(synth_spec)
     part = partition_from_events(trial)
     x = trial.samples
-    originals = x[slice(*part.t1)], x[slice(*part.t2)]
-    cells = {}  # (direction, pad) -> index of its t1 pair in pairs, or the error class name
-    pairs = []
+    ranges = part.t1, part.t2
+    originals = [x[slice(*r)] for r in ranges]
+    # (direction, built, its built pads, (range, target length) of t1 and
+    # of t2) of each direction
+    plans = []
+    groups = {}  # (interval length, target length) -> ({range: None}, {built pads})
     for direction in sweep.directions:
         targets = direction_targets(part, direction, sweep.warp_magnitude)
         built = {}  # pad -> its built_pad, or the error class name
@@ -133,21 +140,35 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
             except TimelockError as err:
                 built[pad] = type(err).__name__
         pads = {b for b in built.values() if not isinstance(b, str)}
-        warps = {}  # built_pad -> index of its t1 pair in pairs, or the error class name
+        requests = list(zip(ranges, targets))
+        for (start, stop), target in requests:
+            members, group_pads = groups.setdefault((stop - start, target), ({}, set()))
+            members[start, stop] = None
+            group_pads.update(pads)
+        plans.append((direction, built, pads, requests))
+    warps = {}  # (range, target length) -> {built pad: warp}, or the error class name
+    for (_, target), (members, pads) in groups.items():
         try:
             # with no built pad the call raises, and its error lands on no cell
-            t1 = resample_pads(x, part.t1, targets[0], pads, sinc)
-            t2 = resample_pads(x, part.t2, targets[1], pads, sinc)
+            made = resample_pads(x, list(members), target, pads, sinc)
         except TimelockError as err:
-            warps = dict.fromkeys(pads, type(err).__name__)
-        else:
-            for b in pads:
-                if np.isfinite(t1[b]).all() and np.isfinite(t2[b]).all():
-                    warps[b] = len(pairs)
-                    pairs += zip(originals, (t1[b], t2[b]))
-                else:
-                    warps[b] = NonFiniteError.__name__
-        cells.update(((direction, pad), b if isinstance(b, str) else warps[b])
+            made = [type(err).__name__] * len(members)
+        warps.update(((r, target), m) for r, m in zip(members, made))
+    cells = {}  # (direction, pad) -> index of its t1 pair in pairs, or the error class name
+    pairs = []
+    for direction, built, pads, requests in plans:
+        made = [warps[request] for request in requests]
+        error = next((m for m in made if isinstance(m, str)), None)  # t1's first
+        status = {}  # built pad -> index of its t1 pair in pairs, or the error class name
+        for b in pads:
+            if error:
+                status[b] = error
+            elif all(np.isfinite(m[b]).all() for m in made):
+                status[b] = len(pairs)
+                pairs += zip(originals, (m[b] for m in made))
+            else:
+                status[b] = NonFiniteError.__name__
+        cells.update(((direction, pad), b if isinstance(b, str) else status[b])
                      for pad, b in built.items())
     reports = interval_reports(pairs)
     return _rows(sweep, {at: cell if isinstance(cell, str) else reports[cell:cell + 2]

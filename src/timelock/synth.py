@@ -12,6 +12,15 @@ from .model import MAX_SAMPLES as _MAX_SAMPLES  # longest trial generate builds
 from .model import OFFSET, ONSET, TRANSITION, EventMarker, Trial, is_finite
 
 
+def _holds(value, n: int) -> bool:
+    """Whether value has n entries: False for one without a length, such as
+    None, a number or a 0-d array, whose len() raises TypeError."""
+    try:
+        return len(value) == n
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for the demonstration trial.
@@ -45,7 +54,7 @@ class SynthSpec:
                 raise ConfigError(f"{name} must be positive and finite, got {f}")
             if f >= nyq:
                 raise NyquistViolationError(f"{name} = {f} is not below f_nyq = {nyq}")
-        if not (hasattr(self.event_fracs, "__len__") and len(self.event_fracs) == 3):
+        if not _holds(self.event_fracs, 3):
             raise BadEventFracsError(f"need exactly 3 event fractions, got {self.event_fracs!r}")
         prev = 0.0
         for frac in self.event_fracs:
@@ -54,7 +63,7 @@ class SynthSpec:
                     f"event fractions must be strictly increasing within (0, 1), got {self.event_fracs}"
                 )
             prev = frac
-        if not all(hasattr(v, "__len__") and len(v) == 2 for v in (self.amplitudes, self.phases)):
+        if not all(_holds(v, 2) for v in (self.amplitudes, self.phases)):
             raise ConfigError("amplitudes and phases must each hold two values")
         for name, values in (("amplitudes", self.amplitudes), ("phases", self.phases)):
             if not all(is_finite(v) for v in values):

@@ -3,6 +3,7 @@ import inspect
 import math
 import types
 
+import numpy as np
 import pytest
 
 import timelock
@@ -64,6 +65,8 @@ def _raises_as_out_of_range(error, make, value, out_of_range):
     _case("amplitudes", lambda v: timelock.SynthSpec(amplitudes=(v, 1.0)), "a", math.nan),
     _case("amplitudes-none", lambda v: timelock.SynthSpec(amplitudes=v), None, (1.0,)),
     _case("phases-number", lambda v: timelock.SynthSpec(phases=v), 5, (0.0, 0.0, 0.0)),
+    _case("amplitudes-0d", lambda v: timelock.SynthSpec(amplitudes=v), np.array(1.0), (1.0,)),
+    _case("phases-0d", lambda v: timelock.SynthSpec(phases=v), np.array(0.0), (0.0, 0.0, 0.0)),
 ])
 def test_config_fields_that_are_not_numbers(make, value, out_of_range):
     _raises_as_out_of_range(errors.ConfigError, make, value, out_of_range)
@@ -82,6 +85,7 @@ def test_rates_that_are_not_numbers(make, value, out_of_range):
     _case("none", lambda v: timelock.SynthSpec(event_fracs=(0.25, v, 0.75)), None, 1.5),
     _case("fracs-none", lambda v: timelock.SynthSpec(event_fracs=v), None, (0.25, 0.5)),
     _case("fracs-number", lambda v: timelock.SynthSpec(event_fracs=v), 5, (0.2, 0.4, 0.6, 0.8)),
+    _case("fracs-0d", lambda v: timelock.SynthSpec(event_fracs=v), np.array(0.5), (0.25, 0.5)),
 ])
 def test_event_fractions_that_are_not_numbers(make, value, out_of_range):
     _raises_as_out_of_range(errors.BadEventFracsError, make, value, out_of_range)

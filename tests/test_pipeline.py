@@ -24,7 +24,8 @@ from timelock.errors import (
     EmptyBatchError,
     InconsistentTrialsError,
 )
-from timelock.pipeline import _nearest_remap, _scale_offset
+from timelock.pipeline import _nearest_remap, _scale_offset, interval_reports
+from timelock.resample import resample
 
 
 def _smooth_trial(n, onset, transition, offset, seed=0, f_samp=256.0):
@@ -348,6 +349,30 @@ class TestAlignBatch:
         trial, _ = _smooth_trial(1000, 100, 500, 900, seed=15)
         with pytest.raises(InconsistentTrialsError):
             align_batch([(trial, Partition(100, 500, 900, 1200))], MeanLengths(), 0.05)
+
+
+class TestIntervalReports:
+    def test_pairs_sharing_an_original_score_as_each_pair_alone(self):
+        # pairs that share an original array, as a sweep's cells do, take
+        # its statistics once per call; each report equals its pair's own,
+        # bit for bit. Among them: two warps of one length, warps of other
+        # lengths, the original itself, a constant warp, an original of
+        # zeros, and a warp peaking near 2**500, whose pair runs scaled by
+        # 2**-501 while its neighbours with the same original run unscaled.
+        rng = np.random.default_rng(71)
+        a = np.sin(0.05 * np.arange(300)) + 0.1 * rng.normal(size=300)
+        b = np.cos(0.03 * np.arange(200))
+        zeros = np.zeros(50)
+        huge = np.ldexp(resample(a, 360), 499)
+        assert 2.0 ** 496 <= np.abs(huge).max() < 2.0 ** 500
+        pairs = [(a, resample(a, 240)), (b, resample(b, 150)), (a, huge),
+                 (a, resample(a, 240) + 1e-3 * rng.normal(size=240)), (a, a),
+                 (zeros, resample(b, 40)), (b, np.full(150, 0.5)), (a, resample(a, 360)),
+                 (zeros, zeros[:30])]
+        together = interval_reports(pairs)
+        assert len(together) == len(pairs)
+        for pair, report in zip(pairs, together):
+            assert repr(report) == repr(interval_reports([pair])[0])
 
 
 class TestIndexMaps:

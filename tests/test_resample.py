@@ -494,20 +494,19 @@ class TestEdges:
         # signal's first or last sample; outputs of 1 and 2 samples and grids
         # of integral positions; one to four pads on both sides of
         # half_width, some with the same built pad. Each output equals
-        # resample_padded's at its pad. The kernel evaluates the whole grid
-        # of the widest built pad and, of each narrower one, only the
-        # outputs the edge formula names, each exactly once, reading the
-        # pad's own row of taps; one _resample_at call per chunk of
-        # positions, which evaluates the chunk at the widest pad and then the
-        # narrower pads' edges within it. Chunks of a few positions put the
-        # prefix and the suffix edges in different calls, and an edge both at
-        # and inside a chunk boundary.
+        # resample_padded's at its pad. One _resample_at call per chunk of
+        # positions takes the chunk's grid once, and its reads evaluate the
+        # whole chunk of the widest built pad and, of each narrower one,
+        # only the outputs the edge formula names, each exactly once,
+        # reading the pad's own row of taps. Chunks of a few positions put
+        # the prefix and the suffix edges in different calls, and an edge
+        # both at and inside a chunk boundary.
         calls = []
         resample_at = sincmod._resample_at
 
-        def counted(reach, base, frac, cutoff, cfg):
-            calls.append((np.array(base), np.array(frac)))
-            return resample_at(reach, base, frac, cutoff, cfg)
+        def counted(reach, base, frac, cutoff, cfg, reads):
+            calls.append((np.array(base), np.array(frac), list(reads)))
+            return resample_at(reach, base, frac, cutoff, cfg, reads)
 
         rng = np.random.default_rng(61)
         for case in range(80):
@@ -533,26 +532,72 @@ class TestEdges:
                 with monkeypatch.context() as patch:
                     patch.setattr(sincmod, "_OUTPUTS", outputs)
                     patch.setattr(sincmod, "_resample_at", counted)
-                    got = resample_pads(full, (start, stop), out_len, pads, cfg, pad_mode)
+                    (got,) = resample_pads(full, [(start, stop)], out_len, pads, cfg, pad_mode)
                 assert list(got) == built, (case, outputs)
                 for b in built:
                     assert np.array_equal(got[b].view(np.int64), want[b].view(np.int64)), \
                         (case, outputs, b)
                 assert len(calls) == -(-out_len // outputs), (case, outputs)
-                for c, (base, frac) in enumerate(calls):
+                for c, (base, frac, reads) in enumerate(calls):
                     chunk = np.arange(c * outputs, min((c + 1) * outputs, out_len))
-                    assert np.array_equal(base[:len(chunk)], grid_base[chunk]), (case, outputs, c)
-                    assert np.array_equal(frac[:len(chunk)], grid_frac[chunk]), (case, outputs, c)
-                    assert len(base) == sum(np.isin(k, chunk).sum() for k in rows), \
-                        (case, outputs, c)
-                    row = base // width
-                    for j, k in enumerate(rows[1:], 1):
-                        k = k[np.isin(k, chunk)]
-                        order = np.lexsort((frac[row == j], base[row == j]))
-                        assert np.array_equal(base[row == j][order], grid_base[k] + j * width), \
-                            (case, outputs, c, j)
-                        assert np.array_equal(frac[row == j][order], grid_frac[k]), \
-                            (case, outputs, c, j)
+                    assert np.array_equal(base, grid_base[chunk]), (case, outputs, c)
+                    assert np.array_equal(frac, grid_frac[chunk]), (case, outputs, c)
+                    assert {offset for offset, _, _ in reads} <= \
+                        {j * width for j in range(len(built))}, (case, outputs, c)
+                    for j, k in enumerate(rows):
+                        read = [np.arange(first, end) for offset, first, end in reads
+                                if offset == j * width]
+                        assert np.array_equal(np.concatenate(read) + chunk[0],
+                                              k[np.isin(k, chunk)]), (case, outputs, c, j)
+                calls.clear()
+
+    @pytest.mark.parametrize("pad_mode", ["neighbor", "zero"])
+    def test_ranges_of_one_length_match_one_range_calls(self, monkeypatch, pad_mode):
+        # two ranges of one length, one of them at the signal's first or
+        # last sample, expanded and contracted at pads on both sides of
+        # half_width, equal their one-range calls bit for bit. The two-range
+        # call makes the kernel rows of a one-range call, once per chunk
+        # of positions, and applies them to both ranges' rows of taps.
+        calls = []
+        resample_at = sincmod._resample_at
+
+        def counted(reach, base, frac, cutoff, cfg, reads):
+            rows = len(base) if cutoff != 1.0 else np.count_nonzero(frac)
+            calls.append((rows, len(reads)))
+            return resample_at(reach, base, frac, cutoff, cfg, reads)
+
+        rng = np.random.default_rng(67)
+        for case in range(24):
+            cfg = SincConfig(half_width=int(rng.integers(4, 20)),
+                             window=sincmod.WINDOWS[case % 3], anti_alias=bool(case % 2))
+            h = cfg.half_width
+            full = rng.normal(size=int(rng.integers(60, 160)))
+            n_in = int(rng.integers(2, 40))
+            edge = 0 if case % 4 < 2 else len(full) - n_in
+            ranges = [(edge, edge + n_in)]
+            other = int(rng.integers(0, len(full) - n_in + 1))
+            ranges.insert(case % 2, (other, other + n_in))
+            out_len = int(rng.integers(n_in + 1, 3 * n_in + 2) if case % 3 else
+                          rng.integers(1, n_in))
+            pads = (0, h // 2, h - 1, h + 3)[:2 + case % 3]
+            for outputs in (sincmod._OUTPUTS, 1, 2, 3, 7):
+                with monkeypatch.context() as patch:
+                    patch.setattr(sincmod, "_OUTPUTS", outputs)
+                    patch.setattr(sincmod, "_resample_at", counted)
+                    alone = [resample_pads(full, [r], out_len, pads, cfg, pad_mode)[0]
+                             for r in ranges]
+                    one = calls[:len(calls) // 2]
+                    calls.clear()
+                    both = resample_pads(full, ranges, out_len, pads, cfg, pad_mode)
+                assert len(both) == 2
+                for got, want in zip(both, alone):
+                    assert list(got) == list(want), (case, outputs)
+                    for b in want:
+                        assert np.array_equal(got[b].view(np.int64), want[b].view(np.int64)), \
+                            (case, outputs, b)
+                assert [rows for rows, _ in calls] == [rows for rows, _ in one], (case, outputs)
+                assert [reads for _, reads in calls] == [2 * reads for _, reads in one], \
+                    (case, outputs)
                 calls.clear()
 
     def test_long_output_at_several_pads_stays_near_its_own_size(self):
@@ -565,10 +610,10 @@ class TestEdges:
 
         x = np.sin(0.01 * np.arange(4096))
         start, stop, pads = 1024, 1064, (0, 8, 16, 24, 32)
-        resample_pads(x, (start, stop), 2, pads)  # the taper table is cached
+        resample_pads(x, [(start, stop)], 2, pads)  # the taper table is cached
         tracemalloc.start()
         try:
-            out = resample_pads(x, (start, stop), 2**20, pads)
+            (out,) = resample_pads(x, [(start, stop)], 2**20, pads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -586,17 +631,28 @@ class TestEdges:
     def test_arguments_are_checked_as_resample_padded_checks_them(self):
         x = np.arange(30.0)
         with pytest.raises(RangeOutOfBoundsError):
-            resample_pads(x, (10, 40), 5, (3,))
+            resample_pads(x, [(10, 40)], 5, (3,))
         with pytest.raises(RangeOutOfBoundsError):
-            resample_pads(x, (10, 20), 5, (3, -1))
+            resample_pads(x, [(10, 20)], 5, (3, -1))
         with pytest.raises(SegmentTooShortError):
-            resample_pads(x, (10, 11), 5, (3,))
+            resample_pads(x, [(10, 11)], 5, (3,))
         with pytest.raises(BadOutputLengthError):
-            resample_pads(x, (10, 20), 0, (3,))
+            resample_pads(x, [(10, 20)], 0, (3,))
         with pytest.raises(ValueError, match="pad_mode"):
-            resample_pads(x, (10, 20), 5, (3,), pad_mode="mirror")
+            resample_pads(x, [(10, 20)], 5, (3,), pad_mode="mirror")
         with pytest.raises(ValueError, match="pads must not be empty"):
-            resample_pads(x, (10, 20), 5, ())
+            resample_pads(x, [(10, 20)], 5, ())
+        # each range is checked as an index_range, and the ranges share one length
+        with pytest.raises(RangeOutOfBoundsError):
+            resample_pads(x, [(0, 10), (25, 35)], 5, (3,))
+        with pytest.raises(RangeOutOfBoundsError):
+            resample_pads(x, (10, 20), 5, (3,))
+        with pytest.raises(RangeOutOfBoundsError):
+            resample_pads(x, 10, 5, (3,))
+        with pytest.raises(ConfigError, match="one length"):
+            resample_pads(x, [(0, 10), (12, 20)], 5, (3,))
+        with pytest.raises(ConfigError, match="one length"):
+            resample_pads(x, [], 5, (3,))
 
 
 class TestAnalyticAccuracy:

@@ -303,38 +303,65 @@ class TestFsampSweep:
 
     def test_each_target_group_is_resampled_once(self, monkeypatch):
         # 6 rates x 2 directions x 8 pads are 96 cells, 192 intervals, and
-        # 70 distinct warps. Each rate and direction is one group of target
-        # lengths whose t1 and t2 are each resampled for all of the group's
-        # built pads in one resample_pads call and one kernel call: 24 of
-        # each, where one kernel call per interval and pad made 140. The
-        # whole grid is evaluated at the group's widest built pad; the 58
-        # narrower warps evaluate only the outputs whose floor(t) is below
-        # h - b or at least n_in - h + b.
+        # 70 distinct warps. The demonstration trial's t1 and t2 have one
+        # length, so at each rate t1 of one direction and t2 of the other
+        # share their target length: two groups, each resampled for both
+        # of its intervals at all of its built pads in one resample_pads
+        # call and one kernel call, 12 of each, where one call per
+        # direction and interval made 24. The whole grid is evaluated at
+        # each interval's widest built pad; the 58 narrower warps evaluate
+        # only the outputs whose floor(t) is below h - b or at least
+        # n_in - h + b.
         calls, evaluated = [], []
         resample_pads = sweeps.resample_pads
         resample_at = sincmod._resample_at
 
-        def counted_pads(x, index_range, out_len, pads, cfg, pad_mode="neighbor"):
-            calls.append((index_range[1] - index_range[0], out_len, sorted(pads), cfg.half_width))
-            return resample_pads(x, index_range, out_len, pads, cfg, pad_mode)
+        def counted_pads(x, index_ranges, out_len, pads, cfg, pad_mode="neighbor"):
+            (n_in,) = {stop - start for start, stop in index_ranges}
+            calls.append((len(index_ranges), n_in, out_len, sorted(pads), cfg.half_width))
+            return resample_pads(x, index_ranges, out_len, pads, cfg, pad_mode)
 
-        def counted_at(reach, base, frac, cutoff, cfg):
-            evaluated.append(len(base))
-            return resample_at(reach, base, frac, cutoff, cfg)
+        def counted_at(reach, base, frac, cutoff, cfg, reads):
+            evaluated.append(sum(stop - start for _, start, stop in reads))
+            return resample_at(reach, base, frac, cutoff, cfg, reads)
 
         monkeypatch.setattr(sweeps, "resample_pads", counted_pads)
         monkeypatch.setattr(sincmod, "_resample_at", counted_at)
         rows = fsamp_sweep(SweepConfig())
         assert len(rows) == 192
         assert {r.status for r in rows} == {"ok"}
-        assert len(calls) == 24
-        assert len(evaluated) == 24
-        full = sum(n_out for _, n_out, _, _ in calls)
-        edges = [(n_in, n_out, b, h) for n_in, n_out, pads, h in calls for b in pads[:-1]]
+        assert len(calls) == 12
+        assert {n_ranges for n_ranges, *_ in calls} == {2}
+        assert len(evaluated) == 12
+        full = sum(n_ranges * n_out for n_ranges, _, n_out, _, _ in calls)
+        edges = [(n_in, n_out, b, h) for n_ranges, n_in, n_out, pads, h in calls
+                 for b in pads[:-1] * n_ranges]
         assert len(edges) == 2 * 58
         at_edges = sum(edge_outputs(*edge) for edge in edges)
         assert sum(evaluated) == full + at_edges
         assert at_edges < full
+
+    def test_sweep_makes_each_kernel_row_once(self, monkeypatch):
+        # the 12 groups' output grids hold 8 002 positions off the input
+        # samples, and each one's kernel row is made once; making them
+        # per interval and pad took 21 612
+        made, calls = [], []
+        resample_pads = sweeps.resample_pads
+        resample_at = sincmod._resample_at
+
+        def counted_pads(*args):
+            calls.append(args[2])
+            return resample_pads(*args)
+
+        def counted_at(reach, base, frac, cutoff, cfg, reads):
+            made.append(len(base) if cutoff != 1.0 else np.count_nonzero(frac))
+            return resample_at(reach, base, frac, cutoff, cfg, reads)
+
+        monkeypatch.setattr(sweeps, "resample_pads", counted_pads)
+        monkeypatch.setattr(sincmod, "_resample_at", counted_at)
+        fsamp_sweep(SweepConfig())
+        assert len(calls) == 12
+        assert sum(made) == 8002
 
     def test_failing_group_records_its_error_on_each_cell(self, monkeypatch):
         # on this 1 s trial t1 has 410 samples and t2 614: contracting t1
@@ -360,6 +387,26 @@ class TestFsampSweep:
             assert (row.status, row.correlation, row.dtw_distance, row.dtw_similarity,
                     row.energy_ratio) == ("ok", r.correlation, r.dtw.distance,
                                           r.dtw.similarity, r.energy_ratio)
+
+    def test_failing_group_of_equal_intervals_records_its_error_on_both_directions(
+            self, monkeypatch):
+        # on this 1 s trial t1 and t2 have 512 samples each, so contracting
+        # t1 and expanding t2 share the targets 410 and 614 with the other
+        # direction: t2 of one direction and t1 of the other form the
+        # group of 614 samples, over the patched output limit. Its error
+        # lands on every cell of both directions, while the group of 410
+        # samples is made.
+        spec = SynthSpec(duration_s=1.0)
+        sweep = SweepConfig(pad_fractions=(0.0, 0.01, 0.1))
+        monkeypatch.setattr(sincmod, "_MAX_OUT_LEN", 600)
+        part = partition_from_events(generate(spec))
+        assert (part.len_t1, part.len_t2) == (512, 512)
+        assert {direction_targets(part, d, sweep.warp_magnitude) for d in DIRECTIONS} == \
+            {(410, 614), (614, 410)}
+        rows = padding_sweep(sweep, spec)
+        assert len(rows) == 12
+        assert {(r.status, r.correlation, r.dtw_distance) for r in rows} == \
+            {("BadOutputLengthError", None, None)}
 
     def test_nyquist_breaking_factor_yields_error_rows(self):
         rows = fsamp_sweep(SweepConfig(pad_fractions=(0.1,),

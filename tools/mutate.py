@@ -3,7 +3,8 @@
 Usage: python tools/mutate.py [NAME ...]
 
 MUTANTS is a table of small deliberate faults: in metrics._accumulate and
-its helpers, in the resampler's evaluation of several pads at once, and
+its helpers, in the resampler's evaluation of several ranges and pads at
+once, in the statistics that pairs sharing an original share, and
 one deletion of each guard, clamp or check in src/timelock that the code
 keeps and whose deletion no older entry covers. Each entry names a file,
 one or more edits (an exact old text, which must occur exactly once, and
@@ -41,6 +42,9 @@ RESAMPLE = "src/timelock/resample.py"
 RESAMPLE_TESTS = ("tests/test_resample.py", "tests/test_sweeps.py")
 MODEL = "src/timelock/model.py"
 SYNTH = "src/timelock/synth.py"
+PIPELINE = "src/timelock/pipeline.py"
+SWEEPS = "src/timelock/sweeps.py"
+PIPELINE_TESTS = ("tests/test_pipeline.py",)
 API_TESTS = ("tests/test_api.py",)
 ALL_TESTS = ("tests",)
 TIMEOUT_S = 900
@@ -104,15 +108,48 @@ MUTANTS = [
            (("d = short[rows] - long\n", "d = short[rows] - long[rows]\n"),)),
     # faults of the edge outputs of a narrower pad, found from each chunk's floors
     Mutant("left edge one output short",
-           (("(base < h - b)", "(base < h - b - 1)"),), RESAMPLE, RESAMPLE_TESTS),
+           (("np.searchsorted(base, h - b)", "np.searchsorted(base, h - b - 1)"),),
+           RESAMPLE, RESAMPLE_TESTS),
     Mutant("right edge one output short",
-           (("(base >= n_in - h + b)", "(base > n_in - h + b)"),), RESAMPLE, RESAMPLE_TESTS),
+           (("np.searchsorted(base, n_in - h + b)",
+             "np.searchsorted(base, n_in - h + b, 'right')"),),
+           RESAMPLE, RESAMPLE_TESTS),
     # the extra output reads the same taps at either pad, so only the count
     # of evaluated outputs tells
     Mutant("left edge one output wide",
-           (("(base < h - b)", "(base <= h - b)"),), RESAMPLE, RESAMPLE_TESTS),
+           (("np.searchsorted(base, h - b)", "np.searchsorted(base, h - b, 'right')"),),
+           RESAMPLE, RESAMPLE_TESTS),
     Mutant("narrower row reading the widest row's taps",
-           (("base[at] + r * width", "base[at]"),), RESAMPLE, RESAMPLE_TESTS),
+           (("((i * len(bs) + j) * width, first, stop)", "(i * len(bs) * width, first, stop)"),),
+           RESAMPLE, RESAMPLE_TESTS),
+    # faults of one kernel row per position, applied to every range and pad
+    Mutant("kernel row applied at another range's offset",
+           (("((i * len(bs) + j) * width, first, stop)",
+             "(((i + 1) % len(starts) * len(bs) + j) * width, first, stop)"),),
+           RESAMPLE, RESAMPLE_TESTS),
+    # the middle outputs read the same taps at either pad, so only the
+    # layout of the reads tells
+    Mutant("narrower row applied outside its edge positions",
+           (("(j, 0, min(int(np.searchsorted(base, h - b)), right))", "(j, 0, right)"),),
+           RESAMPLE, RESAMPLE_TESTS),
+    Mutant("resampling grouped by interval, not by interval length",
+           (("groups.setdefault((stop - start, target),", "groups.setdefault((start, target),"),),
+           SWEEPS, RESAMPLE_TESTS),
+    Mutant("a group's error recorded only on the directions it makes t1 for",
+           (("error = next((m for m in made if isinstance(m, str)), None)",
+             "error = made[0] if isinstance(made[0], str) else None"),),
+           SWEEPS, RESAMPLE_TESTS),
+    Mutant("reads taken in blocks that hold none of their positions",
+           (("            if lo < hi:  # the read has positions in this block\n"
+             "                at = todo[lo:hi]\n"
+             "                values = rows[base[at]]\n"
+             "                values *= kernel[lo - s:hi - s]\n"
+             "                out[at + shift] = values.sum(axis=1) / total[lo - s:hi - s]\n",
+             "            at = todo[lo:hi]\n"
+             "            values = rows[base[at]]\n"
+             "            values *= kernel[lo - s:hi - s]\n"
+             "            out[at + shift] = values.sum(axis=1) / total[lo - s:hi - s]\n"),),
+           RESAMPLE, RESAMPLE_TESTS),
     Mutant("reach wrapping with a pad one sample short",
            (("b = np.array(bs)[:, None]\n", "b = np.array(bs)[:, None] - 1\n"),),
            RESAMPLE, RESAMPLE_TESTS),
@@ -142,9 +179,18 @@ MUTANTS = [
            (("        object.__setattr__(self, \"events\", tuple(self.events))\n", ""),),
            MODEL, ("tests/test_model.py",)),
     Mutant("event fractions measured before their type is checked",
-           (("hasattr(self.event_fracs, \"__len__\") and ", ""),), SYNTH, API_TESTS),
+           (("_holds(self.event_fracs, 3)", "len(self.event_fracs) == 3"),), SYNTH, API_TESTS),
     Mutant("amplitudes and phases measured before their type is checked",
-           (("hasattr(v, \"__len__\") and ", ""),), SYNTH, API_TESTS),
+           (("_holds(v, 2)", "len(v) == 2"),), SYNTH, API_TESTS),
+    Mutant("a 0-d array measured as having a length",
+           (("    try:\n        return len(value) == n\n    except TypeError:\n        return False\n",
+             "    return hasattr(value, \"__len__\") and len(value) == n\n"),), SYNTH, API_TESTS),
+    # faults of the statistics each original interval shares across its pairs
+    Mutant("worst-case corner shared across scale exponents",
+           (("key = id(x), e  #", "key = id(x)  #"),), select=PIPELINE_TESTS),
+    Mutant("nearest-sample reference shared across warped lengths",
+           (("key = id(original), len(warped)", "key = id(original)"),), PIPELINE,
+           PIPELINE_TESTS),
     # guards whose deletion changes no result, run against the whole suite
     Mutant("last block not stopped at the stack's last diagonal",
            (("min(_COST_BLOCK, max(e[4] for e in stack) + 1 - k, _BLOCK_CELLS // slots)",
