@@ -185,16 +185,9 @@ class Partition:
         return self.offset - self.transition
 
 
-def partition_from_events(
-    trial: Trial,
-    onset_label: str = ONSET,
-    transition_label: str = TRANSITION,
-    offset_label: str = OFFSET,
-) -> Partition:
-    """Partition a trial at its labelled onset, transition, and offset markers."""
-    a = trial.event(onset_label).index
-    b = trial.event(transition_label).index
-    c = trial.event(offset_label).index
+def partition_from_events(trial: Trial) -> Partition:
+    """Partition a trial at its onset, transition, and offset markers."""
+    a, b, c = (trial.event(label).index for label in (ONSET, TRANSITION, OFFSET))
     if not a < b < c:
         raise DegenerateIntervalError(
             f"event indices must satisfy onset < transition < offset, got ({a}, {b}, {c})"

@@ -74,6 +74,8 @@ def plan_warp(p: Partition, t1_target: int, t2_target: int, pad_fraction: float,
     In preserving mode (the default) the targets must sum to the current
     warpable length so the output trial keeps the input length.
     """
+    if not (is_integer(t1_target) and is_integer(t2_target)):
+        raise BadTargetError(f"targets must be integers, got {t1_target!r} and {t2_target!r}")
     if not (is_finite(pad_fraction) and pad_fraction >= 0):
         raise BadTargetError(f"pad_fraction must be >= 0 and finite, got {pad_fraction}")
     if not (is_finite(f_samp) and f_samp > 0):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -134,18 +133,18 @@ def _taper_table(window: str, beta: float, half_width: int) -> np.ndarray:
 
 
 def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
-                 cutoff: float, cfg: SincConfig, reads=None) -> np.ndarray:
+                 cutoff: float, cfg: SincConfig, reads) -> None:
     """Evaluate the windowed-sinc interpolant at positions base + frac, once
     per position, and apply each position's kernel row to every read of it.
 
     base holds integer indices into the interval and frac fractions in
-    [0, 1). reads holds (offset, start, stop) triples. A read takes the
-    outputs of positions start..stop - 1, tap j of the output at base from
-    reach[offset + base + h + j], so reach holds at each offset every sample
-    a tap can read: the interval and half_width samples on each side. By
-    default there is one read, of every position at offset 0. The values
-    of every read come out one after another. The kernel is renormalised to
-    unit gain at every output position, so constants are preserved exactly.
+    [0, 1). reads holds (offset, start, stop, out) tuples. A read writes
+    the outputs of positions start..stop - 1 into out[start:stop], its own
+    output row, tap j of the output at base from reach[offset + base + h +
+    j], so reach holds at each offset every sample a tap can read: the
+    interval and half_width samples on each side. The kernel is
+    renormalised to unit gain at every output position, so constants are
+    preserved exactly.
 
     A kernel row's only inputs are its position's phase, the cutoff and the
     filter, so it is made once for every read of its position. Each output
@@ -176,28 +175,23 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
     """
     h = cfg.half_width
     width = 2 * h + 1
-    reads = [(0, 0, len(base))] if reads is None else reads
-    # a read's values go to out from its first entry on
-    first = list(accumulate((stop - start for _, start, stop in reads), initial=0))
-    out = np.empty(first[-1])
     if cutoff == 1.0:
         # At unit cutoff the kernel is an exact delta on integral positions.
         integral = frac == 0.0
-        for (offset, start, stop), done in zip(reads, first):
-            hit = np.flatnonzero(integral[start:stop])
-            out[done + hit] = reach[offset + base[start + hit] + h]
+        for offset, start, stop, out in reads:
+            hit = start + np.flatnonzero(integral[start:stop])
+            out[hit] = reach[offset + base[hit] + h]
         todo = np.flatnonzero(~integral)
-        bounds = np.searchsorted(todo, [r[1:] for r in reads]).tolist()
+        bounds = np.searchsorted(todo, [r[1:3] for r in reads]).tolist()
     else:
         todo = np.arange(len(base))
-        bounds = [r[1:] for r in reads]
-    # (rows, shift from a position to its entry of out, lo, hi) of each
-    # read, whose evaluated positions are todo[lo:hi]; rows[b] holds the
-    # taps of an output whose position floors to b, a view of the
-    # contiguous reach from the read's offset on
+        bounds = [r[1:3] for r in reads]
+    # (rows, out, lo, hi) of each read, whose evaluated positions are
+    # todo[lo:hi]; rows[b] holds the taps of an output whose position
+    # floors to b, a view of the contiguous reach from the read's offset on
     plan = [(np.ndarray((len(reach) - offset - width + 1, width), None, reach,
-                        offset * reach.itemsize, reach.strides * 2), done - start, lo, hi)
-            for (offset, start, _), done, (lo, hi) in zip(reads, first, bounds)]
+                        offset * reach.itemsize, reach.strides * 2), out, lo, hi)
+            for (offset, _, _, out), (lo, hi) in zip(reads, bounds)]
     table = _taper_table(cfg.window, cfg.beta, h)
     phases = len(table) - 1
     a = np.pi * cutoff
@@ -244,14 +238,13 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
         # entries of the phase-(1 - f) half row
         kernel = np.concatenate((half[:k, ::-1], half[k:, :h]), axis=1)
         total = kernel.sum(axis=1)
-        for rows, shift, lo, hi in plan:
+        for rows, out, lo, hi in plan:
             lo, hi = max(lo, s), min(hi, s + k)
             if lo < hi:  # the read has positions in this block
                 at = todo[lo:hi]
                 values = rows[base[at]]
                 values *= kernel[lo - s:hi - s]
-                out[at + shift] = values.sum(axis=1) / total[lo - s:hi - s]
-    return out
+                out[at] = values.sum(axis=1) / total[lo - s:hi - s]
 
 
 def _cutoff(in_len: int, out_len: int, cfg: SincConfig) -> float:
@@ -329,10 +322,11 @@ def resample_pads(full, index_ranges, out_len: int, pads,
     positions once and applies it to every row of taps that reads it: the
     widest built pad's row of every range at every position, and each
     narrower pad's row only at the chunk's outputs whose floors satisfy
-    that rule. The rest of a narrower row is its range's widest row's
-    value. The arguments are checked as resample_padded checks them, each
-    range as its index_range and each pad as its pad; index_ranges and
-    pads must not be empty.
+    that rule. Each read writes into its own (range, pad) row of the
+    output, and a narrower row's middle, between its two edges, is then
+    copied from its range's widest row. The arguments are checked as
+    resample_padded checks them, each range as its index_range and each
+    pad as its pad; index_ranges and pads must be nonempty sequences.
     """
     x, starts, n_in, bs, n_out = _checked(full, index_ranges, out_len, pads, cfg, pad_mode)
     h = cfg.half_width
@@ -352,19 +346,14 @@ def resample_pads(full, index_ranges, out_len: int, pads,
         for j, b in enumerate(bs[1:], 1):
             right = int(np.searchsorted(base, n_in - h + b))
             spans += (j, 0, min(int(np.searchsorted(base, h - b)), right)), (j, right, len(t))
-        values = _resample_at(reach, base, t - whole, cutoff, cfg,
-                              [((i * len(bs) + j) * width, first, stop)
-                               for i in range(len(starts)) for j, first, stop in spans])
-        # each range's reads make one run of values; its widest row's
-        # values fill every row of the range, and each narrower row's edge
-        # values overwrite them
-        values = values.reshape(len(starts), -1)
+        # each read writes its own (range, pad) row of the chunk
         chunk = out[:, :, s:s + len(t)]
-        chunk[:] = values[:, None, :len(t)]
-        done = len(t)
-        for j, first, stop in spans[1:]:
-            chunk[:, j, first:stop] = values[:, done:done + stop - first]
-            done += stop - first
+        _resample_at(reach, base, t - whole, cutoff, cfg,
+                     [((i * len(bs) + j) * width, first, stop, chunk[i, j])
+                      for i in range(len(starts)) for j, first, stop in spans])
+        # a narrower row's middle, between its two edges, is the widest row's
+        for (j, _, left), (_, right, _) in zip(spans[1::2], spans[2::2]):
+            chunk[:, j, left:right] = chunk[:, 0, left:right]
     return [dict(zip(bs, rows)) for rows in out]
 
 
@@ -386,10 +375,10 @@ def _checked(full, index_ranges, out_len, pads, cfg: SincConfig, pad_mode: str):
     if x.ndim != 1:
         raise ConfigError(f"signal must be one-dimensional, got shape {x.shape}")
     try:
-        ranges = list(index_ranges)
+        ranges, pads = list(index_ranges), list(pads)
     except TypeError:
         raise RangeOutOfBoundsError(
-            f"index_ranges must be a sequence of ranges, got {index_ranges!r}") from None
+            f"index_ranges and pads must be sequences, got {index_ranges!r} and {pads!r}") from None
     starts, lengths = [], set()
     for index_range in ranges:
         try:

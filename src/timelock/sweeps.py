@@ -106,18 +106,18 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
     that raises records the error class name in its rows' status instead of
     aborting the sweep. A direction's cells share their target lengths, and
     its cells with the same built_pad have bitwise identical warps, so each
-    such warp is made and scored once for all of them. The resampling is
-    grouped by (interval length, target length) across directions: one
-    resample_pads call per group makes each of its intervals at every
-    built pad its directions ask for, so each kernel row of the group's
-    output grid is made once (a smaller built_pad differs from the largest
-    only within half_width - built_pad samples of an interval's ends). On
-    equal-length intervals t1 of one direction and t2 of the other share
-    a group. A resampling error does not depend on the pad and is recorded
-    on every cell of each direction whose t1 or t2 is in the group, t1's
-    first; a warp with a NaN or infinite sample records NonFiniteError on
-    its own cells, as warp_trial's Trial raises it there (the warped
-    markers always increase, so Trial refuses nothing else). One
+    such warp is made and scored once for all of them, keyed by (direction,
+    built pad). The resampling is grouped by (interval length, target
+    length) across directions: one resample_pads call per group makes each
+    of its intervals at every built pad a planned cell asks for, so each
+    kernel row of the group's output grid is made once (a smaller built_pad
+    differs from the largest only within half_width - built_pad samples of
+    an interval's ends). On equal-length intervals t1 of one direction and
+    t2 of the other share a group. A resampling error does not depend on the
+    pad and is recorded on every cell of each direction whose t1 or t2 is in
+    the group, t1's first; a warp with a NaN or infinite sample records
+    NonFiniteError on its own cells, as warp_trial's Trial raises it there
+    (the warped markers always increase, so Trial refuses nothing else). One
     interval_reports call then scores every pair as one stacked DTW, with
     the statistics of each original interval taken once.
     """
@@ -126,53 +126,42 @@ def padding_sweep(sweep: SweepConfig, synth_spec: SynthSpec = SynthSpec(),
     x = trial.samples
     ranges = part.t1, part.t2
     originals = [x[slice(*r)] for r in ranges]
-    # (direction, built, its built pads, (range, target length) of t1 and
-    # of t2) of each direction
-    plans = []
+    targets = {d: direction_targets(part, d, sweep.warp_magnitude) for d in sweep.directions}
+    built = {}  # (direction, pad) -> the cell's built_pad, or the error class name
     groups = {}  # (interval length, target length) -> ({range: None}, {built pads})
-    for direction in sweep.directions:
-        targets = direction_targets(part, direction, sweep.warp_magnitude)
-        built = {}  # pad -> its built_pad, or the error class name
-        for pad in sweep.pad_fractions:
-            try:
-                spec = plan_warp(part, *targets, pad, trial.f_samp)
-                built[pad] = built_pad(spec.pad, sinc.half_width)
-            except TimelockError as err:
-                built[pad] = type(err).__name__
-        pads = {b for b in built.values() if not isinstance(b, str)}
-        requests = list(zip(ranges, targets))
-        for (start, stop), target in requests:
-            members, group_pads = groups.setdefault((stop - start, target), ({}, set()))
+    for direction, pad in product(sweep.directions, sweep.pad_fractions):
+        try:
+            spec = plan_warp(part, *targets[direction], pad, trial.f_samp)
+            built[direction, pad] = b = built_pad(spec.pad, sinc.half_width)
+        except TimelockError as err:
+            built[direction, pad] = type(err).__name__
+            continue
+        for (start, stop), target in zip(ranges, targets[direction]):
+            members, pads = groups.setdefault((stop - start, target), ({}, set()))
             members[start, stop] = None
-            group_pads.update(pads)
-        plans.append((direction, built, pads, requests))
+            pads.add(b)
     warps = {}  # (range, target length) -> {built pad: warp}, or the error class name
     for (_, target), (members, pads) in groups.items():
         try:
-            # with no built pad the call raises, and its error lands on no cell
             made = resample_pads(x, list(members), target, pads, sinc)
         except TimelockError as err:
             made = [type(err).__name__] * len(members)
         warps.update(((r, target), m) for r, m in zip(members, made))
-    cells = {}  # (direction, pad) -> index of its t1 pair in pairs, or the error class name
-    pairs = []
-    for direction, built, pads, requests in plans:
-        made = [warps[request] for request in requests]
+    cells = {}  # (direction, built pad) -> its t1 and t2 warps, then reports, or the error name
+    for (direction, _), b in built.items():
+        if isinstance(b, str) or (direction, b) in cells:
+            continue
+        made = [warps[request] for request in zip(ranges, targets[direction])]
         error = next((m for m in made if isinstance(m, str)), None)  # t1's first
-        status = {}  # built pad -> index of its t1 pair in pairs, or the error class name
-        for b in pads:
-            if error:
-                status[b] = error
-            elif all(np.isfinite(m[b]).all() for m in made):
-                status[b] = len(pairs)
-                pairs += zip(originals, (m[b] for m in made))
-            else:
-                status[b] = NonFiniteError.__name__
-        cells.update(((direction, pad), b if isinstance(b, str) else status[b])
-                     for pad, b in built.items())
-    reports = interval_reports(pairs)
-    return _rows(sweep, {at: cell if isinstance(cell, str) else reports[cell:cell + 2]
-                         for at, cell in cells.items()})
+        if not error and not all(np.isfinite(m[b]).all() for m in made):
+            error = NonFiniteError.__name__
+        cells[direction, b] = error or [m[b] for m in made]
+    # one stacked DTW scores every warp; each cell's warps become their reports
+    scored = [at for at, cell in cells.items() if not isinstance(cell, str)]
+    reports = interval_reports([pair for at in scored for pair in zip(originals, cells[at])])
+    cells.update(zip(scored, zip(reports[::2], reports[1::2])))
+    return _rows(sweep, {(direction, pad): b if isinstance(b, str) else cells[direction, b]
+                         for (direction, pad), b in built.items()})
 
 
 def _rows(sweep: SweepConfig, cells) -> list[PaddingSweepRow]:

@@ -93,6 +93,8 @@ def test_event_fractions_that_are_not_numbers(make, value, out_of_range):
 
 @pytest.mark.parametrize("make, value, out_of_range", [
     _case("plan_warp", lambda v: timelock.plan_warp(PART, 10, 10, v, 100.0), "a", -0.1),
+    # a warp target, which plan_warp checks as WarpSpec does
+    _case("plan_warp-target", lambda v: timelock.plan_warp(PART, v, 20, 0.1, 100.0), "a", 0),
 ])
 def test_pad_fractions_that_are_not_numbers(make, value, out_of_range):
     _raises_as_out_of_range(errors.BadTargetError, make, value, out_of_range)

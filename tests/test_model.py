@@ -152,11 +152,6 @@ class TestPartition:
         with pytest.raises(DuplicateEventError):
             partition_from_events(t)
 
-    def test_custom_labels(self):
-        t = _trial(events=((10, "go"), (40, "mid"), (70, "stop")))
-        p = partition_from_events(t, "go", "mid", "stop")
-        assert (p.onset, p.transition, p.offset) == (10, 40, 70)
-
     def test_tiling_and_roundtrip(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

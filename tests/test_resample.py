@@ -542,10 +542,10 @@ class TestEdges:
                     chunk = np.arange(c * outputs, min((c + 1) * outputs, out_len))
                     assert np.array_equal(base, grid_base[chunk]), (case, outputs, c)
                     assert np.array_equal(frac, grid_frac[chunk]), (case, outputs, c)
-                    assert {offset for offset, _, _ in reads} <= \
+                    assert {offset for offset, _, _, _ in reads} <= \
                         {j * width for j in range(len(built))}, (case, outputs, c)
                     for j, k in enumerate(rows):
-                        read = [np.arange(first, end) for offset, first, end in reads
+                        read = [np.arange(first, end) for offset, first, end, _ in reads
                                 if offset == j * width]
                         assert np.array_equal(np.concatenate(read) + chunk[0],
                                               k[np.isin(k, chunk)]), (case, outputs, c, j)
@@ -642,6 +642,8 @@ class TestEdges:
             resample_pads(x, [(10, 20)], 5, (3,), pad_mode="mirror")
         with pytest.raises(ValueError, match="pads must not be empty"):
             resample_pads(x, [(10, 20)], 5, ())
+        with pytest.raises(RangeOutOfBoundsError):
+            resample_pads(x, [(10, 20)], 5, 3)
         # each range is checked as an index_range, and the ranges share one length
         with pytest.raises(RangeOutOfBoundsError):
             resample_pads(x, [(0, 10), (25, 35)], 5, (3,))
@@ -696,7 +698,9 @@ class TestKernel:
         taps = np.arange(-h, h + 1)
         base = np.tile(h - taps, len(frac))
         f = np.repeat(frac, len(taps))
-        return sincmod._resample_at(reach, base, f, cutoff, cfg).reshape(len(frac), -1)
+        out = np.empty(len(base))
+        sincmod._resample_at(reach, base, f, cutoff, cfg, [(0, 0, len(base), out)])
+        return out.reshape(len(frac), -1)
 
     @pytest.mark.parametrize("cutoff", [1.0, 0.8, 0.3])
     @pytest.mark.parametrize("cfg", [SincConfig(), QUALITY, SincConfig(window="hann"),
@@ -751,7 +755,9 @@ class TestKernel:
         rng = np.random.default_rng(59)
         reach = rng.normal(size=4 * h + 2)
         b = 2 * h
-        below = sincmod._resample_at(reach, np.array([b - 1]), np.array([np.nextafter(1.0, 0.0)]),
-                                     cutoff, cfg)
-        onto = sincmod._resample_at(reach, np.array([b]), np.array([0.0]), cutoff, cfg)
+        below, onto = np.empty(1), np.empty(1)
+        sincmod._resample_at(reach, np.array([b - 1]), np.array([np.nextafter(1.0, 0.0)]),
+                             cutoff, cfg, [(0, 0, 1, below)])
+        sincmod._resample_at(reach, np.array([b]), np.array([0.0]), cutoff, cfg,
+                             [(0, 0, 1, onto)])
         assert abs(below[0] - onto[0]) <= 1e-12 * np.abs(np.diff(reach)).max()

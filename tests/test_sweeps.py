@@ -322,7 +322,7 @@ class TestFsampSweep:
             return resample_pads(x, index_ranges, out_len, pads, cfg, pad_mode)
 
         def counted_at(reach, base, frac, cutoff, cfg, reads):
-            evaluated.append(sum(stop - start for _, start, stop in reads))
+            evaluated.append(sum(stop - start for _, start, stop, _ in reads))
             return resample_at(reach, base, frac, cutoff, cfg, reads)
 
         monkeypatch.setattr(sweeps, "resample_pads", counted_pads)
@@ -362,6 +362,21 @@ class TestFsampSweep:
         fsamp_sweep(SweepConfig())
         assert len(calls) == 12
         assert sum(made) == 8002
+
+    def test_each_warp_is_scored_once(self, monkeypatch):
+        # the 96 cells' 192 intervals hold one warp per (rate, direction,
+        # built pad, interval), 140 in all, and each rate's pairs are
+        # scored in one interval_reports call
+        calls = []
+        interval_reports = sweeps.interval_reports
+
+        def counted(pairs):
+            calls.append(len(pairs))
+            return interval_reports(pairs)
+
+        monkeypatch.setattr(sweeps, "interval_reports", counted)
+        fsamp_sweep(SweepConfig())
+        assert calls == [20, 24, 24, 28, 24, 20]
 
     def test_failing_group_records_its_error_on_each_cell(self, monkeypatch):
         # on this 1 s trial t1 has 410 samples and t2 614: contracting t1

@@ -4,7 +4,8 @@ Usage: python tools/mutate.py [NAME ...]
 
 MUTANTS is a table of small deliberate faults: in metrics._accumulate and
 its helpers, in the resampler's evaluation of several ranges and pads at
-once, in the statistics that pairs sharing an original share, and
+once, in the sweeps' grouping and keying of their cells, in the
+statistics that pairs sharing an original share, and
 one deletion of each guard, clamp or check in src/timelock that the code
 keeps and whose deletion no older entry covers. Each entry names a file,
 one or more edits (an exact old text, which must occur exactly once, and
@@ -120,12 +121,20 @@ MUTANTS = [
            (("np.searchsorted(base, h - b)", "np.searchsorted(base, h - b, 'right')"),),
            RESAMPLE, RESAMPLE_TESTS),
     Mutant("narrower row reading the widest row's taps",
-           (("((i * len(bs) + j) * width, first, stop)", "(i * len(bs) * width, first, stop)"),),
+           (("((i * len(bs) + j) * width, first, stop, chunk[i, j])",
+             "(i * len(bs) * width, first, stop, chunk[i, j])"),),
+           RESAMPLE, RESAMPLE_TESTS),
+    Mutant("a narrower row's middle not copied from the widest row",
+           (("        for (j, _, left), (_, right, _) in zip(spans[1::2], spans[2::2]):\n"
+             "            chunk[:, j, left:right] = chunk[:, 0, left:right]\n", ""),),
            RESAMPLE, RESAMPLE_TESTS),
     # faults of one kernel row per position, applied to every range and pad
     Mutant("kernel row applied at another range's offset",
-           (("((i * len(bs) + j) * width, first, stop)",
-             "(((i + 1) % len(starts) * len(bs) + j) * width, first, stop)"),),
+           (("((i * len(bs) + j) * width, first, stop, chunk[i, j])",
+             "(((i + 1) % len(starts) * len(bs) + j) * width, first, stop, chunk[i, j])"),),
+           RESAMPLE, RESAMPLE_TESTS),
+    Mutant("a read writing into another range's row",
+           (("first, stop, chunk[i, j])", "first, stop, chunk[(i + 1) % len(starts), j])"),),
            RESAMPLE, RESAMPLE_TESTS),
     # the middle outputs read the same taps at either pad, so only the
     # layout of the reads tells
@@ -144,12 +153,20 @@ MUTANTS = [
              "                at = todo[lo:hi]\n"
              "                values = rows[base[at]]\n"
              "                values *= kernel[lo - s:hi - s]\n"
-             "                out[at + shift] = values.sum(axis=1) / total[lo - s:hi - s]\n",
+             "                out[at] = values.sum(axis=1) / total[lo - s:hi - s]\n",
              "            at = todo[lo:hi]\n"
              "            values = rows[base[at]]\n"
              "            values *= kernel[lo - s:hi - s]\n"
-             "            out[at + shift] = values.sum(axis=1) / total[lo - s:hi - s]\n"),),
+             "            out[at] = values.sum(axis=1) / total[lo - s:hi - s]\n"),),
            RESAMPLE, RESAMPLE_TESTS),
+    # the warps are the same either way, so only the number of pairs scored tells
+    Mutant("sweep cells keyed by pad fraction instead of built pad",
+           (("for (direction, _), b in built.items():",
+             "for (direction, pad), b in built.items():"),
+            ("(direction, b) in cells", "(direction, pad) in cells"),
+            ("cells[direction, b] = error or", "cells[direction, pad] = error or"),
+            ("else cells[direction, b]\n", "else cells[direction, pad]\n")),
+           SWEEPS, RESAMPLE_TESTS),
     Mutant("reach wrapping with a pad one sample short",
            (("b = np.array(bs)[:, None]\n", "b = np.array(bs)[:, None] - 1\n"),),
            RESAMPLE, RESAMPLE_TESTS),
@@ -185,6 +202,12 @@ MUTANTS = [
     Mutant("a 0-d array measured as having a length",
            (("    try:\n        return len(value) == n\n    except TypeError:\n        return False\n",
              "    return hasattr(value, \"__len__\") and len(value) == n\n"),), SYNTH, API_TESTS),
+    Mutant("warp targets planned whatever their type",
+           (("if not (is_integer(t1_target) and is_integer(t2_target)):", "if False:"),),
+           PIPELINE, API_TESTS),
+    Mutant("pads that are not a sequence taken as one",
+           (("ranges, pads = list(index_ranges), list(pads)", "ranges = list(index_ranges)"),),
+           RESAMPLE, RESAMPLE_TESTS),
     # faults of the statistics each original interval shares across its pairs
     Mutant("worst-case corner shared across scale exponents",
            (("key = id(x), e  #", "key = id(x)  #"),), select=PIPELINE_TESTS),
