@@ -94,7 +94,10 @@ class Trial:
             object.__setattr__(self, "f_samp", float(self.f_samp))
         except (TypeError, ValueError):
             raise BadRateError(f"f_samp must be a number, got {self.f_samp!r}") from None
-        object.__setattr__(self, "events", tuple(self.events))
+        try:
+            object.__setattr__(self, "events", tuple(self.events))
+        except TypeError:
+            raise BadEventsError(f"events must be a sequence, got {self.events!r}") from None
         if len(arr) == 0:
             raise EmptySignalError("trial has no samples")
         if not np.all(np.isfinite(arr)):

@@ -241,8 +241,8 @@ TargetPolicy = MeanLengths | FixedTargets
 
 
 def align_batch(items, policy: TargetPolicy, pad_fraction: float,
-                cfg: SincConfig = SincConfig(), preserve_length: bool = True,
-                pad_mode: str = "neighbor") -> list[WarpReport]:
+                cfg: SincConfig = SincConfig(),
+                preserve_length: bool = True) -> list[WarpReport]:
     """Warp a batch of (trial, partition) pairs to shared interval lengths.
 
     All trials must share the onset index and, in preserving mode, the total
@@ -286,6 +286,6 @@ def align_batch(items, policy: TargetPolicy, pad_fraction: float,
     for trial, p in items:
         spec = plan_warp(p, t1_target, t2_target, pad_fraction, trial.f_samp,
                          preserve_length=preserve_length)
-        warps.append(warp_intervals(trial, p, spec, cfg, pad_mode))
+        warps.append(warp_intervals(trial, p, spec, cfg))
     reports = iter(interval_reports(pair for _, pairs in warps for pair in pairs))
     return [WarpReport(warped, next(reports), next(reports)) for warped, _ in warps]

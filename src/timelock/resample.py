@@ -68,7 +68,7 @@ class SincConfig:
             raise ConfigError(f"half_width must be >= 4, got {self.half_width}")
         if self.half_width > _MAX_HALF_WIDTH:
             raise ConfigError(f"half_width must be <= {_MAX_HALF_WIDTH}, got {self.half_width}")
-        if self.window not in WINDOWS:
+        if not isinstance(self.window, str) or self.window not in WINDOWS:
             raise ConfigError(f"window must be one of {WINDOWS}, got {self.window!r}")
         if self.window == "kaiser":
             if not (is_finite(self.beta) and self.beta > 0):
@@ -132,19 +132,18 @@ def _taper_table(window: str, beta: float, half_width: int) -> np.ndarray:
     return table
 
 
-def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
-                 cutoff: float, cfg: SincConfig, reads) -> None:
+def _resample_at(base: np.ndarray, frac: np.ndarray, cutoff: float, cfg: SincConfig,
+                 reads) -> None:
     """Evaluate the windowed-sinc interpolant at positions base + frac, once
     per position, and apply each position's kernel row to every read of it.
 
     base holds integer indices into the interval and frac fractions in
-    [0, 1). reads holds (offset, start, stop, out) tuples. A read writes
-    the outputs of positions start..stop - 1 into out[start:stop], its own
-    output row, tap j of the output at base from reach[offset + base + h +
-    j], so reach holds at each offset every sample a tap can read: the
-    interval and half_width samples on each side. The kernel is
-    renormalised to unit gain at every output position, so constants are
-    preserved exactly.
+    [0, 1). reads holds (rows, start, stop, out) tuples. A read writes the
+    outputs of positions start..stop - 1 into out[start:stop], its own
+    output row, from its own rows of taps: rows[b] holds the 2 half_width +
+    1 samples centred on b that an output whose position floors to b reads.
+    The kernel is renormalised to unit gain at every output position, so
+    constants are preserved exactly.
 
     A kernel row's only inputs are its position's phase, the cutoff and the
     filter, so it is made once for every read of its position. Each output
@@ -156,14 +155,15 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
     each side of an output is one half row, i = 0..half_width, at one phase
     phi, f or 1 - f. Its kernel value is sinc(cutoff * (i + phi)) times the
     taper there. The sine's angle a * i + a * phi, a = pi * cutoff, is taken
-    apart by angle addition, sin(a i) cos(a phi) + cos(a i) sin(a phi), so
+    apart by angle addition, sin(a phi) cos(a i) + cos(a phi) sin(a i), so
     each half row costs one sine and one cosine. At unit cutoff sin(a i) is
-    0 and cos(a i) is (-1)**i, so the numerator is (-1)**i sin(a phi): one
-    sine per half row, with its sign taken from the tap. The taper is two
-    rows of the taper table, interpolated with one weight. The half row i =
-    0, phi = 0 is the centre tap of an integral position, where both parts
-    of the sinc are eps, as in np.sinc; at unit cutoff no integral position
-    is evaluated.
+    0 and np.cos(pi * i) is exactly (-1)**i for every i up to
+    _MAX_HALF_WIDTH, so the first term alone is the numerator, with one sine
+    per half row. The taper is two rows of the taper table, interpolated
+    with one weight. The half row i = 0, phi = 0 is the centre tap of an
+    integral position, where both parts of the sinc are eps, as in np.sinc;
+    at unit cutoff the kernel is an exact delta there, so integral positions
+    are copied from their centre tap.
 
     Kernel rows are made in blocks of at most _CELLS kernel cells (outputs x
     taps), so the temporaries stay bounded whatever the output length. Every
@@ -175,34 +175,20 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
     """
     h = cfg.half_width
     width = 2 * h + 1
-    if cutoff == 1.0:
-        # At unit cutoff the kernel is an exact delta on integral positions.
-        integral = frac == 0.0
-        for offset, start, stop, out in reads:
-            hit = start + np.flatnonzero(integral[start:stop])
-            out[hit] = reach[offset + base[hit] + h]
-        todo = np.flatnonzero(~integral)
-        bounds = np.searchsorted(todo, [r[1:3] for r in reads]).tolist()
-    else:
-        todo = np.arange(len(base))
-        bounds = [r[1:3] for r in reads]
-    # (rows, out, lo, hi) of each read, whose evaluated positions are
-    # todo[lo:hi]; rows[b] holds the taps of an output whose position
-    # floors to b, a view of the contiguous reach from the read's offset on
-    plan = [(np.ndarray((len(reach) - offset - width + 1, width), None, reach,
-                        offset * reach.itemsize, reach.strides * 2), out, lo, hi)
-            for (offset, _, _, out), (lo, hi) in zip(reads, bounds)]
+    integral = (frac == 0.0) & (cutoff == 1.0)
+    for rows, start, stop, out in reads:
+        hit = start + np.flatnonzero(integral[start:stop])
+        out[hit] = rows[base[hit], h]
+    # the evaluated positions, of which each read's are todo[lo:hi]
+    todo = np.flatnonzero(~integral)
+    bounds = np.searchsorted(todo, [r[1:3] for r in reads]).tolist()
     table = _taper_table(cfg.window, cfg.beta, h)
     phases = len(table) - 1
     a = np.pi * cutoff
     i = np.arange(h + 1)
     n = max(1, min(_CELLS // width, len(todo)))
     angles = np.repeat((a * i)[None, :], 2 * n, axis=0)
-    if cutoff == 1.0:
-        signs = np.ones((2 * n, h + 1))
-        signs[:, 1::2] = -1.0
-    else:
-        sin_i, cos_i = np.sin(angles[0]), np.cos(angles[0])
+    sin_i, cos_i = np.sin(angles[0]), np.cos(angles[0])
     for s in range(0, len(todo), n):
         f = frac[todo[s:s + n]]
         k = len(f)
@@ -221,12 +207,9 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
         del low
         # the sinc's numerator goes into half and its denominator into den
         aphi = a * phi
-        if cutoff == 1.0:
-            half = np.repeat(np.sin(aphi), h + 1).reshape(2 * k, h + 1)
-            half *= signs[:2 * k]
-        else:
-            half = np.einsum("o,i->oi", np.cos(aphi), sin_i)
-            half += np.einsum("o,i->oi", np.sin(aphi), cos_i)
+        half = np.einsum("o,i->oi", np.sin(aphi), cos_i)
+        if cutoff != 1.0:
+            half += np.einsum("o,i->oi", np.cos(aphi), sin_i)
         den = np.repeat(aphi, h + 1).reshape(2 * k, h + 1)
         den += angles[:2 * k]
         centre = np.flatnonzero(f == 0.0)
@@ -238,7 +221,7 @@ def _resample_at(reach: np.ndarray, base: np.ndarray, frac: np.ndarray,
         # entries of the phase-(1 - f) half row
         kernel = np.concatenate((half[:k, ::-1], half[k:, :h]), axis=1)
         total = kernel.sum(axis=1)
-        for rows, out, lo, hi in plan:
+        for (rows, _, _, out), (lo, hi) in zip(reads, bounds):
             lo, hi = max(lo, s), min(hi, s + k)
             if lo < hi:  # the read has positions in this block
                 at = todo[lo:hi]
@@ -322,8 +305,9 @@ def resample_pads(full, index_ranges, out_len: int, pads,
     positions once and applies it to every row of taps that reads it: the
     widest built pad's row of every range at every position, and each
     narrower pad's row only at the chunk's outputs whose floors satisfy
-    that rule. Each read writes into its own (range, pad) row of the
-    output, and a narrower row's middle, between its two edges, is then
+    that rule. Each read takes the rows of taps of its (range, pad), a view
+    of one gather of every reach, and writes into its own (range, pad) row
+    of the output; a narrower row's middle, between its two edges, is then
     copied from its range's widest row. The arguments are checked as
     resample_padded checks them, each range as its index_range and each
     pad as its pad; index_ranges and pads must be nonempty sequences.
@@ -331,9 +315,10 @@ def resample_pads(full, index_ranges, out_len: int, pads,
     x, starts, n_in, bs, n_out = _checked(full, index_ranges, out_len, pads, cfg, pad_mode)
     h = cfg.half_width
     cutoff = _cutoff(n_in, n_out, cfg)
-    # the reach of every range and pad in one flat run, row r from r * width on
-    width = n_in + 2 * h
-    reach = _reach(x, starts, n_in, bs, h, pad_mode).reshape(-1)
+    # rows[i, j, b]: the taps of range i at pad bs[j] of an output flooring to b
+    reach = _reach(x, starts, n_in, bs, h, pad_mode)
+    rows = np.ndarray((len(starts), len(bs), n_in, 2 * h + 1), None, reach, 0,
+                      reach.strides + reach.strides[-1:])
     out = np.empty((len(starts), len(bs), n_out))
     # _OUTPUTS positions at a time, so no array as long as a row is made
     for s in range(0, n_out, _OUTPUTS):
@@ -348,13 +333,13 @@ def resample_pads(full, index_ranges, out_len: int, pads,
             spans += (j, 0, min(int(np.searchsorted(base, h - b)), right)), (j, right, len(t))
         # each read writes its own (range, pad) row of the chunk
         chunk = out[:, :, s:s + len(t)]
-        _resample_at(reach, base, t - whole, cutoff, cfg,
-                     [((i * len(bs) + j) * width, first, stop, chunk[i, j])
+        _resample_at(base, t - whole, cutoff, cfg,
+                     [(rows[i, j], first, stop, chunk[i, j])
                       for i in range(len(starts)) for j, first, stop in spans])
         # a narrower row's middle, between its two edges, is the widest row's
         for (j, _, left), (_, right, _) in zip(spans[1::2], spans[2::2]):
             chunk[:, j, left:right] = chunk[:, 0, left:right]
-    return [dict(zip(bs, rows)) for rows in out]
+    return [dict(zip(bs, by_pad)) for by_pad in out]
 
 
 def grid_position(k, n_in: int, n_out: int):
@@ -401,7 +386,7 @@ def _checked(full, index_ranges, out_len, pads, cfg: SincConfig, pad_mode: str):
     bs = sorted({built_pad(pad, cfg.half_width) for pad in pads}, reverse=True)
     if not bs:
         raise ConfigError("pads must not be empty")
-    if pad_mode not in PAD_MODES:
+    if not isinstance(pad_mode, str) or pad_mode not in PAD_MODES:
         raise ConfigError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
     if in_len < 2:
         raise SegmentTooShortError(f"interval needs at least 2 samples, got {in_len}")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -39,8 +38,12 @@ class SweepConfig:
     def __post_init__(self) -> None:
         for name in ("pad_fractions", "fsamp_factors", "directions"):
             value = getattr(self, name)
-            if isinstance(value, (str, numbers.Number)):
-                raise ConfigError(f"{name} must be a sequence of values, got {value!r}")
+            try:
+                if isinstance(value, str):  # iterable, but one value
+                    raise TypeError
+                object.__setattr__(self, name, tuple(value))
+            except TypeError:
+                raise ConfigError(f"{name} must be a sequence of values, got {value!r}") from None
         if not self.pad_fractions:
             raise ConfigError("pad_fractions must be nonempty")
         for pad in self.pad_fractions:

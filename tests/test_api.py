@@ -60,6 +60,18 @@ def _raises_as_out_of_range(error, make, value, out_of_range):
     _case("fsamp_factors", lambda v: timelock.SweepConfig(fsamp_factors=(v,)), "a", 2.0),
     _case("warp_magnitude", lambda v: timelock.SweepConfig(warp_magnitude=v), "a", 0.0),
     _case("directions", lambda v: timelock.SweepConfig(directions=(v,)), ["x"], "x"),
+    # a grid is taken as a tuple, so an array grid is checked value by value
+    _case("pad_fractions-array", lambda v: timelock.SweepConfig(pad_fractions=v),
+          np.array(["a"]), np.array([0.1, -1.0])),
+    _case("pad_fractions-object", lambda v: timelock.SweepConfig(pad_fractions=v),
+          object(), (-1.0,)),
+    _case("fsamp_factors-array", lambda v: timelock.SweepConfig(fsamp_factors=v),
+          np.array(["a"]), np.array([0.5, 1.0])),
+    _case("window-array", lambda v: timelock.SincConfig(window=v),
+          np.array(["kaiser", "hann"]), "mirror"),
+    _case("pad_mode-array", lambda v: timelock.resample_padded(np.ones(8), (0, 8), 8, 0,
+                                                               pad_mode=v),
+          np.array(["zero", "zero"]), "mirror"),
     _case("beta", lambda v: timelock.SincConfig(beta=v), "a", -1.0),
     _case("beta-none", lambda v: timelock.SincConfig(beta=v), None, math.inf),
     _case("amplitudes", lambda v: timelock.SynthSpec(amplitudes=(v, 1.0)), "a", math.nan),
@@ -70,6 +82,15 @@ def _raises_as_out_of_range(error, make, value, out_of_range):
 ])
 def test_config_fields_that_are_not_numbers(make, value, out_of_range):
     _raises_as_out_of_range(errors.ConfigError, make, value, out_of_range)
+
+
+def test_array_grids_equal_their_tuples():
+    grids = {"pad_fractions": (0.1, 0.2), "fsamp_factors": (1.0, 0.5),
+             "directions": ("contract_t1_expand_t2",)}
+    for name, grid in grids.items():
+        config = timelock.SweepConfig(**{name: np.array(grid)})
+        assert config == timelock.SweepConfig(**{name: grid}), name
+        assert isinstance(getattr(config, name), tuple), name
 
 
 @pytest.mark.parametrize("make, value, out_of_range", [
@@ -103,6 +124,8 @@ def test_pad_fractions_that_are_not_numbers(make, value, out_of_range):
 @pytest.mark.parametrize("make, value, out_of_range", [
     _case("string", lambda v: timelock.event_index_from_seconds(v, 100.0), "a", math.inf),
     _case("none", lambda v: timelock.event_index_from_seconds(v, 100.0), None, 1e308),
+    _case("trial-events", lambda v: timelock.Trial([1.0, 2.0], 10.0, v), 5,
+          (timelock.EventMarker(5, "onset"),)),
 ])
 def test_event_times_that_are_not_numbers(make, value, out_of_range):
     _raises_as_out_of_range(errors.BadEventsError, make, value, out_of_range)

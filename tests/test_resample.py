@@ -498,15 +498,17 @@ class TestEdges:
         # positions takes the chunk's grid once, and its reads evaluate the
         # whole chunk of the widest built pad and, of each narrower one,
         # only the outputs the edge formula names, each exactly once,
-        # reading the pad's own row of taps. Chunks of a few positions put
+        # reading the pad's own rows of taps: every read of one pad reads
+        # one rows view, and no two pads read the same. The pad of a read
+        # is the output row it writes. Chunks of a few positions put
         # the prefix and the suffix edges in different calls, and an edge
         # both at and inside a chunk boundary.
         calls = []
         resample_at = sincmod._resample_at
 
-        def counted(reach, base, frac, cutoff, cfg, reads):
+        def counted(base, frac, cutoff, cfg, reads):
             calls.append((np.array(base), np.array(frac), list(reads)))
-            return resample_at(reach, base, frac, cutoff, cfg, reads)
+            return resample_at(base, frac, cutoff, cfg, reads)
 
         rng = np.random.default_rng(61)
         for case in range(80):
@@ -527,7 +529,6 @@ class TestEdges:
             # the grid they are read at
             rows = [np.arange(out_len)] + [edge_indices(n_in, out_len, b, h) for b in built[1:]]
             grid_base, grid_frac = resample_grid(n_in, out_len)
-            width = n_in + 2 * h  # one row of the reach
             for outputs in (sincmod._OUTPUTS, 1, 2, 3, 7):
                 with monkeypatch.context() as patch:
                     patch.setattr(sincmod, "_OUTPUTS", outputs)
@@ -538,17 +539,23 @@ class TestEdges:
                     assert np.array_equal(got[b].view(np.int64), want[b].view(np.int64)), \
                         (case, outputs, b)
                 assert len(calls) == -(-out_len // outputs), (case, outputs)
+                taps = {}  # the data pointers of the rows each built pad reads
                 for c, (base, frac, reads) in enumerate(calls):
                     chunk = np.arange(c * outputs, min((c + 1) * outputs, out_len))
                     assert np.array_equal(base, grid_base[chunk]), (case, outputs, c)
                     assert np.array_equal(frac, grid_frac[chunk]), (case, outputs, c)
-                    assert {offset for offset, _, _, _ in reads} <= \
-                        {j * width for j in range(len(built))}, (case, outputs, c)
+                    pad_of = {got[b][chunk[0]:].ctypes.data: b for b in built}
+                    assert {out.ctypes.data for _, _, _, out in reads} <= set(pad_of), \
+                        (case, outputs, c)
                     for j, k in enumerate(rows):
-                        read = [np.arange(first, end) for offset, first, end, _ in reads
-                                if offset == j * width]
+                        mine = [r for r in reads if pad_of[r[3].ctypes.data] == built[j]]
+                        read = [np.arange(first, end) for _, first, end, _ in mine]
                         assert np.array_equal(np.concatenate(read) + chunk[0],
                                               k[np.isin(k, chunk)]), (case, outputs, c, j)
+                        for r in mine:
+                            taps.setdefault(built[j], set()).add(r[0].ctypes.data)
+                assert all(len(pointers) == 1 for pointers in taps.values()), (case, outputs)
+                assert len(set.union(*taps.values())) == len(taps), (case, outputs)
                 calls.clear()
 
     @pytest.mark.parametrize("pad_mode", ["neighbor", "zero"])
@@ -561,10 +568,10 @@ class TestEdges:
         calls = []
         resample_at = sincmod._resample_at
 
-        def counted(reach, base, frac, cutoff, cfg, reads):
+        def counted(base, frac, cutoff, cfg, reads):
             rows = len(base) if cutoff != 1.0 else np.count_nonzero(frac)
             calls.append((rows, len(reads)))
-            return resample_at(reach, base, frac, cutoff, cfg, reads)
+            return resample_at(base, frac, cutoff, cfg, reads)
 
         rng = np.random.default_rng(67)
         for case in range(24):
@@ -686,6 +693,12 @@ def _exact_taper(abs_u, cfg):
     return np.where(x < 1.0, w, 0.0)
 
 
+def _tap_rows(reach, h):
+    """The rows of taps _resample_at reads from reach: row b holds
+    reach[b:b + 2 h + 1], the taps of an output whose position floors to b."""
+    return np.lib.stride_tricks.sliding_window_view(reach, 2 * h + 1)
+
+
 class TestKernel:
     # the taps' weights read off impulse responses: the output at base + f
     # of a signal that is 1 at one sample and 0 elsewhere is the weight of
@@ -699,7 +712,7 @@ class TestKernel:
         base = np.tile(h - taps, len(frac))
         f = np.repeat(frac, len(taps))
         out = np.empty(len(base))
-        sincmod._resample_at(reach, base, f, cutoff, cfg, [(0, 0, len(base), out)])
+        sincmod._resample_at(base, f, cutoff, cfg, [(_tap_rows(reach, h), 0, len(base), out)])
         return out.reshape(len(frac), -1)
 
     @pytest.mark.parametrize("cutoff", [1.0, 0.8, 0.3])
@@ -720,6 +733,14 @@ class TestKernel:
         if cutoff == 1.0:
             exact[0] = np.arange(-h, h + 1) == 0  # the exact delta
         assert np.abs(self._weights(frac, cutoff, cfg) - exact).max() <= 1e-10
+
+    def test_unit_cutoff_cosines_are_exact_signs(self):
+        # the numerator is sin(a phi) cos(a i) + cos(a phi) sin(a i), a = pi
+        # * cutoff; at unit cutoff the second term is left out, and the
+        # first is the one-sine numerator (-1)**i sin(pi phi) bit for bit
+        # only because np.cos(pi * i) is exactly (-1)**i for every tap
+        i = np.arange(sincmod._MAX_HALF_WIDTH + 1)
+        assert np.array_equal(np.cos(np.pi * 1.0 * i), (-1.0) ** i)
 
     @pytest.mark.parametrize("beta", [1e-160, 1e-200, 1e-300])
     def test_tiny_kaiser_beta_gives_the_limit_taper(self, beta):
@@ -756,8 +777,8 @@ class TestKernel:
         reach = rng.normal(size=4 * h + 2)
         b = 2 * h
         below, onto = np.empty(1), np.empty(1)
-        sincmod._resample_at(reach, np.array([b - 1]), np.array([np.nextafter(1.0, 0.0)]),
-                             cutoff, cfg, [(0, 0, 1, below)])
-        sincmod._resample_at(reach, np.array([b]), np.array([0.0]), cutoff, cfg,
-                             [(0, 0, 1, onto)])
+        rows = _tap_rows(reach, h)
+        sincmod._resample_at(np.array([b - 1]), np.array([np.nextafter(1.0, 0.0)]),
+                             cutoff, cfg, [(rows, 0, 1, below)])
+        sincmod._resample_at(np.array([b]), np.array([0.0]), cutoff, cfg, [(rows, 0, 1, onto)])
         assert abs(below[0] - onto[0]) <= 1e-12 * np.abs(np.diff(reach)).max()

@@ -321,9 +321,9 @@ class TestFsampSweep:
             calls.append((len(index_ranges), n_in, out_len, sorted(pads), cfg.half_width))
             return resample_pads(x, index_ranges, out_len, pads, cfg, pad_mode)
 
-        def counted_at(reach, base, frac, cutoff, cfg, reads):
+        def counted_at(base, frac, cutoff, cfg, reads):
             evaluated.append(sum(stop - start for _, start, stop, _ in reads))
-            return resample_at(reach, base, frac, cutoff, cfg, reads)
+            return resample_at(base, frac, cutoff, cfg, reads)
 
         monkeypatch.setattr(sweeps, "resample_pads", counted_pads)
         monkeypatch.setattr(sincmod, "_resample_at", counted_at)
@@ -353,9 +353,9 @@ class TestFsampSweep:
             calls.append(args[2])
             return resample_pads(*args)
 
-        def counted_at(reach, base, frac, cutoff, cfg, reads):
+        def counted_at(base, frac, cutoff, cfg, reads):
             made.append(len(base) if cutoff != 1.0 else np.count_nonzero(frac))
-            return resample_at(reach, base, frac, cutoff, cfg, reads)
+            return resample_at(base, frac, cutoff, cfg, reads)
 
         monkeypatch.setattr(sweeps, "resample_pads", counted_pads)
         monkeypatch.setattr(sincmod, "_resample_at", counted_at)

@@ -3,8 +3,8 @@
 Usage: python tools/mutate.py [NAME ...]
 
 MUTANTS is a table of small deliberate faults: in metrics._accumulate and
-its helpers, in the resampler's evaluation of several ranges and pads at
-once, in the sweeps' grouping and keying of their cells, in the
+its helpers, in the resampler's one kernel path at unit cutoff and its
+evaluation of several ranges and pads at once, in the sweeps' grouping and keying of their cells, in the
 statistics that pairs sharing an original share, and
 one deletion of each guard, clamp or check in src/timelock that the code
 keeps and whose deletion no older entry covers. Each entry names a file,
@@ -121,17 +121,16 @@ MUTANTS = [
            (("np.searchsorted(base, h - b)", "np.searchsorted(base, h - b, 'right')"),),
            RESAMPLE, RESAMPLE_TESTS),
     Mutant("narrower row reading the widest row's taps",
-           (("((i * len(bs) + j) * width, first, stop, chunk[i, j])",
-             "(i * len(bs) * width, first, stop, chunk[i, j])"),),
+           (("(rows[i, j], first, stop, chunk[i, j])", "(rows[i, 0], first, stop, chunk[i, j])"),),
            RESAMPLE, RESAMPLE_TESTS),
     Mutant("a narrower row's middle not copied from the widest row",
            (("        for (j, _, left), (_, right, _) in zip(spans[1::2], spans[2::2]):\n"
              "            chunk[:, j, left:right] = chunk[:, 0, left:right]\n", ""),),
            RESAMPLE, RESAMPLE_TESTS),
     # faults of one kernel row per position, applied to every range and pad
-    Mutant("kernel row applied at another range's offset",
-           (("((i * len(bs) + j) * width, first, stop, chunk[i, j])",
-             "(((i + 1) % len(starts) * len(bs) + j) * width, first, stop, chunk[i, j])"),),
+    Mutant("kernel row applied to another range's taps",
+           (("(rows[i, j], first, stop, chunk[i, j])",
+             "(rows[(i + 1) % len(starts), j], first, stop, chunk[i, j])"),),
            RESAMPLE, RESAMPLE_TESTS),
     Mutant("a read writing into another range's row",
            (("first, stop, chunk[i, j])", "first, stop, chunk[(i + 1) % len(starts), j])"),),
@@ -140,6 +139,12 @@ MUTANTS = [
     # layout of the reads tells
     Mutant("narrower row applied outside its edge positions",
            (("(j, 0, min(int(np.searchsorted(base, h - b)), right))", "(j, 0, right)"),),
+           RESAMPLE, RESAMPLE_TESTS),
+    # faults of the one kernel path at unit cutoff
+    Mutant("second numerator term applied at unit cutoff",
+           (("if cutoff != 1.0:", "if True:"),), RESAMPLE, RESAMPLE_TESTS),
+    Mutant("integral positions not copied at unit cutoff",
+           (("integral = (frac == 0.0) & (cutoff == 1.0)", "integral = np.zeros(len(frac), bool)"),),
            RESAMPLE, RESAMPLE_TESTS),
     Mutant("resampling grouped by interval, not by interval length",
            (("groups.setdefault((stop - start, target),", "groups.setdefault((start, target),"),),
@@ -193,7 +198,7 @@ MUTANTS = [
            (("if not isinstance(self.anti_alias, (bool, np.bool_)):", "if False:"),),
            RESAMPLE, RESAMPLE_TESTS),
     Mutant("trial events kept as given, not as a tuple",
-           (("        object.__setattr__(self, \"events\", tuple(self.events))\n", ""),),
+           (("\"events\", tuple(self.events))", "\"events\", self.events)"),),
            MODEL, ("tests/test_model.py",)),
     Mutant("event fractions measured before their type is checked",
            (("_holds(self.event_fracs, 3)", "len(self.event_fracs) == 3"),), SYNTH, API_TESTS),
@@ -205,6 +210,17 @@ MUTANTS = [
     Mutant("warp targets planned whatever their type",
            (("if not (is_integer(t1_target) and is_integer(t2_target)):", "if False:"),),
            PIPELINE, API_TESTS),
+    Mutant("sweep grids kept as given, not as tuples",
+           (("object.__setattr__(self, name, tuple(value))",
+             "object.__setattr__(self, name, value)"),), SWEEPS, API_TESTS),
+    Mutant("window compared with the names whatever its type",
+           (("if not isinstance(self.window, str) or self.window", "if self.window"),),
+           RESAMPLE, API_TESTS),
+    Mutant("pad_mode compared with the modes whatever its type",
+           (("if not isinstance(pad_mode, str) or pad_mode", "if pad_mode"),), RESAMPLE, API_TESTS),
+    Mutant("trial events that are not a sequence left to a bare TypeError",
+           (("        except TypeError:\n            raise BadEventsError(",
+             "        except ValueError:\n            raise BadEventsError("),), MODEL, API_TESTS),
     Mutant("pads that are not a sequence taken as one",
            (("ranges, pads = list(index_ranges), list(pads)", "ranges = list(index_ranges)"),),
            RESAMPLE, RESAMPLE_TESTS),
